@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import dbgd.cli as cli
-from dbgd import CapabilityError, ConfigurationError
+from dbgd import CapabilityError, ConfigurationError, ConstantStep, SolverConfig, run
 from dbgd.harness import (
     SUMMARY_HEADER,
     TRACE_HEADER,
@@ -139,6 +139,36 @@ class TestExpansion:
             "dbgd_beta=1",
             "penalty_lambda=2",
         ]
+
+        # One block of every (kind, rule) pair; the first grid field is the
+        # outer loop.
+        blocks = [
+            {"kind": "dbgd", "beta": [0.5, 1.0]},
+            {"kind": "dbgd", "rule": "dynamic-barrier-min",
+             "alpha": [1.0, 2.0], "beta": [0.25, 0.5]},
+            {"kind": "dbgd", "rule": "lower-linearization", "eta": 0.1},
+            {"kind": "bloop", "beta": 0.5},
+            {"kind": "penalty", "lambda": [2.0, 10.0]},
+        ]
+        cells = expand_methods(blocks, problem)
+        expected = [
+            ("dbgd_beta=0.5", "dbgd:grad-norm-squared", "full"),
+            ("dbgd_beta=1", "dbgd:grad-norm-squared", "full"),
+            ("dbgd-min_alpha=1_beta=0.25", "dbgd:dynamic-barrier-min", "full"),
+            ("dbgd-min_alpha=1_beta=0.5", "dbgd:dynamic-barrier-min", "full"),
+            ("dbgd-min_alpha=2_beta=0.25", "dbgd:dynamic-barrier-min", "full"),
+            ("dbgd-min_alpha=2_beta=0.5", "dbgd:dynamic-barrier-min", "full"),
+            ("dbgd-lin_eta=0.1", "dbgd:lower-linearization", "direction-only"),
+            ("bloop_beta=0.5", "bloop", "full"),
+            ("penalty_lambda=2", "penalty", "direction-only"),
+            ("penalty_lambda=10", "penalty", "direction-only"),
+        ]
+        assert [name for name, _ in cells] == [name for name, _, _ in expected]
+        x0 = np.full(3, 0.2)
+        for (_, method), (name, label, potential_kind) in zip(cells, expected):
+            config = SolverConfig(method=method, step=ConstantStep(0.1), iterations=2)
+            trace = run(problem, config, x0)
+            assert (trace.method_label, trace.potential_kind) == (label, potential_kind), name
 
     def test_g_star_rules_reject_matfac(self):
         problem = build_problem(
