@@ -9,8 +9,7 @@ Subcommands::
     dbgd gradcheck <problem> [--seed S] [--points N] [...problem params]
 
 Exit codes: 0 success, 1 check failed, 2 configuration error,
-3 divergence, 4 missing problem capability.  The ``DBGD_WORKERS``
-environment variable overrides the grid worker count.
+3 divergence, 4 missing problem capability.
 """
 
 from __future__ import annotations
@@ -21,9 +20,10 @@ from typing import Optional, Sequence
 
 from .errors import CapabilityError, ConfigurationError, DbgdError, DivergenceError
 from .harness import (
-    WORKERS_ENV,
+    PROBLEM_FIELDS,
+    PROBLEMS,
     build_problem,
-    load_config,
+    prepare_config,
     run_casestudy,
     run_experiment,
     run_rates,
@@ -31,6 +31,17 @@ from .harness import (
 from .verify import finite_diff_sweep
 
 GRADCHECK_TOLERANCE = 1e-5
+
+#: Problem names ``dbgd gradcheck`` accepts, each with its table name.
+GRADCHECK_PROBLEMS = {
+    **{name: name for name in PROBLEMS},
+    **{entry.alias: name for name, entry in PROBLEMS.items() if entry.alias},
+}
+
+#: Problem fields ``dbgd gradcheck`` takes as flags, each with the value it
+#: passes when the flag is absent (None: the constructor's default).
+GRADCHECK_FLAGS = {"n": 10, "r": 10, "alpha": 1.0, "variant": None}
+_FLAG_TYPES = {"integer": int, "number": float}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -40,7 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "Dynamic-barrier gradient descent experiments for simple "
             "bilevel problems"
         ),
-        epilog=f"Set {WORKERS_ENV} to override the grid worker count.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -65,32 +75,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("config", help="config file of any kind")
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient audit")
-    p_grad.add_argument(
-        "problem", choices=["toy", "quadratic", "matfac"], help="built-in problem"
-    )
+    p_grad.add_argument("problem", choices=list(GRADCHECK_PROBLEMS), help="built-in problem")
     p_grad.add_argument("--seed", type=int, default=0)
     p_grad.add_argument("--points", type=int, default=100)
-    p_grad.add_argument("--n", type=int, default=10)
-    p_grad.add_argument("--r", type=int, default=10)
-    p_grad.add_argument("--alpha", type=float, default=1.0)
-    p_grad.add_argument(
-        "--variant", choices=["smooth-l1", "log-smooth"], default="smooth-l1"
-    )
+    for name, default in GRADCHECK_FLAGS.items():
+        schema = PROBLEM_FIELDS[name]
+        p_grad.add_argument(
+            f"--{name}",
+            type=_FLAG_TYPES.get(schema.get("type"), str),
+            choices=schema.get("enum"),
+            default=default,
+        )
     return parser
 
 
 def _gradcheck_problem(args: argparse.Namespace):
-    if args.problem == "toy":
-        return build_problem({"name": "toy"})
-    if args.problem == "quadratic":
-        return build_problem({"name": "quadratic", "n": args.n})
-    return build_problem({
-        "name": "matrix-factorization",
-        "n": args.n,
-        "r": args.r,
-        "alpha": args.alpha,
-        "variant": args.variant,
-    })
+    name = GRADCHECK_PROBLEMS[args.problem]
+    entry = PROBLEMS[name]
+    block = {"name": name}
+    for flag in GRADCHECK_FLAGS:
+        if (flag in entry.required or flag in entry.optional) and getattr(args, flag) is not None:
+            block[flag] = getattr(args, flag)
+    return build_problem(block)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -110,7 +116,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             out = run_casestudy(args.config, output_dir=args.output)
             print(f"wrote {out}/cases.csv")
         elif args.command == "validate":
-            doc = load_config(args.config)
+            doc, _, _ = prepare_config(args.config)
             print(f"valid {doc['kind']} config")
         else:
             problem = _gradcheck_problem(args)

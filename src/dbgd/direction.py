@@ -18,9 +18,8 @@ All operations are pure functions of their arguments.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -38,6 +37,7 @@ DEFAULT_GUARD = 1e-24
 class GradNormSquared:
     """Barrier level ``beta * ||grad_g||^2`` with ``0 <= beta <= 1``."""
 
+    label: ClassVar[str] = "dbgd:grad-norm-squared"
     beta: float
 
     def __post_init__(self):
@@ -49,6 +49,7 @@ class GradNormSquared:
 class DynamicBarrierMin:
     """Barrier level ``min(alpha * (g - g_star), beta * ||grad_g||^2)``."""
 
+    label: ClassVar[str] = "dbgd:dynamic-barrier-min"
     alpha: float
     beta: float
     g_star: float
@@ -69,6 +70,7 @@ class LowerLinearization:
     classical rule for convex lower objectives.
     """
 
+    label: ClassVar[str] = "dbgd:lower-linearization"
     g_star: float
     eta: float
 
@@ -84,6 +86,7 @@ class BloopOrthogonal:
     see :func:`bloop_direction`.
     """
 
+    label: ClassVar[str] = "bloop"
     beta: float
 
     def __post_init__(self):
@@ -91,42 +94,17 @@ class BloopOrthogonal:
             raise ValueError("beta must be nonnegative")
 
 
+#: Each rule's ``label`` is the ``method_label`` of the traces it drives.
 BarrierRule = Union[GradNormSquared, DynamicBarrierMin, LowerLinearization, BloopOrthogonal]
-
-_clamp_lock = threading.Lock()
-_clamp_count = 0
-
-
-def barrier_clamp_count() -> int:
-    """Number of times a g_star-based barrier was clamped at zero.
-
-    A nonzero count means ``g`` was evaluated below the declared lower
-    optimum, which indicates a bad ``g_star``.
-    """
-    return _clamp_count
-
-
-def reset_barrier_clamp_count() -> None:
-    global _clamp_count
-    with _clamp_lock:
-        _clamp_count = 0
-
-
-def _clamp_nonnegative(value: float) -> float:
-    global _clamp_count
-    if value < 0.0:
-        with _clamp_lock:
-            _clamp_count += 1
-        return 0.0
-    return value
 
 
 def barrier_value(rule: BarrierRule, g_val: float, grad_g: Array) -> float:
     """Scalar barrier level for one iterate.
 
     Always nonnegative: levels computed from a declared ``g_star`` are
-    clamped at zero (and counted, see :func:`barrier_clamp_count`) when
-    ``g_val`` falls below ``g_star``.
+    clamped at zero when ``g_val`` falls below ``g_star``, which indicates
+    a bad ``g_star`` (the solver counts these iterations in
+    ``TraceRecord.clamp_count``).
     """
     if isinstance(rule, GradNormSquared):
         return rule.beta * float(grad_g @ grad_g)
@@ -135,9 +113,9 @@ def barrier_value(rule: BarrierRule, g_val: float, grad_g: Array) -> float:
             rule.alpha * (g_val - rule.g_star),
             rule.beta * float(grad_g @ grad_g),
         )
-        return _clamp_nonnegative(level)
+        return max(level, 0.0)
     if isinstance(rule, LowerLinearization):
-        return _clamp_nonnegative((g_val - rule.g_star) / rule.eta)
+        return max((g_val - rule.g_star) / rule.eta, 0.0)
     if isinstance(rule, BloopOrthogonal):
         raise ValueError("the orthogonal-projection rule has no scalar barrier level")
     raise TypeError(f"unknown barrier rule {rule!r}")

@@ -10,23 +10,26 @@ A config is a single JSON object whose ``kind`` selects the workflow:
 * ``casestudy``: run one method from several initializations and
   classify each terminal point by its stationarity signature.
 
-Unknown keys anywhere in a config are errors, not warnings.  Reruns with
-identical configs and seeds produce byte-identical output files.
+The problems and methods a config can name are declared once, in the
+``PROBLEMS`` and ``METHODS`` tables; the config schema, its checks and the
+grid expansion are derived from them.  Unknown keys anywhere in a config
+are errors, not warnings.  Reruns with identical configs and seeds produce
+byte-identical output files.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 import jsonschema
 import numpy as np
 
 from .direction import (
+    BloopOrthogonal,
     DynamicBarrierMin,
     GradNormSquared,
     LowerLinearization,
@@ -40,7 +43,6 @@ from .problems import (
     toy_problem,
 )
 from .solver import (
-    Bloop,
     ConstantStep,
     Dbgd,
     Method,
@@ -73,9 +75,6 @@ CASES_HEADER = (
     "final_cos_theta"
 )
 
-#: Environment variable overriding the grid worker count.
-WORKERS_ENV = "DBGD_WORKERS"
-
 _NUMBER = {"type": "number"}
 _NUMBER_OR_GRID = {
     "oneOf": [
@@ -83,21 +82,97 @@ _NUMBER_OR_GRID = {
         {"type": "array", "items": {"type": "number"}, "minItems": 1},
     ]
 }
+_POSITIVE_INT = {"type": "integer", "minimum": 1}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+
+
+class ProblemEntry(NamedTuple):
+    """A config-buildable problem: its constructor and its config fields.
+
+    Field names are the constructor's keyword arguments and map to their
+    JSON-schema fragments; an optional field left out of a config takes the
+    constructor's default.  ``alias`` is a second name ``dbgd gradcheck``
+    accepts.
+    """
+
+    build: Callable[..., ProblemSpec]
+    required: dict[str, dict]
+    optional: dict[str, dict] = {}
+    alias: Optional[str] = None
+
+
+#: Every problem a config can name.
+PROBLEMS = {
+    "toy": ProblemEntry(toy_problem, {}),
+    "quadratic": ProblemEntry(
+        quadratic_sanity_problem, {"n": _POSITIVE_INT}, {"box_radius": _POSITIVE}
+    ),
+    "matrix-factorization": ProblemEntry(
+        matrix_factorization_problem,
+        {"n": _POSITIVE_INT, "r": _POSITIVE_INT, "alpha": _POSITIVE},
+        {
+            "variant": {"enum": ["smooth-l1", "log-smooth"]},
+            "noise_std": {"type": "number", "minimum": 0},
+            "seed": {"type": "integer"},
+        },
+        alias="matfac",
+    ),
+}
+
+#: Schema fragment of every problem field, over all problems.
+PROBLEM_FIELDS = {
+    name: fragment
+    for entry in PROBLEMS.values()
+    for name, fragment in {**entry.required, **entry.optional}.items()
+}
+
+
+class MethodEntry(NamedTuple):
+    """A config-buildable method.
+
+    A block yields one grid cell per combination of its ``fields`` (first
+    field outermost), named ``{prefix}_{field}={value:g}_...`` and built by
+    ``build(g_star, *values)``.  ``needs_g_star`` marks methods that need a
+    problem with a known lower optimum.
+    """
+
+    prefix: str
+    fields: tuple[str, ...]
+    build: Callable[..., Method]
+    needs_g_star: bool = False
+
+
+#: Rule of a dbgd block that names none.
+DEFAULT_RULE = "grad-norm-squared"
+
+#: Every method a config can name, keyed by ``(kind, rule)``.
+METHODS = {
+    ("dbgd", DEFAULT_RULE): MethodEntry(
+        "dbgd", ("beta",), lambda g_star, beta: Dbgd(GradNormSquared(beta))
+    ),
+    ("dbgd", "dynamic-barrier-min"): MethodEntry(
+        "dbgd-min",
+        ("alpha", "beta"),
+        lambda g_star, alpha, beta: Dbgd(DynamicBarrierMin(alpha, beta, g_star)),
+        needs_g_star=True,
+    ),
+    ("dbgd", "lower-linearization"): MethodEntry(
+        "dbgd-lin",
+        ("eta",),
+        lambda g_star, eta: Dbgd(LowerLinearization(g_star, eta)),
+        needs_g_star=True,
+    ),
+    ("penalty", None): MethodEntry("penalty", ("lambda",), lambda g_star, lam: Penalty(lam)),
+    ("bloop", None): MethodEntry(
+        "bloop", ("beta",), lambda g_star, beta: Dbgd(BloopOrthogonal(beta))
+    ),
+}
 
 _PROBLEM_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "required": ["name"],
-    "properties": {
-        "name": {"enum": ["toy", "quadratic", "matrix-factorization"]},
-        "n": {"type": "integer", "minimum": 1},
-        "r": {"type": "integer", "minimum": 1},
-        "alpha": {"type": "number", "exclusiveMinimum": 0},
-        "variant": {"enum": ["smooth-l1", "log-smooth"]},
-        "noise_std": {"type": "number", "minimum": 0},
-        "seed": {"type": "integer"},
-        "box_radius": {"type": "number", "exclusiveMinimum": 0},
-    },
+    "properties": {"name": {"enum": list(PROBLEMS)}, **PROBLEM_FIELDS},
 }
 
 _METHOD_SCHEMA = {
@@ -105,14 +180,9 @@ _METHOD_SCHEMA = {
     "additionalProperties": False,
     "required": ["kind"],
     "properties": {
-        "kind": {"enum": ["dbgd", "penalty", "bloop"]},
-        "rule": {
-            "enum": ["grad-norm-squared", "dynamic-barrier-min", "lower-linearization"]
-        },
-        "beta": _NUMBER_OR_GRID,
-        "alpha": _NUMBER_OR_GRID,
-        "eta": _NUMBER_OR_GRID,
-        "lambda": _NUMBER_OR_GRID,
+        "kind": {"enum": list(dict.fromkeys(kind for kind, _ in METHODS))},
+        "rule": {"enum": [rule for _, rule in METHODS if rule is not None]},
+        **{field: _NUMBER_OR_GRID for entry in METHODS.values() for field in entry.fields},
     },
 }
 
@@ -165,7 +235,6 @@ _OUTPUT_SCHEMA = {
     "properties": {
         "directory": {"type": "string"},
         "trace": {"enum": ["all", "final", "none"]},
-        "workers": {"type": "integer", "minimum": 1},
     },
 }
 
@@ -263,11 +332,6 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _fmt_param(x: float) -> str:
-    """Compact parameter rendering for cell names."""
-    return f"{x:g}"
-
-
 def load_config(path: str | Path) -> dict:
     """Parse and validate a config file; returns the raw document."""
     path = Path(path)
@@ -284,7 +348,11 @@ def load_config(path: str | Path) -> dict:
 
 
 def validate_config(doc: Any) -> str:
-    """Validate a parsed config document; returns its kind."""
+    """Validate a parsed config document; returns its kind.
+
+    Checks the document's structure and fields; the value ranges only a
+    constructor knows are checked by :func:`prepare_config`.
+    """
     if not isinstance(doc, dict):
         raise ConfigurationError("config must be a JSON object")
     kind = doc.get("kind")
@@ -304,34 +372,43 @@ def validate_config(doc: Any) -> str:
     return kind
 
 
+def prepare_config(
+    doc: dict | str | Path, kind: Optional[str] = None
+) -> tuple[dict, ProblemSpec, list[tuple[str, Method]]]:
+    """Load and validate a config, build its problem and expand its methods.
+
+    ``doc`` is a parsed document or a config file path; ``kind``, when
+    given, is the config kind the caller runs.  Returns the document, the
+    problem and the named method cells (none for a ``rates`` config).
+    Every rejected value, including one a constructor rejects, raises
+    :class:`ConfigurationError`.
+    """
+    if not isinstance(doc, dict):
+        doc = load_config(doc)
+    else:
+        validate_config(doc)
+    if kind is not None and doc["kind"] != kind:
+        raise ConfigurationError(f"expected a {kind!r} config, got {doc['kind']!r}")
+    problem = build_problem(doc["problem"])
+    return doc, problem, expand_methods(_method_blocks(doc), problem)
+
+
 def _semantic_checks(doc: dict) -> None:
     problem = doc["problem"]
     name = problem["name"]
-    allowed = {
-        "toy": {"name"},
-        "quadratic": {"name", "n", "box_radius"},
-        "matrix-factorization": {"name", "n", "r", "alpha", "variant", "noise_std", "seed"},
-    }[name]
-    extra = set(problem) - allowed
+    entry = PROBLEMS[name]
+    extra = set(problem) - {"name", *entry.required, *entry.optional}
     if extra:
         raise ConfigurationError(
             f"problem {name!r} does not accept fields {sorted(extra)}"
         )
-    if name == "quadratic" and "n" not in problem:
-        raise ConfigurationError("problem 'quadratic' requires 'n'")
-    if name == "matrix-factorization":
-        for req in ("n", "r", "alpha"):
-            if req not in problem:
-                raise ConfigurationError(f"problem 'matrix-factorization' requires {req!r}")
+    for req in entry.required:
+        if req not in problem:
+            raise ConfigurationError(f"problem {name!r} requires {req!r}")
 
-    if doc["kind"] == "experiment":
-        method_blocks = doc["methods"]
-    elif "method" in doc:
-        method_blocks = [doc["method"]]
-    else:
-        method_blocks = []
+    method_blocks = _method_blocks(doc)
     for i, block in enumerate(method_blocks):
-        _check_method_block(block, i)
+        _method_entry(block, f"methods[{i}]")
 
     run_block = doc.get("run", {})
     step = run_block.get("step")
@@ -343,53 +420,50 @@ def _semantic_checks(doc: dict) -> None:
             raise ConfigurationError("scheduled step mode requires 'p'")
         if mode == "scheduled":
             for block in method_blocks:
-                if block["kind"] != "dbgd" or block.get("rule", "grad-norm-squared") != "grad-norm-squared":
+                if _method_key(block) != ("dbgd", DEFAULT_RULE):
                     raise ConfigurationError(
                         "scheduled step mode requires every method to be dbgd "
-                        "with the grad-norm-squared rule"
+                        f"with the {DEFAULT_RULE} rule"
                     )
 
 
-def _check_method_block(block: dict, index: int) -> None:
+def _method_blocks(doc: dict) -> list[dict]:
+    if "methods" in doc:
+        return doc["methods"]
+    return [doc["method"]] if "method" in doc else []
+
+
+def _method_key(block: dict) -> tuple[str, Optional[str]]:
     kind = block["kind"]
-    where = f"methods[{index}]"
-    required = {
-        "dbgd": {"grad-norm-squared": {"beta"},
-                 "dynamic-barrier-min": {"alpha", "beta"},
-                 "lower-linearization": {"eta"}},
-        "penalty": {"lambda"},
-        "bloop": {"beta"},
-    }
-    if kind == "dbgd":
-        rule = block.get("rule", "grad-norm-squared")
-        needed = required["dbgd"][rule]
-        allowed = {"kind", "rule"} | needed
-    else:
-        needed = required[kind]
-        allowed = {"kind"} | needed
+    return kind, block.get("rule", DEFAULT_RULE if kind == "dbgd" else None)
+
+
+def _method_entry(block: dict, where: str) -> MethodEntry:
+    """The table entry of a method block, after checking the block's fields."""
+    kind, rule = _method_key(block)
+    entry = METHODS.get((kind, rule))
+    if entry is None:
+        raise ConfigurationError(f"{where}: kind {kind!r} has no rule {rule!r}")
+    allowed = {"kind", *entry.fields} | ({"rule"} if rule is not None else set())
     extra = set(block) - allowed
     if extra:
         raise ConfigurationError(f"{where}: fields {sorted(extra)} not valid for this method")
-    missing = needed - set(block)
+    missing = set(entry.fields) - set(block)
     if missing:
         raise ConfigurationError(f"{where}: missing required fields {sorted(missing)}")
+    return entry
 
 
 def build_problem(block: dict) -> ProblemSpec:
-    """Construct the problem instance named by a config block."""
-    name = block["name"]
-    if name == "toy":
-        return toy_problem()
-    if name == "quadratic":
-        return quadratic_sanity_problem(block["n"], block.get("box_radius", 2.0))
-    return matrix_factorization_problem(
-        block["n"],
-        block["r"],
-        block["alpha"],
-        variant=block.get("variant", "smooth-l1"),
-        noise_std=block.get("noise_std", 0.1),
-        seed=block.get("seed", 0),
-    )
+    """Construct the problem instance named by a config block.
+
+    A value the constructor rejects is a :class:`ConfigurationError`.
+    """
+    params = {key: value for key, value in block.items() if key != "name"}
+    try:
+        return PROBLEMS[block["name"]].build(**params)
+    except ValueError as exc:
+        raise ConfigurationError(f"problem: {exc}") from exc
 
 
 def resolve_x0(spec: Any, dim: int) -> np.ndarray:
@@ -412,44 +486,28 @@ def _grid_values(value: Any) -> list[float]:
 
 
 def expand_methods(blocks: list[dict], problem: ProblemSpec) -> list[tuple[str, Method]]:
-    """Expand method blocks into named grid cells, preserving order."""
+    """Expand method blocks into named grid cells, preserving order.
+
+    A value a method constructor rejects is a :class:`ConfigurationError`
+    naming its block.
+    """
     cells: list[tuple[str, Method]] = []
-    for block in blocks:
-        kind = block["kind"]
-        if kind == "penalty":
-            for lam in _grid_values(block["lambda"]):
-                cells.append((f"penalty_lambda={_fmt_param(lam)}", Penalty(lam)))
-        elif kind == "bloop":
-            for beta in _grid_values(block["beta"]):
-                cells.append((f"bloop_beta={_fmt_param(beta)}", Bloop(beta)))
-        else:
-            rule = block.get("rule", "grad-norm-squared")
-            if rule == "grad-norm-squared":
-                for beta in _grid_values(block["beta"]):
-                    cells.append(
-                        (f"dbgd_beta={_fmt_param(beta)}", Dbgd(GradNormSquared(beta)))
-                    )
-            elif rule == "dynamic-barrier-min":
-                if not problem.has_g_star:
-                    raise ConfigurationError(
-                        "the dynamic-barrier-min rule needs a problem with known g*"
-                    )
-                for alpha in _grid_values(block["alpha"]):
-                    for beta in _grid_values(block["beta"]):
-                        cells.append((
-                            f"dbgd-min_alpha={_fmt_param(alpha)}_beta={_fmt_param(beta)}",
-                            Dbgd(DynamicBarrierMin(alpha, beta, problem.g_star)),
-                        ))
-            else:
-                if not problem.has_g_star:
-                    raise ConfigurationError(
-                        "the lower-linearization rule needs a problem with known g*"
-                    )
-                for eta in _grid_values(block["eta"]):
-                    cells.append((
-                        f"dbgd-lin_eta={_fmt_param(eta)}",
-                        Dbgd(LowerLinearization(problem.g_star, eta)),
-                    ))
+    for i, block in enumerate(blocks):
+        where = f"methods[{i}]"
+        entry = _method_entry(block, where)
+        if entry.needs_g_star and not problem.has_g_star:
+            raise ConfigurationError(
+                f"{where}: the {_method_key(block)[1]} rule needs a problem with known g*"
+            )
+        grids = [_grid_values(block[field]) for field in entry.fields]
+        for values in itertools.product(*grids):
+            name = "_".join(
+                [entry.prefix] + [f"{field}={v:g}" for field, v in zip(entry.fields, values)]
+            )
+            try:
+                cells.append((name, entry.build(problem.g_star, *values)))
+            except ValueError as exc:
+                raise ConfigurationError(f"{where}: {exc}") from exc
     names = [name for name, _ in cells]
     if len(set(names)) != len(names):
         raise ConfigurationError("method grids produce duplicate cell names")
@@ -463,14 +521,18 @@ def _build_solver_config(run_block: dict, method: Method) -> SolverConfig:
     else:
         step = ScheduledStep(step_block["p"])
     stop = run_block.get("stop_tolerances")
+    options = {
+        arg: run_block[key]
+        for key, arg in (("guard", "guard"), ("penalty_step_scaling", "scale_penalty_step"))
+        if key in run_block
+    }
     return SolverConfig(
         method=method,
         step=step,
         iterations=run_block["iterations"],
-        guard=run_block.get("guard", 1e-24),
-        scale_penalty_step=run_block.get("penalty_step_scaling", True),
         record_iterates="none",
         stop_tolerances=tuple(stop) if stop is not None else None,
+        **options,
     )
 
 
@@ -523,19 +585,6 @@ def _summary_row(name: str, trace: TraceRecord) -> str:
     ])
 
 
-def _worker_count(output_block: dict) -> int:
-    env = os.environ.get(WORKERS_ENV)
-    if env is not None:
-        try:
-            count = int(env)
-        except ValueError as exc:
-            raise ConfigurationError(f"{WORKERS_ENV} must be an integer, got {env!r}") from exc
-        if count < 1:
-            raise ConfigurationError(f"{WORKERS_ENV} must be >= 1, got {count}")
-        return count
-    return output_block.get("workers", 1)
-
-
 def run_experiment(
     doc: dict | str | Path,
     output_dir: Optional[str | Path] = None,
@@ -548,15 +597,7 @@ def run_experiment(
     and ``iterations_override`` replace the config's values when given
     (the latter is how the full-scale budget is enabled from the CLI).
     """
-    if not isinstance(doc, dict):
-        doc = load_config(doc)
-    else:
-        validate_config(doc)
-    if doc["kind"] != "experiment":
-        raise ConfigurationError(f"expected an 'experiment' config, got {doc['kind']!r}")
-
-    problem = build_problem(doc["problem"])
-    cells = expand_methods(doc["methods"], problem)
+    doc, problem, cells = prepare_config(doc, "experiment")
     run_block = dict(doc["run"])
     if iterations_override is not None:
         if iterations_override < 1:
@@ -567,8 +608,8 @@ def run_experiment(
     out = Path(output_dir if output_dir is not None else doc["output"]["directory"])
     out.mkdir(parents=True, exist_ok=True)
 
-    def one_cell(item: tuple[str, Method]) -> tuple[str, TraceRecord]:
-        name, method = item
+    lines = [SUMMARY_HEADER]
+    for name, method in cells:
         config = _build_solver_config(run_block, method)
         try:
             trace = run(problem, config, x0)
@@ -576,17 +617,7 @@ def run_experiment(
             raise DivergenceError(exc.iteration, f"{exc.what} in cell {name}") from exc
         if granularity != "none":
             (out / f"{name}.csv").write_text(trace_csv(trace, granularity))
-        return name, trace
-
-    workers = _worker_count(doc["output"])
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_cell, cells))
-    else:
-        results = [one_cell(cell) for cell in cells]
-
-    lines = [SUMMARY_HEADER]
-    lines.extend(_summary_row(name, trace) for name, trace in results)
+        lines.append(_summary_row(name, trace))
     (out / "summary.csv").write_text("\n".join(lines) + "\n")
     return out
 
@@ -595,14 +626,7 @@ def run_rates(
     doc: dict | str | Path, output_file: Optional[str | Path] = None
 ) -> Path:
     """Fit minimal-potential decay slopes for every configured exponent."""
-    if not isinstance(doc, dict):
-        doc = load_config(doc)
-    else:
-        validate_config(doc)
-    if doc["kind"] != "rates":
-        raise ConfigurationError(f"expected a 'rates' config, got {doc['kind']!r}")
-
-    problem = build_problem(doc["problem"])
+    doc, problem, _ = prepare_config(doc, "rates")
     x0 = resolve_x0(doc["x0"], problem.dim)
     tolerance = doc.get("slope_tolerance", 0.3)
     fits = []
@@ -662,15 +686,7 @@ def run_casestudy(
     doc: dict | str | Path, output_dir: Optional[str | Path] = None
 ) -> Path:
     """Run one method from several initializations and classify endpoints."""
-    if not isinstance(doc, dict):
-        doc = load_config(doc)
-    else:
-        validate_config(doc)
-    if doc["kind"] != "casestudy":
-        raise ConfigurationError(f"expected a 'casestudy' config, got {doc['kind']!r}")
-
-    problem = build_problem(doc["problem"])
-    cells = expand_methods([doc["method"]], problem)
+    doc, problem, cells = prepare_config(doc, "casestudy")
     if len(cells) != 1:
         raise ConfigurationError("case studies take a single method without grids")
     _, method = cells[0]

@@ -12,7 +12,7 @@ over the trace is the certified near-stationary iterate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import ClassVar, Optional, Union
 
 import numpy as np
 
@@ -20,9 +20,7 @@ from .direction import (
     DEFAULT_GUARD,
     BarrierRule,
     BloopOrthogonal,
-    DynamicBarrierMin,
     GradNormSquared,
-    LowerLinearization,
     barrier_value,
     bloop_direction,
     dbgd_direction,
@@ -41,11 +39,17 @@ class Dbgd:
 
     rule: BarrierRule
 
+    @property
+    def label(self) -> str:
+        """Trace label of the barrier rule."""
+        return self.rule.label
+
 
 @dataclass(frozen=True)
 class Penalty:
     """Fixed-multiplier method: direction ``grad_f + lam * grad_g``."""
 
+    label: ClassVar[str] = "penalty"
     lam: float
 
     def __post_init__(self):
@@ -53,18 +57,7 @@ class Penalty:
             raise ValueError("penalty multiplier must be nonnegative")
 
 
-@dataclass(frozen=True)
-class Bloop:
-    """Orthogonal-projection method; shorthand for ``Dbgd(BloopOrthogonal(beta))``."""
-
-    beta: float
-
-    def __post_init__(self):
-        if not (self.beta >= 0.0):
-            raise ValueError("beta must be nonnegative")
-
-
-Method = Union[Dbgd, Penalty, Bloop]
+Method = Union[Dbgd, Penalty]
 
 
 @dataclass(frozen=True)
@@ -150,6 +143,8 @@ class TraceRecord:
     (``potential_kind == "full"``) and ``0.5 d_sq`` for runs without a
     barrier weight (``potential_kind == "direction-only"``).
     ``cos_theta`` is NaN where a gradient vanished; see ``cos_defined``.
+    ``clamp_count`` is the number of rows whose ``g_star``-based barrier
+    level was clamped at zero because ``g`` lay below ``g_star``.
     """
 
     f: Array
@@ -175,30 +170,11 @@ class TraceRecord:
     final_x: Array
     iterates: Optional[Array]
     stopped_early: bool
+    clamp_count: int
     warnings: list[str] = field(default_factory=list)
 
     def __len__(self) -> int:
         return self.f.shape[0]
-
-
-def _method_parts(method: Method) -> tuple[str, Optional[BarrierRule], Optional[float]]:
-    """Normalize a method into (label, dbgd rule or None, penalty lam or None)."""
-    if isinstance(method, Penalty):
-        return "penalty", None, method.lam
-    if isinstance(method, Bloop):
-        return "bloop", BloopOrthogonal(method.beta), None
-    if isinstance(method, Dbgd):
-        rule = method.rule
-        if isinstance(rule, BloopOrthogonal):
-            return "bloop", rule, None
-        if isinstance(rule, GradNormSquared):
-            return "dbgd:grad-norm-squared", rule, None
-        if isinstance(rule, DynamicBarrierMin):
-            return "dbgd:dynamic-barrier-min", rule, None
-        if isinstance(rule, LowerLinearization):
-            return "dbgd:lower-linearization", rule, None
-        raise ConfigurationError(f"unknown barrier rule {rule!r}")
-    raise ConfigurationError(f"unknown method {method!r}")
 
 
 def run(problem: ProblemSpec, config: SolverConfig, x0: Array) -> TraceRecord:
@@ -218,12 +194,14 @@ def run(problem: ProblemSpec, config: SolverConfig, x0: Array) -> TraceRecord:
     if not np.all(np.isfinite(x0)):
         raise ConfigurationError("x0 must be finite")
 
-    label, rule, penalty_lam = _method_parts(config.method)
+    label = config.method.label
+    rule = getattr(config.method, "rule", None)
+    penalty_lam = getattr(config.method, "lam", None)
     profile = problem.smoothness
     run_warnings: list[str] = []
 
     if isinstance(config.step, ScheduledStep):
-        if label != "dbgd:grad-norm-squared":
+        if not isinstance(rule, GradNormSquared):
             raise ConfigurationError(
                 "the scheduled step mode applies to the dynamic-barrier method "
                 "with the grad-norm-squared rule only"
@@ -240,18 +218,12 @@ def run(problem: ProblemSpec, config: SolverConfig, x0: Array) -> TraceRecord:
                 "descent guarantees may fail"
             )
 
-    if label == "penalty" and config.scale_penalty_step:
+    if penalty_lam is not None and config.scale_penalty_step:
         eta_eff = eta / (1.0 + penalty_lam)
     else:
         eta_eff = eta
 
-    if rule is not None and isinstance(rule, (GradNormSquared, DynamicBarrierMin)):
-        beta: Optional[float] = rule.beta
-    elif rule is not None and isinstance(rule, BloopOrthogonal):
-        beta = rule.beta
-    else:
-        beta = None
-
+    beta: Optional[float] = getattr(rule, "beta", None)
     if beta is not None:
         potential_kind = "full"
         pot_coef = beta / (profile.lip_grad_g * eta_eff)
@@ -338,6 +310,8 @@ def run(problem: ProblemSpec, config: SolverConfig, x0: Array) -> TraceRecord:
                 stopped_early = True
                 break
 
+    g_star = getattr(rule, "g_star", None)
+    clamps = 0 if g_star is None else int(np.count_nonzero(cols["g"][:rows] < g_star))
     return TraceRecord(
         f=cols["f"][:rows],
         g=cols["g"][:rows],
@@ -362,6 +336,7 @@ def run(problem: ProblemSpec, config: SolverConfig, x0: Array) -> TraceRecord:
         final_x=x,
         iterates=iterates[:rows] if iterates is not None else None,
         stopped_early=stopped_early,
+        clamp_count=clamps,
         warnings=run_warnings,
     )
 

@@ -138,7 +138,7 @@ def inequality_audit(
     All slacks are relative to the magnitude of the audited side (the
     multiplier bound uses a fixed ``1e-12``).
     """
-    if trace.method_label != "dbgd:grad-norm-squared":
+    if trace.method_label != GradNormSquared.label:
         raise ConfigurationError(
             f"inequality audit needs a dynamic-barrier grad-norm-squared trace, "
             f"got {trace.method_label!r}"

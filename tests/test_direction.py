@@ -8,16 +8,19 @@ from dbgd import (
     DynamicBarrierMin,
     GradNormSquared,
     InfeasibleSubproblemError,
+    ConstantStep,
+    Dbgd,
     LowerLinearization,
-    barrier_clamp_count,
+    SolverConfig,
     barrier_value,
     bloop_direction,
     dbgd_direction,
     lambda_closed_form,
     penalty_direction,
     qp_oracle_direction,
-    reset_barrier_clamp_count,
+    quadratic_sanity_problem,
     rng,
+    run,
 )
 
 
@@ -42,12 +45,15 @@ class TestBarrierValue:
         assert barrier_value(rule, 2.0, np.array([5.0, 5.0])) == 4.0
 
     def test_clamps_below_declared_optimum(self):
-        reset_barrier_clamp_count()
         rule = LowerLinearization(g_star=1.0, eta=0.5)
         assert barrier_value(rule, 0.5, np.zeros(2)) == 0.0
-        assert barrier_clamp_count() == 1
-        reset_barrier_clamp_count()
-        assert barrier_clamp_count() == 0
+        # g = 0.01 at the start lies below the rule's g* = 1; each run counts
+        # its own clamps, so an identical second run reports the same count.
+        config = SolverConfig(method=Dbgd(rule), step=ConstantStep(0.1), iterations=5)
+        problem = quadratic_sanity_problem(2)
+        counts = [run(problem, config, np.array([0.1, 0.1])).clamp_count for _ in range(2)]
+        assert counts[0] > 0
+        assert counts[1] == counts[0]
 
     def test_orthogonal_rule_has_no_scalar_level(self):
         with pytest.raises(ValueError):

@@ -235,18 +235,6 @@ class TestRunExperiment:
         assert first_row[TRACE_HEADER.split(",").index("cos_theta")] == "NA"
         assert first_row[-1] == "1"  # degenerate flag
 
-    def test_workers_env_override(self, tmp_path, monkeypatch):
-        doc = minimal_experiment(tmp_path)
-        monkeypatch.setenv("DBGD_WORKERS", "2")
-        out1 = run_experiment(doc, output_dir=tmp_path / "a")
-        monkeypatch.setenv("DBGD_WORKERS", "1")
-        out2 = run_experiment(doc, output_dir=tmp_path / "b")
-        for name in ("summary.csv", "dbgd_beta=1.csv"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-        monkeypatch.setenv("DBGD_WORKERS", "zero")
-        with pytest.raises(ConfigurationError):
-            run_experiment(doc, output_dir=tmp_path / "c")
-
     def test_rerun_is_byte_identical(self, tmp_path):
         doc = minimal_experiment(tmp_path)
         out1 = run_experiment(doc, output_dir=tmp_path / "r1")
@@ -324,8 +312,9 @@ class TestCli:
     def test_validate_and_gradcheck(self, capsys):
         assert cli.main(["validate", str(bundled("toy.json"))]) == 0
         assert "experiment" in capsys.readouterr().out
-        assert cli.main(["gradcheck", "toy", "--points", "5"]) == 0
-        assert "ok" in capsys.readouterr().out
+        for problem in cli.GRADCHECK_PROBLEMS:  # every choice the parser offers
+            assert cli.main(["gradcheck", problem, "--points", "5"]) == 0, problem
+            assert "ok" in capsys.readouterr().out, problem
 
     def test_gradcheck_matfac_params(self, capsys):
         code = cli.main([
@@ -339,6 +328,21 @@ class TestCli:
         bad.write_text(json.dumps({"kind": "experiment"}))
         assert cli.main(["validate", str(bad)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change, where", [
+        ({"problem": {"name": "toy"}, "methods": [{"kind": "dbgd", "beta": 1.5}],
+          "run": {"x0": [-3.0, -1.0], "iterations": 5,
+                  "step": {"mode": "constant", "eta": 0.01}}}, "methods[0]"),
+        ({"problem": {"name": "matrix-factorization", "n": 3, "r": 5, "alpha": 1.0}},
+         "problem"),
+        ({"methods": [{"kind": "penalty", "lambda": -1}]}, "methods[0]"),
+    ], ids=["dbgd-beta-above-1", "matfac-rank-above-n", "penalty-negative-lambda"])
+    def test_out_of_range_values_are_config_errors(self, tmp_path, capsys, change, where):
+        path = tmp_path / "range.json"
+        path.write_text(json.dumps(minimal_experiment(tmp_path, **change)))
+        for command in ("validate", "run"):
+            assert cli.main([command, str(path)]) == 2
+            assert f"config error: {where}: " in capsys.readouterr().err
 
     def test_divergence_exit_code(self, tmp_path, capsys):
         doc = {

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dbgd import (
-    Bloop,
+    BloopOrthogonal,
     ConfigurationError,
     ConstantStep,
     Dbgd,
@@ -210,7 +210,7 @@ class TestRun:
         assert np.allclose(pen.potential, 0.5 * pen.d_sq)
         blp = run(
             problem,
-            SolverConfig(method=Bloop(0.5), step=ConstantStep(0.1), iterations=3),
+            SolverConfig(method=Dbgd(BloopOrthogonal(0.5)), step=ConstantStep(0.1), iterations=3),
             x0,
         )
         assert blp.potential_kind == "full"
