@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 
 from dbgd import (
     BloopOrthogonal,
+    ConstantStep,
+    Dbgd,
     DynamicBarrierMin,
     GradNormSquared,
     InfeasibleSubproblemError,
-    ConstantStep,
-    Dbgd,
     LowerLinearization,
     SolverConfig,
     barrier_value,
