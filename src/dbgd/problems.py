@@ -160,7 +160,10 @@ def toy_problem() -> ProblemSpec:
     """
 
     def f(x: Array) -> float:
-        return (x[0] + math.pi / 20.0) ** 2 + (x[1] + 1.0) ** 2
+        # products, not ``** 2``: a numpy scalar's power goes through libm pow
+        a = x[0] + math.pi / 20.0
+        b = x[1] + 1.0
+        return a * a + b * b
 
     def grad_f(x: Array) -> Array:
         return np.array([2.0 * (x[0] + math.pi / 20.0), 2.0 * (x[1] + 1.0)])
