@@ -119,6 +119,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             doc, _, _ = prepare_config(args.config)
             print(f"valid {doc['kind']} config")
         else:
+            if args.points < 1:
+                raise ConfigurationError(f"--points must be at least 1, got {args.points}")
             problem = _gradcheck_problem(args)
             worst = finite_diff_sweep(problem, points=args.points, seed=args.seed)
             status = "ok" if worst <= GRADCHECK_TOLERANCE else "FAIL"

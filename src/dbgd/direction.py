@@ -13,17 +13,22 @@ solution, the orthogonal-projection (equality-constrained) variant, the
 fixed-multiplier penalty direction, and an independent dual-bisection
 solver used as a correctness oracle for the closed form.
 
-All operations are pure functions of their arguments.
+All operations are pure functions of their arguments and work row-wise:
+gradients are one vector ``(dim,)`` or a batch ``(rows, dim)``, and each
+per-row quantity (levels, multipliers, rule parameters, the guard) is a
+scalar or one value per row.  A rule whose fields hold one value per row
+drives a batch of runs of that rule at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Union
+from typing import Any, ClassVar, Union
 
 import numpy as np
 
 from .errors import InfeasibleSubproblemError
+from .problems import row_dot
 
 Array = np.ndarray
 
@@ -41,7 +46,8 @@ class GradNormSquared:
     beta: float
 
     def __post_init__(self):
-        if not (0.0 <= self.beta <= 1.0):
+        beta = np.asarray(self.beta)
+        if not np.all((0.0 <= beta) & (beta <= 1.0)):
             raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
 
 
@@ -55,9 +61,9 @@ class DynamicBarrierMin:
     g_star: float
 
     def __post_init__(self):
-        if not (self.alpha > 0.0):
+        if not np.all(np.asarray(self.alpha) > 0.0):
             raise ValueError("alpha must be strictly positive")
-        if not (self.beta > 0.0):
+        if not np.all(np.asarray(self.beta) > 0.0):
             raise ValueError("beta must be strictly positive")
 
 
@@ -75,7 +81,7 @@ class LowerLinearization:
     eta: float
 
     def __post_init__(self):
-        if not (self.eta > 0.0):
+        if not np.all(np.asarray(self.eta) > 0.0):
             raise ValueError("eta must be strictly positive")
 
 
@@ -90,7 +96,7 @@ class BloopOrthogonal:
     beta: float
 
     def __post_init__(self):
-        if not (self.beta >= 0.0):
+        if not np.all(np.asarray(self.beta) >= 0.0):
             raise ValueError("beta must be nonnegative")
 
 
@@ -98,8 +104,18 @@ class BloopOrthogonal:
 BarrierRule = Union[GradNormSquared, DynamicBarrierMin, LowerLinearization, BloopOrthogonal]
 
 
-def barrier_value(rule: BarrierRule, g_val: float, grad_g: Array) -> float:
-    """Scalar barrier level for one iterate.
+def _per_row(value):
+    """A per-row value shaped to broadcast against ``(rows, dim)`` vectors."""
+    return np.asarray(value)[..., None]
+
+
+def _safe(gg: Array, degenerate: Array) -> Array:
+    """``gg`` with the degenerate rows replaced by 1, to divide by."""
+    return np.where(degenerate, 1.0, gg)
+
+
+def barrier_value(rule: BarrierRule, g_val, grad_g: Array):
+    """Barrier level of each row's iterate.
 
     Always nonnegative: levels computed from a declared ``g_star`` are
     clamped at zero when ``g_val`` falls below ``g_star``, which indicates
@@ -107,15 +123,15 @@ def barrier_value(rule: BarrierRule, g_val: float, grad_g: Array) -> float:
     ``TraceRecord.clamp_count``).
     """
     if isinstance(rule, GradNormSquared):
-        return rule.beta * float(grad_g @ grad_g)
+        return rule.beta * row_dot(grad_g, grad_g)
     if isinstance(rule, DynamicBarrierMin):
-        level = min(
+        level = np.minimum(
             rule.alpha * (g_val - rule.g_star),
-            rule.beta * float(grad_g @ grad_g),
+            rule.beta * row_dot(grad_g, grad_g),
         )
-        return max(level, 0.0)
+        return np.maximum(level, 0.0)
     if isinstance(rule, LowerLinearization):
-        return max((g_val - rule.g_star) / rule.eta, 0.0)
+        return np.maximum((g_val - rule.g_star) / rule.eta, 0.0)
     if isinstance(rule, BloopOrthogonal):
         raise ValueError("the orthogonal-projection rule has no scalar barrier level")
     raise TypeError(f"unknown barrier rule {rule!r}")
@@ -130,44 +146,40 @@ class DirectionResult:
     signed multiplier (flagged via ``equality_multiplier``).  ``phi`` is
     the constraint level in force; ``degenerate`` is set when
     ``||grad_g||^2`` fell at or below the guard and the projection
-    degenerated to the identity.
+    degenerated to the identity.  For a batch, ``d`` has one row per
+    input row, and ``lam``, ``phi`` and ``degenerate`` are per-row arrays
+    or a scalar shared by every row.
     """
 
     d: Array
-    lam: float
-    phi: float
-    degenerate: bool
+    lam: Any
+    phi: Any
+    degenerate: Any
     equality_multiplier: bool = False
 
 
-def lambda_closed_form(
-    grad_f: Array, grad_g: Array, phi: float, guard: float = DEFAULT_GUARD
-) -> tuple[float, bool]:
-    """Closed-form multiplier of the halfspace projection.
+def lambda_closed_form(grad_f: Array, grad_g: Array, phi, guard=DEFAULT_GUARD):
+    """Closed-form multiplier of the halfspace projection, per row.
 
     Returns ``(max((phi - grad_f.grad_g) / ||grad_g||^2, 0), False)``, or
-    ``(0, True)`` when ``||grad_g||^2 <= guard``.
+    ``(0, True)`` where ``||grad_g||^2 <= guard``.
     """
-    if phi < 0.0:
+    if np.any(np.asarray(phi) < 0.0):
         raise ValueError(f"phi must be nonnegative, got {phi}")
-    gg = float(grad_g @ grad_g)
-    if gg <= guard:
-        return 0.0, True
-    return max((phi - float(grad_f @ grad_g)) / gg, 0.0), False
+    gg = row_dot(grad_g, grad_g)
+    degenerate = gg <= guard
+    lam = np.maximum((phi - row_dot(grad_f, grad_g)) / _safe(gg, degenerate), 0.0)
+    return np.where(degenerate, 0.0, lam)[()], degenerate
 
 
-def dbgd_direction(
-    grad_f: Array, grad_g: Array, phi: float, guard: float = DEFAULT_GUARD
-) -> DirectionResult:
+def dbgd_direction(grad_f: Array, grad_g: Array, phi, guard=DEFAULT_GUARD) -> DirectionResult:
     """Euclidean projection of ``grad_f`` onto ``{d : grad_g . d >= phi}``."""
     lam, degenerate = lambda_closed_form(grad_f, grad_g, phi, guard)
-    d = grad_f + lam * grad_g
+    d = grad_f + _per_row(lam) * grad_g
     return DirectionResult(d=d, lam=lam, phi=phi, degenerate=degenerate)
 
 
-def bloop_direction(
-    grad_f: Array, grad_g: Array, beta: float, guard: float = DEFAULT_GUARD
-) -> DirectionResult:
+def bloop_direction(grad_f: Array, grad_g: Array, beta, guard=DEFAULT_GUARD) -> DirectionResult:
     """Orthogonal-projection direction.
 
     ``d = beta * grad_g + [grad_f - (grad_f.grad_g / ||grad_g||^2) grad_g]``,
@@ -176,33 +188,30 @@ def bloop_direction(
     signed equality multiplier ``beta - grad_f.grad_g / ||grad_g||^2`` and
     may be negative; such results are excluded from multiplier-based
     stationarity certificates.  Below the guard the direction falls back
-    to ``grad_f``.
+    to ``grad_f`` (with multiplier and level 0).
     """
-    gg = float(grad_g @ grad_g)
-    if gg <= guard:
-        return DirectionResult(
-            d=np.array(grad_f, dtype=float, copy=True),
-            lam=0.0,
-            phi=0.0,
-            degenerate=True,
-            equality_multiplier=True,
-        )
-    lam = beta - float(grad_f @ grad_g) / gg
-    d = grad_f + lam * grad_g
+    gg = row_dot(grad_g, grad_g)
+    degenerate = gg <= guard
+    lam = np.where(degenerate, 0.0, beta - row_dot(grad_f, grad_g) / _safe(gg, degenerate))[()]
+    d = np.where(_per_row(degenerate), grad_f, grad_f + _per_row(lam) * grad_g)
     return DirectionResult(
-        d=d, lam=lam, phi=beta * gg, degenerate=False, equality_multiplier=True
+        d=d,
+        lam=lam,
+        phi=np.where(degenerate, 0.0, beta * gg)[()],
+        degenerate=degenerate,
+        equality_multiplier=True,
     )
 
 
-def penalty_direction(grad_f: Array, grad_g: Array, lam: float) -> DirectionResult:
+def penalty_direction(grad_f: Array, grad_g: Array, lam) -> DirectionResult:
     """Fixed-multiplier direction ``grad_f + lam * grad_g``.
 
     No constraint is enforced; ``lam >= 0`` is held for the whole run.
     """
-    if not (lam >= 0.0):
+    if not np.all(np.asarray(lam) >= 0.0):
         raise ValueError(f"penalty multiplier must be nonnegative, got {lam}")
     return DirectionResult(
-        d=grad_f + lam * grad_g, lam=lam, phi=0.0, degenerate=False
+        d=grad_f + _per_row(lam) * grad_g, lam=lam, phi=0.0, degenerate=False
     )
 
 

@@ -10,6 +10,12 @@ A config is a single JSON object whose ``kind`` selects the workflow:
 * ``casestudy``: run one method from several initializations and
   classify each terminal point by its stationarity signature.
 
+Each command runs all its independent runs (grid cells, initializations,
+``(p, K)`` pairs) as one solver batch.  Unless a config asks for every
+trace row (``output.trace: all``), only each run's best and last rows are
+kept, so memory does not grow with the budget; full traces are written
+in blocks of rows.
+
 The problems and methods a config can name are declared once, in the
 ``PROBLEMS`` and ``METHODS`` tables; the config schema, its checks and the
 grid expansion are derived from them.  Unknown keys anywhere in a config
@@ -50,7 +56,6 @@ from .solver import (
     ScheduledStep,
     SolverConfig,
     TraceRecord,
-    best_iterate,
     run,
 )
 from .verify import rate_fit
@@ -69,6 +74,9 @@ SUMMARY_HEADER = (
     "final_f_perp_sq,final_f_par_sq,best_k,best_potential,"
     "best_grad_g_sq,best_d_sq"
 )
+
+#: Trace CSV rows rendered and written at a time.
+TRACE_BLOCK_ROWS = 256
 
 CASES_HEADER = (
     "init,classification,final_lambda,final_grad_f_sq,final_grad_g_sq,"
@@ -390,7 +398,10 @@ def prepare_config(
     if kind is not None and doc["kind"] != kind:
         raise ConfigurationError(f"expected a {kind!r} config, got {doc['kind']!r}")
     problem = build_problem(doc["problem"])
-    return doc, problem, expand_methods(_method_blocks(doc), problem)
+    cells = expand_methods(_method_blocks(doc), problem)
+    if doc["kind"] == "casestudy" and len(cells) != 1:
+        raise ConfigurationError("case studies take a single method without grids")
+    return doc, problem, cells
 
 
 def _semantic_checks(doc: dict) -> None:
@@ -536,33 +547,40 @@ def _build_solver_config(run_block: dict, method: Method) -> SolverConfig:
     )
 
 
-def trace_csv(trace: TraceRecord, granularity: str = "all") -> str:
-    """Render a trace as CSV text (fixed schema, 17 significant digits)."""
-    lines = [TRACE_HEADER]
-    indices = range(len(trace)) if granularity == "all" else [len(trace) - 1]
-    for k in indices:
-        cos = _fmt(trace.cos_theta[k]) if trace.cos_defined[k] else "NA"
-        lines.append(",".join([
-            str(k),
-            _fmt(trace.f[k]),
-            _fmt(trace.g[k]),
-            _fmt(trace.grad_f_sq[k]),
-            _fmt(trace.grad_g_sq[k]),
-            _fmt(trace.lam[k]),
-            _fmt(trace.d_sq[k]),
-            cos,
-            _fmt(trace.f_perp_sq[k]),
-            _fmt(trace.f_par_sq[k]),
-            _fmt(trace.delta_f[k]),
-            _fmt(trace.delta_g[k]),
-            _fmt(trace.potential[k]),
-            "1" if trace.degenerate[k] else "0",
-        ]))
+def trace_csv(
+    trace: TraceRecord, granularity: str = "all", start: int = 0, stop: Optional[int] = None
+) -> str:
+    """Render kept rows ``start:stop`` of a trace as CSV text.
+
+    Fixed schema, 17 significant digits.  ``final`` granularity renders the
+    last row only.  The text starts with the header when ``start`` is 0.
+    """
+    if granularity == "all":
+        rows, ks = trace.table[start:stop], trace.k[start:stop]
+    else:
+        rows, ks = trace.table[-1:], trace.k[-1:]
+    lines = [TRACE_HEADER] if start == 0 else []
+    for k, (f, g, gf_sq, gg_sq, lam, d_sq, cos, f_perp_sq, f_par_sq, delta_f, delta_g,
+            potential, degenerate, cos_defined) in zip(ks.tolist(), rows.tolist()):
+        cos_text = f"{cos:.17g}" if cos_defined else "NA"
+        lines.append(
+            f"{k},{f:.17g},{g:.17g},{gf_sq:.17g},{gg_sq:.17g},{lam:.17g},{d_sq:.17g},"
+            f"{cos_text},{f_perp_sq:.17g},{f_par_sq:.17g},{delta_f:.17g},{delta_g:.17g},"
+            f"{potential:.17g},{'1' if degenerate else '0'}"
+        )
     return "\n".join(lines) + "\n"
 
 
+def _write_trace(path: Path, trace: TraceRecord, granularity: str) -> None:
+    """Write a trace CSV one block of rows at a time."""
+    blocks = range(0, len(trace.k), TRACE_BLOCK_ROWS) if granularity == "all" else [0]
+    with open(path, "w") as fh:
+        for start in blocks:
+            fh.write(trace_csv(trace, granularity, start, start + TRACE_BLOCK_ROWS))
+
+
 def _summary_row(name: str, trace: TraceRecord) -> str:
-    k = best_iterate(trace)
+    best = int(np.argmin(trace.potential))
     cos = _fmt(trace.cos_theta[-1]) if trace.cos_defined[-1] else "NA"
     return ",".join([
         name,
@@ -578,11 +596,15 @@ def _summary_row(name: str, trace: TraceRecord) -> str:
         cos,
         _fmt(trace.f_perp_sq[-1]),
         _fmt(trace.f_par_sq[-1]),
-        str(k),
-        _fmt(trace.potential[k]),
-        _fmt(trace.grad_g_sq[k]),
-        _fmt(trace.d_sq[k]),
+        str(trace.k[best]),
+        _fmt(trace.potential[best]),
+        _fmt(trace.grad_g_sq[best]),
+        _fmt(trace.d_sq[best]),
     ])
+
+
+def _kept_rows(granularity: str) -> str:
+    return "all" if granularity == "all" else "best-last"
 
 
 def run_experiment(
@@ -590,7 +612,7 @@ def run_experiment(
     output_dir: Optional[str | Path] = None,
     iterations_override: Optional[int] = None,
 ) -> Path:
-    """Execute every grid cell of an experiment config.
+    """Execute every grid cell of an experiment config, as one batch.
 
     Writes one trace CSV per cell (unless trace granularity is ``none``)
     and a ``summary.csv``; returns the output directory.  ``output_dir``
@@ -608,15 +630,15 @@ def run_experiment(
     out = Path(output_dir if output_dir is not None else doc["output"]["directory"])
     out.mkdir(parents=True, exist_ok=True)
 
+    configs = [_build_solver_config(run_block, method) for _, method in cells]
+    try:
+        batch = run(problem, configs, x0, keep=_kept_rows(granularity))
+    except DivergenceError as exc:
+        raise DivergenceError(exc.iteration, f"{exc.what} in cell {cells[exc.cell][0]}") from exc
     lines = [SUMMARY_HEADER]
-    for name, method in cells:
-        config = _build_solver_config(run_block, method)
-        try:
-            trace = run(problem, config, x0)
-        except DivergenceError as exc:
-            raise DivergenceError(exc.iteration, f"{exc.what} in cell {name}") from exc
+    for (name, _), trace in zip(cells, batch.traces):
         if granularity != "none":
-            (out / f"{name}.csv").write_text(trace_csv(trace, granularity))
+            _write_trace(out / f"{name}.csv", trace, granularity)
         lines.append(_summary_row(name, trace))
     (out / "summary.csv").write_text("\n".join(lines) + "\n")
     return out
@@ -630,8 +652,7 @@ def run_rates(
     x0 = resolve_x0(doc["x0"], problem.dim)
     tolerance = doc.get("slope_tolerance", 0.3)
     fits = []
-    for p in doc["p"]:
-        fit = rate_fit(problem, x0, p, list(doc["k_grid"]), tolerance)
+    for p, fit in zip(doc["p"], rate_fit(problem, x0, doc["p"], list(doc["k_grid"]), tolerance)):
         fits.append({
             "p": p,
             "k_values": list(fit.k_values),
@@ -685,10 +706,9 @@ def classify_terminal(trace: TraceRecord, thresholds: dict) -> str:
 def run_casestudy(
     doc: dict | str | Path, output_dir: Optional[str | Path] = None
 ) -> Path:
-    """Run one method from several initializations and classify endpoints."""
+    """Run one method from several initializations, as one batch, and
+    classify endpoints."""
     doc, problem, cells = prepare_config(doc, "casestudy")
-    if len(cells) != 1:
-        raise ConfigurationError("case studies take a single method without grids")
     _, method = cells[0]
     thresholds = {**DEFAULT_CLASSIFY, **doc.get("classify", {})}
 
@@ -697,14 +717,15 @@ def run_casestudy(
     out = Path(output_dir if output_dir is not None else doc["output"]["directory"])
     out.mkdir(parents=True, exist_ok=True)
 
+    inits = run_block["initializations"]
+    x0 = np.array([resolve_x0(init, problem.dim) for init in inits])
+    config = _build_solver_config(run_block, method)
+    batch = run(problem, [config] * len(inits), x0, keep=_kept_rows(granularity))
     lines = [CASES_HEADER]
     classified = 0
-    for i, init in enumerate(run_block["initializations"]):
-        x0 = resolve_x0(init, problem.dim)
-        config = _build_solver_config(run_block, method)
-        trace = run(problem, config, x0)
+    for i, trace in enumerate(batch.traces):
         if granularity != "none":
-            (out / f"init{i}.csv").write_text(trace_csv(trace, granularity))
+            _write_trace(out / f"init{i}.csv", trace, granularity)
         label = classify_terminal(trace, thresholds)
         if label != "unclassified":
             classified += 1

@@ -22,7 +22,7 @@ import numpy as np
 
 from .direction import DEFAULT_GUARD
 from .errors import CapabilityError, EvaluationError
-from .problems import ProblemSpec
+from .problems import ProblemSpec, row_dot
 
 Array = np.ndarray
 
@@ -32,13 +32,14 @@ def decompose_grad_f(
 ) -> tuple[Array, Array]:
     """Split ``grad_f`` into components parallel and orthogonal to ``grad_g``.
 
-    Below the guard on ``||grad_g||^2`` the parallel component is zero and
-    the orthogonal component is all of ``grad_f``.
+    Works row-wise on batches.  Below the guard on ``||grad_g||^2`` the
+    parallel component is zero and the orthogonal component is all of
+    ``grad_f``.
     """
-    gg = float(grad_g @ grad_g)
-    if gg <= guard:
-        return np.zeros_like(grad_f), np.array(grad_f, dtype=float, copy=True)
-    par = (float(grad_f @ grad_g) / gg) * grad_g
+    gg = row_dot(grad_g, grad_g)
+    degenerate = gg <= guard
+    coef = np.where(degenerate, 0.0, row_dot(grad_f, grad_g) / np.where(degenerate, 1.0, gg))
+    par = coef[..., None] * grad_g
     return par, grad_f - par
 
 

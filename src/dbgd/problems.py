@@ -8,7 +8,9 @@ optional known lower optimum ``g*``, and smoothness constants consumed by
 step-size schedules and inequality monitors.
 
 Matrix-valued problems store their variable flattened in row-major order,
-so every solver sees a plain vector interface.
+so every solver sees a plain vector interface.  Every oracle takes a
+single point of shape ``(dim,)`` or a batch of independent points of shape
+``(..., dim)``; each row's result is bit for bit the one it gets alone.
 """
 
 from __future__ import annotations
@@ -19,9 +21,23 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import CapabilityError
+from .errors import CapabilityError, LowerOptimumError
 
 Array = np.ndarray
+
+
+def row_dot(a: Array, b: Array) -> Array:
+    """Dot products of matching rows of ``(..., dim)`` arrays.
+
+    Bit for bit equal to ``a[i] @ b[i]`` for every row (``einsum`` is
+    not); a pair of 1-D vectors gives a scalar.
+    """
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _as_value(value):
+    """A float for one point, the array of row values for a batch."""
+    return value if np.ndim(value) else float(value)
 
 
 def rng(seed: int) -> np.random.Generator:
@@ -80,15 +96,16 @@ class ProblemSpec:
     smoothness : SmoothnessProfile
         Constants used by schedules and monitors.
     f, g : callable
-        Upper / lower objective, ``x -> float``.
+        Upper / lower objective: ``x -> float`` for ``x`` of shape
+        ``(dim,)``, one value per row for a batch ``(..., dim)``.
     grad_f, grad_g : callable
-        Analytic gradients, ``x -> ndarray`` of shape ``(dim,)``.
+        Analytic gradients, ``x -> ndarray`` of the shape of ``x``.
     hvp_g : callable, optional
         Hessian-vector product of ``g``: ``(x, v) -> ndarray``.
     g_star : float, optional
         Known minimum value of ``g``.  When present, every ``eval_g`` call
-        asserts ``g(x) >= g_star`` in debug mode (``python`` without
-        ``-O``).
+        checks ``g(x) >= g_star`` on every row and raises
+        :class:`LowerOptimumError` naming the first value below it.
     sample : callable, optional
         ``generator -> ndarray`` drawing a representative test point;
         defaults to a standard normal vector.  Used by gradient audits.
@@ -117,15 +134,16 @@ class ProblemSpec:
     def has_hvp(self) -> bool:
         return self.hvp_g is not None
 
-    def eval_f(self, x: Array) -> float:
-        return float(self.f(x))
+    def eval_f(self, x: Array):
+        return _as_value(self.f(x))
 
-    def eval_g(self, x: Array) -> float:
-        value = float(self.g(x))
-        assert self.g_star is None or value >= self.g_star, (
-            f"g(x) = {value} fell below the declared optimum g* = {self.g_star}"
-        )
-        return value
+    def eval_g(self, x: Array):
+        value = self.g(x)
+        if self.g_star is not None:
+            below = np.asarray(value) < self.g_star
+            if below.any():
+                raise LowerOptimumError(np.asarray(value)[below].flat[0], self.g_star)
+        return _as_value(value)
 
     def eval_grad_f(self, x: Array) -> Array:
         return np.asarray(self.grad_f(x), dtype=float)
@@ -159,31 +177,40 @@ def toy_problem() -> ProblemSpec:
     gradient bound is attained at the corner ``(4, 4)``.
     """
 
-    def f(x: Array) -> float:
-        # products, not ``** 2``: a numpy scalar's power goes through libm pow
-        a = x[0] + math.pi / 20.0
-        b = x[1] + 1.0
+    def f(x: Array) -> Array:
+        # products, not ``** 2``, which goes through libm pow for a numpy scalar
+        a = x[..., 0] + math.pi / 20.0
+        b = x[..., 1] + 1.0
         return a * a + b * b
 
     def grad_f(x: Array) -> Array:
-        return np.array([2.0 * (x[0] + math.pi / 20.0), 2.0 * (x[1] + 1.0)])
+        out = np.empty(x.shape)
+        out[..., 0] = 2.0 * (x[..., 0] + math.pi / 20.0)
+        out[..., 1] = 2.0 * (x[..., 1] + 1.0)
+        return out
 
-    def g(x: Array) -> float:
-        e = x[1] - math.sin(10.0 * x[0])
+    def g(x: Array) -> Array:
+        e = x[..., 1] - np.sin(10.0 * x[..., 0])
         return e * e
 
     def grad_g(x: Array) -> Array:
-        c = math.cos(10.0 * x[0])
-        e = x[1] - math.sin(10.0 * x[0])
-        return np.array([-20.0 * c * e, 2.0 * e])
+        c = np.cos(10.0 * x[..., 0])
+        e = x[..., 1] - np.sin(10.0 * x[..., 0])
+        out = np.empty(x.shape)
+        out[..., 0] = -20.0 * c * e
+        out[..., 1] = 2.0 * e
+        return out
 
     def hvp_g(x: Array, v: Array) -> Array:
-        s = math.sin(10.0 * x[0])
-        c = math.cos(10.0 * x[0])
-        e = x[1] - s
+        s = np.sin(10.0 * x[..., 0])
+        c = np.cos(10.0 * x[..., 0])
+        e = x[..., 1] - s
         h11 = 200.0 * s * e + 200.0 * c * c
         h12 = -20.0 * c
-        return np.array([h11 * v[0] + h12 * v[1], h12 * v[0] + 2.0 * v[1]])
+        out = np.empty(np.broadcast_shapes(x.shape, v.shape))
+        out[..., 0] = h11 * v[..., 0] + h12 * v[..., 1]
+        out[..., 1] = h12 * v[..., 0] + 2.0 * v[..., 1]
+        return out
 
     def sample(gen: np.random.Generator) -> Array:
         return gen.uniform(-4.0, 4.0, size=2)
@@ -224,12 +251,12 @@ def quadratic_sanity_problem(n: int, box_radius: float = 2.0) -> ProblemSpec:
 
     ones = np.ones(n)
 
-    def f(x: Array) -> float:
+    def f(x: Array) -> Array:
         diff = x - ones
-        return 0.5 * float(diff @ diff)
+        return 0.5 * row_dot(diff, diff)
 
-    def g(x: Array) -> float:
-        return 0.5 * float(x @ x)
+    def g(x: Array) -> Array:
+        return 0.5 * row_dot(x, x)
 
     def grad_f(x: Array) -> Array:
         return x - ones
@@ -304,41 +331,60 @@ def matrix_factorization_problem(
     m = u_star @ u_star.T + eps * np.eye(n)
     m = 0.5 * (m + m.T)  # enforce exact symmetry of the BLAS product
 
+    # The oracles work in place: at n = 200, r = 20 the out-of-place forms
+    # spent most of their time allocating the (n, n) temporaries.
     if variant == "smooth-l1":
 
-        def f(x: Array) -> float:
-            return float(np.sum(np.sqrt(x * x + alpha)))
+        def f(x: Array) -> Array:
+            t = x * x
+            t += alpha
+            return np.sqrt(t, out=t).sum(axis=-1)
 
         def grad_f(x: Array) -> Array:
-            return x / np.sqrt(x * x + alpha)
+            t = x * x
+            t += alpha
+            return np.divide(x, np.sqrt(t, out=t), out=t)
 
         lip_f = 1.0 / math.sqrt(alpha)
         bound_f = math.sqrt(n * r)
     else:
 
-        def f(x: Array) -> float:
-            return float(np.sum(np.log1p(x * x / alpha)))
+        def f(x: Array) -> Array:
+            t = x * x
+            t /= alpha
+            return np.log1p(t, out=t).sum(axis=-1)
 
         def grad_f(x: Array) -> Array:
-            return 2.0 * x / (alpha + x * x)
+            t = x * x
+            t += alpha
+            return np.divide(2.0 * x, t, out=t)
 
         lip_f = 2.0 / alpha
         bound_f = math.sqrt(n * r / alpha)
 
-    def g(x: Array) -> float:
-        v = x.reshape(n, r)
-        res = v @ v.T - m
-        return float(np.sum(res * res))
+    def factor(x: Array) -> Array:
+        return x.reshape(*x.shape[:-1], n, r)
+
+    def residual(v: Array) -> Array:
+        res = v @ v.swapaxes(-1, -2)
+        res -= m
+        return res
+
+    def g(x: Array) -> Array:
+        res = residual(factor(x))
+        res *= res
+        return res.reshape(*x.shape[:-1], n * n).sum(axis=-1)
 
     def grad_g(x: Array) -> Array:
-        v = x.reshape(n, r)
-        return (4.0 * ((v @ v.T - m) @ v)).reshape(-1)
+        v = factor(x)
+        out = residual(v) @ v
+        out *= 4.0
+        return out.reshape(x.shape)
 
     def hvp_g(x: Array, w_flat: Array) -> Array:
-        v = x.reshape(n, r)
-        w = w_flat.reshape(n, r)
-        out = (w @ v.T + v @ w.T) @ v + (v @ v.T - m) @ w
-        return (4.0 * out).reshape(-1)
+        v, w = factor(x), factor(w_flat)
+        out = (w @ v.swapaxes(-1, -2) + v @ w.swapaxes(-1, -2)) @ v + residual(v) @ w
+        return (4.0 * out).reshape(*out.shape[:-2], n * r)
 
     def sample(gen: np.random.Generator) -> Array:
         return 0.3 * gen.standard_normal(n * r)

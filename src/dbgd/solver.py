@@ -11,8 +11,9 @@ over the trace is the certified near-stationary iterate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import ClassVar, Optional, Union
+import itertools
+from dataclasses import dataclass, field, fields
+from typing import Any, ClassVar, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -20,7 +21,10 @@ from .direction import (
     DEFAULT_GUARD,
     BarrierRule,
     BloopOrthogonal,
+    DirectionResult,
+    DynamicBarrierMin,
     GradNormSquared,
+    LowerLinearization,
     barrier_value,
     bloop_direction,
     dbgd_direction,
@@ -28,7 +32,7 @@ from .direction import (
 )
 from .errors import ConfigurationError, DivergenceError
 from .metrics import decompose_grad_f
-from .problems import ProblemSpec, SmoothnessProfile
+from .problems import ProblemSpec, SmoothnessProfile, row_dot
 
 Array = np.ndarray
 
@@ -53,7 +57,7 @@ class Penalty:
     lam: float
 
     def __post_init__(self):
-        if not (self.lam >= 0.0):
+        if not np.all(np.asarray(self.lam) >= 0.0):
             raise ValueError("penalty multiplier must be nonnegative")
 
 
@@ -132,6 +136,24 @@ class SolverConfig:
                 raise ValueError("stop tolerances must be nonnegative")
 
 
+#: Columns of a trace row, in the order of ``TraceRecord.table``: that of
+#: the trace CSV (``harness.TRACE_HEADER``, which renders rows by position)
+#: without ``k``, then ``cos_defined``.  The two flags are stored as 0.0 / 1.0.
+COLUMNS = (
+    "f", "g", "grad_f_sq", "grad_g_sq", "lam", "d_sq", "cos_theta", "f_perp_sq",
+    "f_par_sq", "delta_f", "delta_g", "potential", "degenerate", "cos_defined",
+)
+(_F, _G, _GRAD_F_SQ, _GRAD_G_SQ, _LAM, _D_SQ, _COS, _F_PERP_SQ, _F_PAR_SQ,
+ _DELTA_F, _DELTA_G, _POTENTIAL, _DEGENERATE, _COS_DEFINED) = range(len(COLUMNS))
+
+
+def _column(name: str, flag: bool = False) -> property:
+    i = COLUMNS.index(name)
+    if flag:
+        return property(lambda self: self.table[:, i] != 0.0, doc=f"``{name}`` flag of each kept row.")
+    return property(lambda self: self.table[:, i], doc=f"``{name}`` of each kept row.")
+
+
 @dataclass
 class TraceRecord:
     """Per-iteration diagnostics of one run.
@@ -143,24 +165,19 @@ class TraceRecord:
     (``potential_kind == "full"``) and ``0.5 d_sq`` for runs without a
     barrier weight (``potential_kind == "direction-only"``).
     ``cos_theta`` is NaN where a gradient vanished; see ``cos_defined``.
-    ``clamp_count`` is the number of rows whose ``g_star``-based barrier
-    level was clamped at zero because ``g`` lay below ``g_star``.
+
+    ``table`` holds the kept rows, one column per name in ``COLUMNS``,
+    each also an attribute (``trace.d_sq``); ``k`` holds their iteration
+    indices.  A run that keeps ``"all"`` rows keeps every row; one that
+    keeps ``"best-last"`` keeps its minimal-potential row (the earliest on
+    ties) followed by its last row.  ``len(trace)`` counts the rows the run
+    recorded, kept or not.  ``clamp_count`` is the number of rows whose
+    ``g_star``-based barrier level was clamped at zero because ``g`` lay
+    below ``g_star``; ``degenerate_steps`` counts the degenerate rows.
     """
 
-    f: Array
-    g: Array
-    grad_f_sq: Array
-    grad_g_sq: Array
-    lam: Array
-    d_sq: Array
-    delta_f: Array
-    delta_g: Array
-    cos_theta: Array
-    cos_defined: Array
-    f_perp_sq: Array
-    f_par_sq: Array
-    potential: Array
-    degenerate: Array
+    table: Array
+    k: Array
     eta: float
     beta: Optional[float]
     potential_kind: str
@@ -171,35 +188,65 @@ class TraceRecord:
     iterates: Optional[Array]
     stopped_early: bool
     clamp_count: int
+    degenerate_steps: int
     warnings: list[str] = field(default_factory=list)
 
+    f = _column("f")
+    g = _column("g")
+    grad_f_sq = _column("grad_f_sq")
+    grad_g_sq = _column("grad_g_sq")
+    lam = _column("lam")
+    d_sq = _column("d_sq")
+    cos_theta = _column("cos_theta")
+    f_perp_sq = _column("f_perp_sq")
+    f_par_sq = _column("f_par_sq")
+    delta_f = _column("delta_f")
+    delta_g = _column("delta_g")
+    potential = _column("potential")
+    degenerate = _column("degenerate", flag=True)
+    cos_defined = _column("cos_defined", flag=True)
+
     def __len__(self) -> int:
-        return self.f.shape[0]
+        return int(self.k[-1]) + 1 if len(self.k) else 0
 
 
-def run(problem: ProblemSpec, config: SolverConfig, x0: Array) -> TraceRecord:
-    """Execute the iteration and return the complete trace.
+@dataclass(frozen=True)
+class BatchTrace:
+    """The traces of one batch run, in the order of its configs."""
 
-    Runs the full budget unless ``stop_tolerances = (eps_f, eps_g)`` is
-    set, in which case the run stops at the first iterate with
-    ``d_sq <= eps_f`` and ``grad_g_sq <= eps_g``.  Every recorded quantity
-    is finite or the run aborts with :class:`DivergenceError` naming the
-    iteration.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (problem.dim,):
-        raise ConfigurationError(
-            f"x0 has shape {x0.shape}, problem dimension is {problem.dim}"
-        )
-    if not np.all(np.isfinite(x0)):
-        raise ConfigurationError("x0 must be finite")
+    traces: tuple[TraceRecord, ...]
 
+    def __len__(self) -> int:
+        """Rows recorded over all runs of the batch."""
+        return sum(len(trace) for trace in self.traces)
+
+    @property
+    def degenerate(self) -> Array:
+        """Degenerate steps of each run."""
+        return np.array([trace.degenerate_steps for trace in self.traces])
+
+
+#: Direction kinds, in the order their rows take in a batch.  Each kind
+#: present takes one direction call per iteration, for all its rows.
+_KINDS = (GradNormSquared, DynamicBarrierMin, LowerLinearization, BloopOrthogonal, Penalty)
+
+
+class _Setup(NamedTuple):
+    """What a config resolves to before its run starts."""
+
+    rule: Any  # the barrier rule, or the Penalty itself
+    eta: float  # after penalty step scaling
+    beta: Optional[float]
+    pot_coef: float
+    label: str
+    step_label: str
+    warnings: list[str]
+
+
+def _setup(profile: SmoothnessProfile, config: SolverConfig) -> _Setup:
     label = config.method.label
-    rule = getattr(config.method, "rule", None)
-    penalty_lam = getattr(config.method, "lam", None)
-    profile = problem.smoothness
-    run_warnings: list[str] = []
-
+    rule = getattr(config.method, "rule", config.method)
+    warnings: list[str] = []
     if isinstance(config.step, ScheduledStep):
         if not isinstance(rule, GradNormSquared):
             raise ConfigurationError(
@@ -213,136 +260,245 @@ def run(problem: ProblemSpec, config: SolverConfig, x0: Array) -> TraceRecord:
         eta = config.step.eta
         step_label = "constant"
         if label.startswith("dbgd") and eta > 1.0 / profile.lip_total:
-            run_warnings.append(
+            warnings.append(
                 f"constant step {eta} exceeds 1/(L_f+L_g) = {1.0 / profile.lip_total}; "
                 "descent guarantees may fail"
             )
+    if isinstance(rule, Penalty) and config.scale_penalty_step:
+        eta = eta / (1.0 + rule.lam)
+    beta = getattr(rule, "beta", None)
+    pot_coef = 0.0 if beta is None else beta / (profile.lip_grad_g * eta)
+    return _Setup(rule, eta, beta, pot_coef, label, step_label, warnings)
 
-    if penalty_lam is not None and config.scale_penalty_step:
-        eta_eff = eta / (1.0 + penalty_lam)
-    else:
-        eta_eff = eta
 
-    beta: Optional[float] = getattr(rule, "beta", None)
-    if beta is not None:
-        potential_kind = "full"
-        pot_coef = beta / (profile.lip_grad_g * eta_eff)
-    else:
-        potential_kind = "direction-only"
-        pot_coef = 0.0
+def _stacked(rules: list) -> Any:
+    """One rule (or Penalty) whose fields hold the values of ``rules``, row by row."""
+    first = rules[0]
+    return type(first)(**{
+        f.name: np.array([getattr(rule, f.name) for rule in rules]) for f in fields(first)
+    })
 
-    k_max = config.iterations
-    cols = {
-        name: np.empty(k_max)
-        for name in (
-            "f", "g", "grad_f_sq", "grad_g_sq", "lam", "d_sq",
-            "delta_f", "delta_g", "cos_theta", "f_perp_sq", "f_par_sq",
-            "potential",
-        )
+
+def _groups(setups: list[_Setup], cell: Array) -> list[tuple[slice, Any]]:
+    """The slice of each kind's rows, with the kind's stacked rule."""
+    groups, start = [], 0
+    for _, members in itertools.groupby(cell.tolist(), key=lambda i: type(setups[i].rule)):
+        rules = [setups[i].rule for i in members]
+        groups.append((slice(start, start + len(rules)), _stacked(rules)))
+        start += len(rules)
+    return groups
+
+
+def _direction(rule, gf: Array, gg: Array, g_now: Array, guard: Array) -> DirectionResult:
+    if isinstance(rule, Penalty):
+        return penalty_direction(gf, gg, rule.lam)
+    if isinstance(rule, BloopOrthogonal):
+        return bloop_direction(gf, gg, rule.beta, guard)
+    return dbgd_direction(gf, gg, barrier_value(rule, g_now, gg), guard)
+
+
+def _diverged(iteration: int, what: str, cell: Array, *values: Array) -> None:
+    """Raise :class:`DivergenceError` naming the lowest-index config with a
+    non-finite value."""
+    bad = np.zeros(cell.size, dtype=bool)
+    for value in values:
+        bad |= ~np.isfinite(value).reshape(cell.size, -1).all(axis=1)
+    raise DivergenceError(iteration, what, int(cell[bad].min()))
+
+
+def run(problem: ProblemSpec, config, x0: Array, keep: str = "all"):
+    """Execute the iteration and return the trace of each run.
+
+    ``config`` is one :class:`SolverConfig`, which runs as a batch of one
+    and returns its :class:`TraceRecord`, or a sequence of them, which run
+    as one batch and return a :class:`BatchTrace`.  ``x0`` is one start
+    point for every run, or one row per run.  ``keep`` is ``"all"`` (every
+    row) or ``"best-last"`` (the minimal-potential and last rows, so that
+    memory does not grow with the budget).
+
+    A batch advances all its runs as one ``(runs, dim)`` array, each run
+    with its own method, step, budget and stop state; a run's trace is bit
+    for bit the one it gets alone.  Each run takes its full budget unless
+    ``stop_tolerances = (eps_f, eps_g)`` is set, in which case it stops at
+    the first iterate with ``d_sq <= eps_f`` and ``grad_g_sq <= eps_g``.
+    A run that stops leaves the batch.  Every recorded quantity is finite
+    or the batch aborts with :class:`DivergenceError` naming the iteration
+    and, in ``cell``, the index of the first run that diverged.
+    """
+    if isinstance(config, SolverConfig):
+        return _run_batch(problem, [config], x0, keep).traces[0]
+    return _run_batch(problem, list(config), x0, keep)
+
+
+def _run_batch(
+    problem: ProblemSpec, configs: list[SolverConfig], x0: Array, keep: str
+) -> BatchTrace:
+    if keep not in ("all", "best-last"):
+        raise ValueError(f"unknown keep {keep!r}")
+    if not configs:
+        raise ValueError("a batch needs at least one config")
+    cells, dim = len(configs), problem.dim
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape not in ((dim,), (cells, dim)):
+        raise ConfigurationError(f"x0 has shape {x0.shape}, problem dimension is {dim}")
+    if not np.all(np.isfinite(x0)):
+        raise ConfigurationError("x0 must be finite")
+    x0 = np.array(np.broadcast_to(x0, (cells, dim)))
+    setups = [_setup(problem.smoothness, config) for config in configs]
+
+    # Rows of a kind sit together; active row j runs configs[cell[j]].
+    cell = np.array(sorted(range(cells), key=lambda i: _KINDS.index(type(setups[i].rule))))
+    per_row = {
+        "eta": np.array([setups[i].eta for i in cell])[:, None],
+        "pot_coef": np.array([setups[i].pot_coef for i in cell]),
+        "guard": np.array([configs[i].guard for i in cell]),
+        "budget": np.array([configs[i].iterations for i in cell]),
+        "tolerance": np.array([configs[i].stop_tolerances or (-np.inf, -np.inf) for i in cell]),
+        "clamp_ref": np.array([getattr(setups[i].rule, "g_star", -np.inf) for i in cell]),
+        "clamps": np.zeros(cells, dtype=int),
+        "degenerate": np.zeros(cells, dtype=int),
     }
-    cos_defined = np.empty(k_max, dtype=bool)
-    degenerate = np.empty(k_max, dtype=bool)
-    iterates = np.empty((k_max, problem.dim)) if config.record_iterates == "all" else None
-
-    x = x0.copy()
+    x = x0[cell]
     f_now = problem.eval_f(x)
     g_now = problem.eval_g(x)
-    if not (np.isfinite(f_now) and np.isfinite(g_now)):
-        raise DivergenceError(0, "objective value")
+    if not (np.isfinite(f_now).all() and np.isfinite(g_now).all()):
+        _diverged(0, "objective value", cell, f_now, g_now)
 
-    stopped_early = False
-    rows = 0
-    for k in range(k_max):
-        gf = problem.eval_grad_f(x)
-        gg = problem.eval_grad_g(x)
-        if not (np.all(np.isfinite(gf)) and np.all(np.isfinite(gg))):
-            raise DivergenceError(k, "gradient")
+    budget_max = max(config.iterations for config in configs)
+    table = np.empty((budget_max, cells, len(COLUMNS))) if keep == "all" else None
+    record_x = any(config.record_iterates == "all" for config in configs)
+    iterates = np.empty((budget_max, cells, dim)) if record_x else None
+    best = best_k = None
+    out = {
+        "rows": np.zeros(cells, dtype=int),
+        "stopped": np.zeros(cells, dtype=bool),
+        "final_x": np.empty((cells, dim)),
+        "clamps": np.zeros(cells, dtype=int),
+        "degenerate": np.zeros(cells, dtype=int),
+        "best": np.empty((cells, len(COLUMNS))),
+        "best_k": np.zeros(cells, dtype=int),
+        "last": np.empty((cells, len(COLUMNS))),
+    }
 
-        if penalty_lam is not None:
-            res = penalty_direction(gf, gg, penalty_lam)
-        elif isinstance(rule, BloopOrthogonal):
-            res = bloop_direction(gf, gg, rule.beta, config.guard)
+    k = 0
+    while cell.size:
+        n = cell.size
+        groups = _groups(setups, cell)
+        eta, pot_coef, guard = per_row["eta"], per_row["pot_coef"], per_row["guard"]
+        budget, clamp_ref = per_row["budget"], per_row["clamp_ref"]
+        eps_f, eps_g = per_row["tolerance"].T
+        clamps, degenerate = per_row["clamps"], per_row["degenerate"]
+        horizon = int(budget.min())
+        stopping = bool(np.isfinite(eps_f).any())
+        clamping = bool(np.isfinite(clamp_ref).any())
+        while True:
+            gf = problem.eval_grad_f(x)
+            gg = problem.eval_grad_g(x)
+            if not (np.isfinite(gf).all() and np.isfinite(gg).all()):
+                _diverged(k, "gradient", cell, gf, gg)
+
+            row = np.empty((n, len(COLUMNS)))
+            d = np.empty_like(gf)
+            for rows, rule in groups:
+                res = _direction(rule, gf[rows], gg[rows], g_now[rows], guard[rows])
+                d[rows] = res.d
+                row[rows, _LAM] = res.lam
+                row[rows, _DEGENERATE] = res.degenerate
+            if not (np.isfinite(d).all() and np.isfinite(row[:, _LAM]).all()):
+                _diverged(k, "direction", cell, d, row[:, _LAM])
+
+            x_next = x - eta * d
+            f_next = problem.eval_f(x_next)
+            g_next = problem.eval_g(x_next)
+            if not (np.isfinite(f_next).all() and np.isfinite(g_next).all()):
+                _diverged(k, "objective value", cell, f_next, g_next)
+
+            gf_sq = row_dot(gf, gf)
+            gg_sq = row_dot(gg, gg)
+            d_sq = row_dot(d, d)
+            par, perp = decompose_grad_f(gf, gg, guard)
+            defined = (gf_sq > guard) & (gg_sq > guard)
+            cos = row_dot(gf, gg) / np.sqrt(np.where(defined, gf_sq * gg_sq, 1.0))
+            row[:, _F] = f_now
+            row[:, _G] = g_now
+            row[:, _GRAD_F_SQ] = gf_sq
+            row[:, _GRAD_G_SQ] = gg_sq
+            row[:, _D_SQ] = d_sq
+            row[:, _COS] = np.where(defined, np.minimum(1.0, np.maximum(-1.0, cos)), np.nan)
+            row[:, _F_PERP_SQ] = row_dot(perp, perp)
+            row[:, _F_PAR_SQ] = row_dot(par, par)
+            row[:, _DELTA_F] = f_now - f_next
+            row[:, _DELTA_G] = g_now - g_next
+            row[:, _POTENTIAL] = 0.5 * d_sq + pot_coef * gg_sq
+            row[:, _COS_DEFINED] = defined
+            if table is not None:
+                table[k, cell] = row
+            elif k == 0:
+                best, best_k = row.copy(), np.zeros(n, dtype=int)
+            else:
+                better = row[:, _POTENTIAL] < best[:, _POTENTIAL]
+                if better.any():
+                    best[better] = row[better]
+                    best_k[better] = k
+            if iterates is not None:
+                iterates[k, cell] = x
+            if clamping:
+                clamps += g_now < clamp_ref
+            degenerate += row[:, _DEGENERATE] != 0.0
+
+            x, f_now, g_now = x_next, f_next, g_next
+            k += 1
+            if k == horizon or stopping:
+                stopped = (d_sq <= eps_f) & (gg_sq <= eps_g)
+                done = stopped | (budget == k)
+                if done.any():
+                    break
+
+        # Retire the runs that ended; the others go on in a smaller batch.
+        ended = cell[done]
+        out["rows"][ended] = k
+        out["stopped"][ended] = stopped[done]
+        out["final_x"][ended] = x[done]
+        out["clamps"][ended] = clamps[done]
+        out["degenerate"][ended] = degenerate[done]
+        out["last"][ended] = row[done]
+        if best is not None:
+            out["best"][ended] = best[done]
+            out["best_k"][ended] = best_k[done]
+            best, best_k = best[~done], best_k[~done]
+        go_on = ~done
+        cell, x, f_now, g_now = cell[go_on], x[go_on], f_now[go_on], g_now[go_on]
+        per_row = {name: value[go_on] for name, value in per_row.items()}
+
+    traces = []
+    for i, (config, setup) in enumerate(zip(configs, setups)):
+        rows = int(out["rows"][i])
+        if table is not None:
+            kept, index = table[:rows, i], np.arange(rows)
         else:
-            phi = barrier_value(rule, g_now, gg)
-            res = dbgd_direction(gf, gg, phi, config.guard)
-        if not (np.all(np.isfinite(res.d)) and np.isfinite(res.lam)):
-            raise DivergenceError(k, "direction")
-
-        x_next = x - eta_eff * res.d
-        f_next = problem.eval_f(x_next)
-        g_next = problem.eval_g(x_next)
-        if not (np.isfinite(f_next) and np.isfinite(g_next)):
-            raise DivergenceError(k, "objective value")
-
-        gf_sq = float(gf @ gf)
-        gg_sq = float(gg @ gg)
-        d_sq = float(res.d @ res.d)
-        par, perp = decompose_grad_f(gf, gg, config.guard)
-        defined = gf_sq > config.guard and gg_sq > config.guard
-        if defined:
-            cos = float(gf @ gg) / np.sqrt(gf_sq * gg_sq)
-            cos = min(1.0, max(-1.0, cos))
-        else:
-            cos = np.nan
-
-        cols["f"][k] = f_now
-        cols["g"][k] = g_now
-        cols["grad_f_sq"][k] = gf_sq
-        cols["grad_g_sq"][k] = gg_sq
-        cols["lam"][k] = res.lam
-        cols["d_sq"][k] = d_sq
-        cols["delta_f"][k] = f_now - f_next
-        cols["delta_g"][k] = g_now - g_next
-        cols["cos_theta"][k] = cos
-        cols["f_perp_sq"][k] = float(perp @ perp)
-        cols["f_par_sq"][k] = float(par @ par)
-        cols["potential"][k] = 0.5 * d_sq + pot_coef * gg_sq
-        cos_defined[k] = defined
-        degenerate[k] = res.degenerate
-        if iterates is not None:
-            iterates[k] = x
-        rows = k + 1
-
-        x, f_now, g_now = x_next, f_next, g_next
-        if config.stop_tolerances is not None:
-            eps_f, eps_g = config.stop_tolerances
-            if d_sq <= eps_f and gg_sq <= eps_g:
-                stopped_early = True
-                break
-
-    g_star = getattr(rule, "g_star", None)
-    clamps = 0 if g_star is None else int(np.count_nonzero(cols["g"][:rows] < g_star))
-    return TraceRecord(
-        f=cols["f"][:rows],
-        g=cols["g"][:rows],
-        grad_f_sq=cols["grad_f_sq"][:rows],
-        grad_g_sq=cols["grad_g_sq"][:rows],
-        lam=cols["lam"][:rows],
-        d_sq=cols["d_sq"][:rows],
-        delta_f=cols["delta_f"][:rows],
-        delta_g=cols["delta_g"][:rows],
-        cos_theta=cols["cos_theta"][:rows],
-        cos_defined=cos_defined[:rows],
-        f_perp_sq=cols["f_perp_sq"][:rows],
-        f_par_sq=cols["f_par_sq"][:rows],
-        potential=cols["potential"][:rows],
-        degenerate=degenerate[:rows],
-        eta=eta_eff,
-        beta=beta,
-        potential_kind=potential_kind,
-        method_label=label,
-        step_label=step_label,
-        x0=x0,
-        final_x=x,
-        iterates=iterates[:rows] if iterates is not None else None,
-        stopped_early=stopped_early,
-        clamp_count=clamps,
-        warnings=run_warnings,
-    )
+            kept = np.stack([out["best"][i], out["last"][i]])
+            index = np.array([out["best_k"][i], rows - 1])
+        traces.append(TraceRecord(
+            table=kept,
+            k=index,
+            eta=setup.eta,
+            beta=setup.beta,
+            potential_kind="direction-only" if setup.beta is None else "full",
+            method_label=setup.label,
+            step_label=setup.step_label,
+            x0=x0[i],
+            final_x=out["final_x"][i],
+            iterates=iterates[:rows, i] if config.record_iterates == "all" else None,
+            stopped_early=bool(out["stopped"][i]),
+            clamp_count=int(out["clamps"][i]),
+            degenerate_steps=int(out["degenerate"][i]),
+            warnings=setup.warnings,
+        ))
+    return BatchTrace(tuple(traces))
 
 
 def best_iterate(trace: TraceRecord) -> int:
-    """Index of the minimal-potential row; ties resolve to the smallest index."""
-    if len(trace) == 0:
+    """Iteration index of the minimal-potential row; ties resolve to the smallest index."""
+    if trace.table.shape[0] == 0:
         raise ValueError("trace is empty")
-    return int(np.argmin(trace.potential))
+    return int(trace.k[np.argmin(trace.potential)])

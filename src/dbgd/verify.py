@@ -54,8 +54,10 @@ def finite_diff_sweep(problem: ProblemSpec, points: int = 100, seed: int = 0) ->
     """Worst finite-difference error over seeded sample points.
 
     Each point uses the problem's own sampler and the step
-    ``h = 1e-6 * (1 + ||x||)``.
+    ``h = 1e-6 * (1 + ||x||)``.  An audit of no point is refused.
     """
+    if points < 1:
+        raise ValueError(f"points must be a positive integer, got {points}")
     gen = rng(seed)
     worst = 0.0
     for _ in range(points):
@@ -303,37 +305,44 @@ class RateFit:
 def rate_fit(
     problem: ProblemSpec,
     x0: Array,
-    p: float,
+    ps: list[float],
     k_grid: list[int],
     slope_tolerance: float = 0.3,
-) -> RateFit:
-    """Run the scheduled method across budgets and fit the decay slope."""
+) -> list[RateFit]:
+    """Run the scheduled method across budgets and fit the decay slope.
+
+    Every ``(p, K)`` pair runs in one batch, keeping only each run's best
+    and last rows; returns one fit per exponent of ``ps``, in order.
+    """
     if len(k_grid) < 3:
         raise ValueError("k_grid must contain at least 3 budgets")
-    minima = []
-    for k in k_grid:
-        config = SolverConfig(
-            method=Dbgd(GradNormSquared(1.0)),
-            step=ScheduledStep(p),
-            iterations=int(k),
-        )
-        trace = run(problem, config, x0)
-        best = float(np.min(trace.potential))
-        if not (best > 0.0):
-            raise ValueError(
-                f"minimal potential {best} at K = {k} is not positive; "
-                "cannot fit a log-log slope"
-            )
-        minima.append(best)
-    slope = float(np.polyfit(np.log(np.asarray(k_grid, dtype=float)),
-                             np.log(np.asarray(minima)), 1)[0])
-    return RateFit(
-        k_values=tuple(int(k) for k in k_grid),
-        min_potentials=tuple(minima),
-        fitted_slope=slope,
-        theoretical_slope=-(2.0 + p) / (3.0 + p),
-        slope_tolerance=slope_tolerance,
-    )
+    configs = [
+        SolverConfig(method=Dbgd(GradNormSquared(1.0)), step=ScheduledStep(p), iterations=int(k))
+        for p in ps
+        for k in k_grid
+    ]
+    traces = iter(run(problem, configs, x0, keep="best-last").traces)
+    fits = []
+    for p in ps:
+        minima = []
+        for k in k_grid:
+            best = float(np.min(next(traces).potential))
+            if not (best > 0.0):
+                raise ValueError(
+                    f"minimal potential {best} at K = {k} is not positive; "
+                    "cannot fit a log-log slope"
+                )
+            minima.append(best)
+        slope = float(np.polyfit(np.log(np.asarray(k_grid, dtype=float)),
+                                 np.log(np.asarray(minima)), 1)[0])
+        fits.append(RateFit(
+            k_values=tuple(int(k) for k in k_grid),
+            min_potentials=tuple(minima),
+            fitted_slope=slope,
+            theoretical_slope=-(2.0 + p) / (3.0 + p),
+            slope_tolerance=slope_tolerance,
+        ))
+    return fits
 
 
 def dense_hessian(problem: ProblemSpec, x: Array) -> Array:

@@ -1,0 +1,223 @@
+"""The batched engine: every run of a batch is the run it would be alone.
+
+A command advances all its runs (grid cells, initializations, ``(p, K)``
+pairs) as one ``(runs, dim)`` array.  These tests pin that doing so
+changes no bit of any run, that the streamed summary of a best-and-last
+run equals the one read from full traces, that memory does not grow with
+the budget when rows are not all kept, and that divergence still aborts
+the batch naming the run.
+"""
+
+import json
+import tracemalloc
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import dbgd.cli as cli
+from dbgd import (
+    BloopOrthogonal,
+    ConstantStep,
+    Dbgd,
+    DivergenceError,
+    DynamicBarrierMin,
+    GradNormSquared,
+    LowerLinearization,
+    Penalty,
+    ScheduledStep,
+    SolverConfig,
+    quadratic_sanity_problem,
+    run,
+)
+from dbgd.harness import run_experiment
+
+
+def mixed_configs() -> list[SolverConfig]:
+    """All five (kind, rule) methods, an early stop and unequal budgets."""
+    step = ConstantStep(0.1)
+    return [
+        SolverConfig(Dbgd(GradNormSquared(0.5)), step, 300),
+        SolverConfig(Dbgd(GradNormSquared(0.5)), step, 300, stop_tolerances=(1e-6, 1e-8)),
+        SolverConfig(Dbgd(DynamicBarrierMin(1.0, 0.25, 0.0)), step, 300),
+        SolverConfig(Dbgd(LowerLinearization(g_star=0.05, eta=0.1)), step, 300),
+        SolverConfig(Dbgd(BloopOrthogonal(0.5)), step, 300, record_iterates="all"),
+        SolverConfig(Penalty(2.0), step, 300),
+        SolverConfig(Penalty(10.0), step, 300, scale_penalty_step=False, guard=1e-20),
+        SolverConfig(Dbgd(GradNormSquared(1.0)), ScheduledStep(1.0), 50),
+        SolverConfig(Dbgd(GradNormSquared(1.0)), ScheduledStep(1.0), 400),
+        SolverConfig(Dbgd(GradNormSquared(1.0)), ScheduledStep(0.0), 120),
+    ]
+
+
+def mixed_starts(count: int) -> np.ndarray:
+    return np.array([[0.2, -0.4, 0.3 + 0.05 * i] for i in range(count)])
+
+
+def bits(array: np.ndarray) -> bytes:
+    return np.ascontiguousarray(array).tobytes()
+
+
+def assert_same_run(a, b, what):
+    assert bits(a.table) == bits(b.table), what
+    assert np.array_equal(a.k, b.k), what
+    assert bits(a.final_x) == bits(b.final_x), what
+    for name in ("eta", "beta", "potential_kind", "method_label", "step_label",
+                 "stopped_early", "clamp_count", "degenerate_steps", "warnings"):
+        assert getattr(a, name) == getattr(b, name), (what, name)
+    assert len(a) == len(b), what
+    if a.iterates is None:
+        assert b.iterates is None, what
+    else:
+        assert bits(a.iterates) == bits(b.iterates), what
+
+
+@pytest.mark.parametrize("keep", ["all", "best-last"])
+def test_each_run_of_a_batch_equals_its_batch_of_one(keep):
+    problem = quadratic_sanity_problem(3)
+    configs = mixed_configs()
+    starts = mixed_starts(len(configs))
+    batch = run(problem, configs, starts, keep=keep)
+    assert len(batch.traces) == len(configs)
+    alone = [run(problem, c, x0, keep=keep) for c, x0 in zip(configs, starts)]
+    for i, (together, single) in enumerate(zip(batch.traces, alone)):
+        assert_same_run(together, single, f"config {i}")
+
+    # the batch really exercised an early stop, unequal budgets and g* clamps
+    lengths = [len(trace) for trace in alone]
+    assert alone[1].stopped_early and lengths[1] < 300
+    assert lengths[7:] == [50, 400, 120]
+    assert alone[3].clamp_count > 0
+
+    # another order of the same runs changes nothing
+    reversed_batch = run(problem, configs[::-1], starts[::-1], keep=keep)
+    for i, trace in enumerate(reversed_batch.traces[::-1]):
+        assert_same_run(trace, alone[i], f"reversed config {i}")
+
+    assert len(batch) == sum(lengths)
+    assert batch.degenerate.sum() == sum(t.degenerate_steps for t in alone)
+
+
+def test_best_last_rows_are_the_argmin_and_last_rows_of_the_full_trace():
+    problem = quadratic_sanity_problem(3)
+    configs = mixed_configs()
+    starts = mixed_starts(len(configs))
+    full = run(problem, configs, starts).traces
+    kept = run(problem, configs, starts, keep="best-last").traces
+    for i, (a, b) in enumerate(zip(full, kept)):
+        best = int(np.argmin(a.potential))
+        expect = np.stack([a.table[best], a.table[-1]])
+        assert bits(expect) == bits(b.table), i
+        assert list(b.k) == [best, len(a) - 1], i
+
+
+def test_single_config_runs_as_a_batch_of_one():
+    problem = quadratic_sanity_problem(3)
+    config = mixed_configs()[0]
+    trace = run(problem, config, mixed_starts(1)[0])
+    (same,) = run(problem, [config], mixed_starts(1)).traces
+    assert_same_run(trace, same, "batch of one")
+
+
+def test_streamed_summary_equals_summary_of_full_traces(tmp_path):
+    doc = {
+        "kind": "experiment",
+        "problem": {"name": "toy"},
+        "methods": [
+            {"kind": "dbgd", "beta": [0.5, 1.0]},
+            {"kind": "bloop", "beta": 0.5},
+            {"kind": "penalty", "lambda": [1, 10, 100, 1000]},
+        ],
+        "run": {
+            "x0": [-3.0, -1.0],
+            "iterations": 1000,
+            "step": {"mode": "constant", "eta": 0.01},
+            "stop_tolerances": [1e-9, 1e-20],
+        },
+        "output": {"directory": str(tmp_path / "unused"), "trace": "all"},
+    }
+    summaries = {}
+    for granularity in ("all", "final", "none"):
+        doc["output"]["trace"] = granularity
+        out = run_experiment(doc, output_dir=tmp_path / granularity)
+        summaries[granularity] = (out / "summary.csv").read_bytes()
+    assert summaries["final"] == summaries["all"]
+    assert summaries["none"] == summaries["all"]
+    # the best row is not the last one in some cell, so the check has teeth
+    rows = [line.split(",") for line in summaries["all"].decode().splitlines()[1:]]
+    assert any(int(row[13]) != int(row[2]) - 1 for row in rows)
+    # a final-granularity trace CSV is the last row of the full one
+    for name in ("dbgd_beta=1", "penalty_lambda=1000"):
+        full = (tmp_path / "all" / f"{name}.csv").read_text().splitlines()
+        final = (tmp_path / "final" / f"{name}.csv").read_text().splitlines()
+        assert final == [full[0], full[-1]]
+
+
+def _traced_peak(doc: dict, iterations: int, out) -> int:
+    tracemalloc.start()
+    try:
+        run_experiment(doc, output_dir=out, iterations_override=iterations)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_of_final_traces_does_not_grow_with_the_budget(tmp_path):
+    doc = {
+        "kind": "experiment",
+        "problem": {"name": "matrix-factorization", "n": 6, "r": 3, "alpha": 1.0},
+        "methods": [
+            {"kind": "dbgd", "beta": [0.5, 1.0]},
+            {"kind": "penalty", "lambda": [1, 100]},
+        ],
+        "run": {
+            "x0": {"seed": 1, "scale": 0.1},
+            "iterations": 10,
+            "step": {"mode": "constant", "eta": 1e-4},
+        },
+        "output": {"directory": str(tmp_path / "unused"), "trace": "final"},
+    }
+    # tracemalloc slows the run tenfold, hence budgets of 200 and 2,000
+    short = _traced_peak(doc, 200, tmp_path / "short")
+    long = _traced_peak(doc, 2000, tmp_path / "long")
+    # keeping every row would add 1800 rows * 4 runs * 14 columns * 8 B = 806 kB
+    assert long <= short + 4096, (short, long)
+
+
+def test_divergence_in_a_batch_names_the_diverging_cell(tmp_path, capsys):
+    doc = {
+        "kind": "experiment",
+        "problem": {"name": "quadratic", "n": 3},
+        "methods": [
+            {"kind": "dbgd", "beta": 1.0},
+            {"kind": "penalty", "lambda": [1, 100, 2]},
+        ],
+        "run": {
+            "x0": [0.3, 0.3, 0.3],
+            "iterations": 1000,
+            "step": {"mode": "constant", "eta": 0.1},
+            "penalty_step_scaling": False,
+        },
+        "output": {"directory": str(tmp_path / "div"), "trace": "none"},
+    }
+    path = tmp_path / "diverge.json"
+    path.write_text(json.dumps(doc))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(["run", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "divergence" in err and "in cell penalty_lambda=100" in err
+
+
+def test_a_run_that_ended_never_diverges():
+    # lambda = 100 at eta = 0.1 grows by a factor 9 per step and overflows
+    # after about 320 steps: within a budget of 100 it must finish cleanly,
+    # however long the rest of its batch runs on
+    problem = quadratic_sanity_problem(3)
+    unstable = SolverConfig(Penalty(100.0), ConstantStep(0.1), 100, scale_penalty_step=False)
+    stable = SolverConfig(Penalty(1.0), ConstantStep(0.1), 1000, scale_penalty_step=False)
+    with np.errstate(over="ignore"):
+        batch = run(problem, [unstable, stable], np.full(3, 0.3), keep="best-last")
+    assert [len(trace) for trace in batch.traces] == [100, 1000]
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
+        run(problem, [stable, replace(unstable, iterations=1000)], np.full(3, 0.3))
+    assert err.value.cell == 1

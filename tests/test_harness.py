@@ -344,6 +344,24 @@ class TestCli:
             assert cli.main([command, str(path)]) == 2
             assert f"config error: {where}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_gradcheck_of_no_point_is_a_config_error(self, capsys, points):
+        assert cli.main(["gradcheck", "toy", "--points", points]) == 2
+        captured = capsys.readouterr()
+        assert "config error: --points must be at least 1" in captured.err
+        assert "ok" not in captured.out
+
+    def test_gridded_casestudy_is_rejected_by_validate_and_casestudy(self, tmp_path, capsys):
+        doc = json.loads(bundled("casestudy.json").read_text())
+        doc["method"]["beta"] = [0.5, 1.0]
+        doc["output"]["directory"] = str(tmp_path / "cs")
+        path = tmp_path / "gridded.json"
+        path.write_text(json.dumps(doc))
+        for command in ("validate", "casestudy"):
+            assert cli.main([command, str(path)]) == 2, command
+            assert "single method without grids" in capsys.readouterr().err, command
+        assert not (tmp_path / "cs").exists()
+
     def test_divergence_exit_code(self, tmp_path, capsys):
         doc = {
             "kind": "experiment",

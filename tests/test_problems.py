@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dbgd import (
     CapabilityError,
+    DbgdError,
+    LowerOptimumError,
     ProblemSpec,
     SmoothnessProfile,
     finite_diff_sweep,
@@ -134,19 +140,75 @@ def test_hessian_vector_product_is_symmetric(name, factory):
         assert left == pytest.approx(right, rel=1e-8, abs=1e-10)
 
 
-def test_debug_mode_asserts_on_bad_g_star():
-    bad = ProblemSpec(
+@pytest.mark.parametrize("name,factory", ALL_PROBLEMS)
+def test_batched_oracles_equal_single_point_oracles(name, factory):
+    # the solver advances runs as rows of one batch; each row's values must
+    # be bit for bit those of the point alone
+    p = factory()
+    gen = rng(11)
+    x = np.array([p.sample_point(gen) for _ in range(5)])
+    v = gen.standard_normal(x.shape)
+    for oracle in ("eval_f", "eval_g", "eval_grad_f", "eval_grad_g"):
+        batch = getattr(p, oracle)(x)
+        alone = np.array([getattr(p, oracle)(row) for row in x])
+        assert batch.shape == alone.shape and batch.tobytes() == alone.tobytes(), oracle
+    alone = np.array([p.eval_hvp_g(row, w) for row, w in zip(x, v)])
+    assert p.eval_hvp_g(x, v).tobytes() == alone.tobytes()
+    assert isinstance(p.eval_f(x[0]), float) and isinstance(p.eval_g(x[0]), float)
+
+
+def below_g_star_problem() -> ProblemSpec:
+    # g(x) = x - 1 declares g* = 0 but falls below it for x < 1
+    return ProblemSpec(
         name="bad",
         dim=1,
         smoothness=SmoothnessProfile(1.0, 1.0),
-        f=lambda x: 0.0,
-        g=lambda x: -1.0,
-        grad_f=lambda x: np.zeros(1),
-        grad_g=lambda x: np.zeros(1),
+        f=lambda x: 0.0 * x[..., 0],
+        g=lambda x: x[..., 0] - 1.0,
+        grad_f=lambda x: np.zeros_like(x),
+        grad_g=lambda x: np.ones_like(x),
         g_star=0.0,
     )
-    with pytest.raises(AssertionError):
+
+
+def test_eval_g_below_g_star_raises():
+    bad = below_g_star_problem()
+    with pytest.raises(LowerOptimumError, match="g\\(x\\) = -1.0 fell below") as err:
         bad.eval_g(np.zeros(1))
+    assert isinstance(err.value, DbgdError)
+    # every row of a batch is checked; the first value below g* is named
+    with pytest.raises(LowerOptimumError, match="-0.5 fell below") as err:
+        bad.eval_g(np.array([[2.0], [0.5], [0.25]]))
+    assert err.value.value == -0.5 and err.value.g_star == 0.0
+    assert np.array_equal(bad.eval_g(np.array([[1.0], [3.0]])), [0.0, 2.0])
+
+
+def test_g_star_check_survives_optimized_mode():
+    # ``python -O`` strips asserts; the check must not be one
+    script = (
+        "import numpy as np\n"
+        "from dbgd import LowerOptimumError, ProblemSpec, SmoothnessProfile\n"
+        "assert False, 'asserts are live'\n"
+    )
+    probe = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                           text=True, env=_child_env(), timeout=60)
+    assert probe.returncode == 0, probe.stderr  # asserts really are stripped
+    script += (
+        "import test_problems\n"
+        "try:\n"
+        "    test_problems.below_g_star_problem().eval_g(np.array([[0.5]]))\n"
+        "except LowerOptimumError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env=_child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "raised: g(x) = -0.5 fell below the declared optimum g* = 0.0" in proc.stdout
+
+
+def _child_env() -> dict:
+    paths = [str(Path(__file__).parent), *(p for p in sys.path if p)]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
 
 
 def test_missing_hvp_raises_capability_error():

@@ -254,21 +254,20 @@ class TestLocalCertificate:
 class TestRateFit:
     def test_theoretical_slopes(self):
         problem = quadratic_sanity_problem(4)
-        fit = rate_fit(problem, 1.5 * np.ones(4), 1.0, [50, 100, 200])
-        assert fit.theoretical_slope == pytest.approx(-0.75)
-        fit = rate_fit(problem, 1.5 * np.ones(4), 0.0, [50, 100, 200])
-        assert fit.theoretical_slope == pytest.approx(-2.0 / 3.0)
+        fit_1, fit_0 = rate_fit(problem, 1.5 * np.ones(4), [1.0, 0.0], [50, 100, 200])
+        assert fit_1.theoretical_slope == pytest.approx(-0.75)
+        assert fit_0.theoretical_slope == pytest.approx(-2.0 / 3.0)
 
     def test_quadratic_decays_fast_enough(self):
         problem = quadratic_sanity_problem(10)
-        fit = rate_fit(problem, 1.5 * np.ones(10), 0.0, [100, 1000, 10000])
+        (fit,) = rate_fit(problem, 1.5 * np.ones(10), [0.0], [100, 1000, 10000])
         assert fit.passed
         assert all(m > 0.0 for m in fit.min_potentials)
 
     def test_small_grid_is_rejected(self):
         problem = quadratic_sanity_problem(3)
         with pytest.raises(ValueError):
-            rate_fit(problem, np.ones(3), 0.0, [100, 1000])
+            rate_fit(problem, np.ones(3), [0.0], [100, 1000])
 
 
 def test_certificate_radius_shrinks_with_multiplier():
