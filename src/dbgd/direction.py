@@ -143,19 +143,15 @@ class DirectionResult:
 
     ``lam`` is the constraint multiplier; it is nonnegative except for
     results of :func:`bloop_direction`, whose equality constraint yields a
-    signed multiplier (flagged via ``equality_multiplier``).  ``phi`` is
-    the constraint level in force; ``degenerate`` is set when
-    ``||grad_g||^2`` fell at or below the guard and the projection
-    degenerated to the identity.  For a batch, ``d`` has one row per
-    input row, and ``lam``, ``phi`` and ``degenerate`` are per-row arrays
-    or a scalar shared by every row.
+    signed multiplier.  ``degenerate`` is set when ``||grad_g||^2`` fell at
+    or below the guard and the projection degenerated to the identity.
+    For a batch, ``d`` has one row per input row, and ``lam`` and
+    ``degenerate`` are per-row arrays or a scalar shared by every row.
     """
 
     d: Array
     lam: Any
-    phi: Any
     degenerate: Any
-    equality_multiplier: bool = False
 
 
 def lambda_closed_form(grad_f: Array, grad_g: Array, phi, guard=DEFAULT_GUARD):
@@ -176,7 +172,7 @@ def dbgd_direction(grad_f: Array, grad_g: Array, phi, guard=DEFAULT_GUARD) -> Di
     """Euclidean projection of ``grad_f`` onto ``{d : grad_g . d >= phi}``."""
     lam, degenerate = lambda_closed_form(grad_f, grad_g, phi, guard)
     d = grad_f + _per_row(lam) * grad_g
-    return DirectionResult(d=d, lam=lam, phi=phi, degenerate=degenerate)
+    return DirectionResult(d=d, lam=lam, degenerate=degenerate)
 
 
 def bloop_direction(grad_f: Array, grad_g: Array, beta, guard=DEFAULT_GUARD) -> DirectionResult:
@@ -186,21 +182,15 @@ def bloop_direction(grad_f: Array, grad_g: Array, beta, guard=DEFAULT_GUARD) -> 
     the solution of the projection subproblem with the equality constraint
     ``grad_g . d = beta * ||grad_g||^2``.  The stored multiplier is the
     signed equality multiplier ``beta - grad_f.grad_g / ||grad_g||^2`` and
-    may be negative; such results are excluded from multiplier-based
-    stationarity certificates.  Below the guard the direction falls back
-    to ``grad_f`` (with multiplier and level 0).
+    may be negative, unlike the multiplier of :func:`dbgd_direction`.
+    Below the guard the direction falls back to ``grad_f`` (with
+    multiplier 0).
     """
     gg = row_dot(grad_g, grad_g)
     degenerate = gg <= guard
     lam = np.where(degenerate, 0.0, beta - row_dot(grad_f, grad_g) / _safe(gg, degenerate))[()]
     d = np.where(_per_row(degenerate), grad_f, grad_f + _per_row(lam) * grad_g)
-    return DirectionResult(
-        d=d,
-        lam=lam,
-        phi=np.where(degenerate, 0.0, beta * gg)[()],
-        degenerate=degenerate,
-        equality_multiplier=True,
-    )
+    return DirectionResult(d=d, lam=lam, degenerate=degenerate)
 
 
 def penalty_direction(grad_f: Array, grad_g: Array, lam) -> DirectionResult:
@@ -210,9 +200,7 @@ def penalty_direction(grad_f: Array, grad_g: Array, lam) -> DirectionResult:
     """
     if not np.all(np.asarray(lam) >= 0.0):
         raise ValueError(f"penalty multiplier must be nonnegative, got {lam}")
-    return DirectionResult(
-        d=grad_f + _per_row(lam) * grad_g, lam=lam, phi=0.0, degenerate=False
-    )
+    return DirectionResult(d=grad_f + _per_row(lam) * grad_g, lam=lam, degenerate=False)
 
 
 def qp_oracle_direction(
@@ -234,12 +222,7 @@ def qp_oracle_direction(
             raise InfeasibleSubproblemError(
                 "grad_g = 0 with a positive barrier level: empty feasible set"
             )
-        return DirectionResult(
-            d=np.array(grad_f, dtype=float, copy=True),
-            lam=0.0,
-            phi=phi,
-            degenerate=False,
-        )
+        return DirectionResult(d=np.array(grad_f, dtype=float), lam=0.0, degenerate=False)
 
     fg = float(grad_f @ grad_g)
 
@@ -248,12 +231,7 @@ def qp_oracle_direction(
 
     if residual(0.0) >= 0.0:
         # Constraint inactive at the unconstrained optimum.
-        return DirectionResult(
-            d=np.array(grad_f, dtype=float, copy=True),
-            lam=0.0,
-            phi=phi,
-            degenerate=False,
-        )
+        return DirectionResult(d=np.array(grad_f, dtype=float), lam=0.0, degenerate=False)
 
     hi = 1.0
     while residual(hi) < 0.0:
@@ -270,6 +248,4 @@ def qp_oracle_direction(
         else:
             hi = mid
     lam = 0.5 * (lo + hi)
-    return DirectionResult(
-        d=grad_f + lam * grad_g, lam=lam, phi=phi, degenerate=False
-    )
+    return DirectionResult(d=grad_f + lam * grad_g, lam=lam, degenerate=False)

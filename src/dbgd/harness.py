@@ -25,11 +25,12 @@ byte-identical output files.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import sys
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 import jsonschema
 import numpy as np
@@ -49,6 +50,7 @@ from .problems import (
     toy_problem,
 )
 from .solver import (
+    COLUMNS,
     ConstantStep,
     Dbgd,
     Method,
@@ -63,25 +65,63 @@ from .verify import rate_fit
 #: Version of the trace/summary CSV schemas below.
 TRACE_SCHEMA_VERSION = 1
 
-TRACE_HEADER = (
-    "k,f,g,grad_f_sq,grad_g_sq,lambda,d_sq,cos_theta,"
-    "f_perp_sq,f_par_sq,delta_f,delta_g,potential,degenerate"
-)
-
-SUMMARY_HEADER = (
-    "cell,method,rows,stopped_early,final_f,final_g,final_grad_f_sq,"
-    "final_grad_g_sq,final_lambda,final_d_sq,final_cos_theta,"
-    "final_f_perp_sq,final_f_par_sq,best_k,best_potential,"
-    "best_grad_g_sq,best_d_sq"
-)
-
 #: Trace CSV rows rendered and written at a time.
 TRACE_BLOCK_ROWS = 256
 
-CASES_HEADER = (
-    "init,classification,final_lambda,final_grad_f_sq,final_grad_g_sq,"
-    "final_cos_theta"
+#: Columns written as integers or as text; every other column is a float.
+_INTEGER_COLUMNS = {"k", "degenerate", "rows", "stopped_early", "init"}
+_TEXT_COLUMNS = {"cell", "method", "classification"}
+
+
+class CsvSchema:
+    """A CSV file's columns, its header and the rendering of its rows.
+
+    A column is named by a trace column (``COLUMNS``, or ``k``), maybe
+    prefixed ``final_`` (the last row) or ``best_`` (the minimal-potential
+    row), or by a field of its own.  ``lam`` is written ``lambda``.  Floats
+    carry 17 significant digits (a lossless round trip), an undefined
+    cosine is written ``NA``, and flags are written ``0`` / ``1``.
+    """
+
+    def __init__(self, *columns: str):
+        names, formats, na_formats = [], [], []
+        for column in columns:
+            prefix = next((p for p in ("final_", "best_") if column.startswith(p)), "")
+            base = column[len(prefix):]
+            names.append(prefix + ("lambda" if base == "lam" else base))
+            fmt = "%d" if base in _INTEGER_COLUMNS else "%s" if base in _TEXT_COLUMNS else "%.17g"
+            formats.append(fmt)
+            na_formats.append("%.0sNA" if base == "cos_theta" else fmt)
+        self.header = ",".join(names)
+        #: Row template by whether the cosine is defined (``True`` or 1.0);
+        #: ``%.0s`` writes the undefined cosine's NaN as nothing.
+        self.templates = {True: ",".join(formats), False: ",".join(na_formats)}
+
+    def row(self, values, cos_defined) -> str:
+        """One CSV line (without its newline) of ``values``, in column order."""
+        return self.templates[bool(cos_defined)] % tuple(values)
+
+    def text(self, rows: Iterable[str], header: bool = True) -> str:
+        """CSV text of rendered ``rows``, after the header when ``header``."""
+        return "\n".join([self.header, *rows] if header else rows) + "\n"
+
+
+#: Trace columns of ``summary.csv`` read at the last and at the minimal-potential row.
+_SUMMARY_FINAL = COLUMNS[:COLUMNS.index("delta_f")]
+_SUMMARY_BEST = ("k", "potential", "grad_g_sq", "d_sq")
+#: Trace columns of ``cases.csv``, read at the last row.
+_CASES_FINAL = ("lam", "grad_f_sq", "grad_g_sq", "cos_theta")
+
+_COS_DEFINED = COLUMNS.index("cos_defined")
+#: One row per kept trace row: ``k``, then every column but ``cos_defined``.
+TRACE_CSV = CsvSchema("k", *(name for name in COLUMNS if name != "cos_defined"))
+#: One row per experiment cell.
+SUMMARY_CSV = CsvSchema(
+    "cell", "method", "rows", "stopped_early",
+    *("final_" + name for name in _SUMMARY_FINAL), *("best_" + name for name in _SUMMARY_BEST),
 )
+#: One row per case-study initialization.
+CASES_CSV = CsvSchema("init", "classification", *("final_" + name for name in _CASES_FINAL))
 
 _NUMBER = {"type": "number"}
 _NUMBER_OR_GRID = {
@@ -335,11 +375,6 @@ _SCHEMAS = {
 }
 
 
-def _fmt(x: float) -> str:
-    """Serialize a float with 17 significant digits (lossless round trip)."""
-    return f"{x:.17g}"
-
-
 def load_config(path: str | Path) -> dict:
     """Parse and validate a config file; returns the raw document."""
     path = Path(path)
@@ -541,7 +576,6 @@ def _build_solver_config(run_block: dict, method: Method) -> SolverConfig:
         method=method,
         step=step,
         iterations=run_block["iterations"],
-        record_iterates="none",
         stop_tolerances=tuple(stop) if stop is not None else None,
         **options,
     )
@@ -552,23 +586,19 @@ def trace_csv(
 ) -> str:
     """Render kept rows ``start:stop`` of a trace as CSV text.
 
-    Fixed schema, 17 significant digits.  ``final`` granularity renders the
-    last row only.  The text starts with the header when ``start`` is 0.
+    ``final`` granularity renders the last row only.  The text starts with
+    the header when ``start`` is 0.
     """
     if granularity == "all":
         rows, ks = trace.table[start:stop], trace.k[start:stop]
     else:
         rows, ks = trace.table[-1:], trace.k[-1:]
-    lines = [TRACE_HEADER] if start == 0 else []
-    for k, (f, g, gf_sq, gg_sq, lam, d_sq, cos, f_perp_sq, f_par_sq, delta_f, delta_g,
-            potential, degenerate, cos_defined) in zip(ks.tolist(), rows.tolist()):
-        cos_text = f"{cos:.17g}" if cos_defined else "NA"
-        lines.append(
-            f"{k},{f:.17g},{g:.17g},{gf_sq:.17g},{gg_sq:.17g},{lam:.17g},{d_sq:.17g},"
-            f"{cos_text},{f_perp_sq:.17g},{f_par_sq:.17g},{delta_f:.17g},{delta_g:.17g},"
-            f"{potential:.17g},{'1' if degenerate else '0'}"
-        )
-    return "\n".join(lines) + "\n"
+    templates = TRACE_CSV.templates  # the row loop is the hot path of trace output
+    lines = []
+    for k, row in zip(ks.tolist(), rows.tolist()):
+        cos_defined = row.pop(_COS_DEFINED)
+        lines.append(templates[cos_defined] % (k, *row))
+    return TRACE_CSV.text(lines, header=start == 0)
 
 
 def _write_trace(path: Path, trace: TraceRecord, granularity: str) -> None:
@@ -579,32 +609,52 @@ def _write_trace(path: Path, trace: TraceRecord, granularity: str) -> None:
             fh.write(trace_csv(trace, granularity, start, start + TRACE_BLOCK_ROWS))
 
 
+def _values(trace: TraceRecord, row: int, columns: tuple[str, ...]) -> list:
+    """The trace ``columns`` (``k`` or names of ``COLUMNS``) of kept row ``row``."""
+    return [trace.k[row] if name == "k" else trace.table[row, COLUMNS.index(name)]
+            for name in columns]
+
+
 def _summary_row(name: str, trace: TraceRecord) -> str:
     best = int(np.argmin(trace.potential))
-    cos = _fmt(trace.cos_theta[-1]) if trace.cos_defined[-1] else "NA"
-    return ",".join([
-        name,
-        trace.method_label,
-        str(len(trace)),
-        "1" if trace.stopped_early else "0",
-        _fmt(trace.f[-1]),
-        _fmt(trace.g[-1]),
-        _fmt(trace.grad_f_sq[-1]),
-        _fmt(trace.grad_g_sq[-1]),
-        _fmt(trace.lam[-1]),
-        _fmt(trace.d_sq[-1]),
-        cos,
-        _fmt(trace.f_perp_sq[-1]),
-        _fmt(trace.f_par_sq[-1]),
-        str(trace.k[best]),
-        _fmt(trace.potential[best]),
-        _fmt(trace.grad_g_sq[best]),
-        _fmt(trace.d_sq[best]),
-    ])
+    return SUMMARY_CSV.row(
+        [name, trace.method_label, len(trace), trace.stopped_early,
+         *_values(trace, -1, _SUMMARY_FINAL), *_values(trace, best, _SUMMARY_BEST)],
+        trace.cos_defined[-1],
+    )
 
 
-def _kept_rows(granularity: str) -> str:
-    return "all" if granularity == "all" else "best-last"
+def _run_and_write(
+    doc: dict,
+    output_dir: Optional[str | Path],
+    problem: ProblemSpec,
+    runs: list[tuple[str, SolverConfig]],
+    x0: np.ndarray,
+    noun: str,
+) -> tuple[Path, tuple[TraceRecord, ...]]:
+    """Run a config's named runs as one batch and write each run's trace CSV.
+
+    Returns the output directory (``output_dir``, else the config's) and
+    the traces.  Each run's warnings go to standard error after its name;
+    a divergence names the first diverging run, as ``{noun} {name}``.
+    """
+    granularity = doc["output"].get("trace", "all")
+    out = Path(output_dir if output_dir is not None else doc["output"]["directory"])
+    out.mkdir(parents=True, exist_ok=True)
+    names = [name for name, _ in runs]
+    keep = "all" if granularity == "all" else "best-last"
+    try:
+        batch = run(problem, [config for _, config in runs], x0, keep=keep)
+    except DivergenceError as exc:
+        raise DivergenceError(
+            exc.iteration, f"{exc.what} in {noun} {names[exc.cell]}", exc.cell
+        ) from exc
+    for name, trace in zip(names, batch.traces):
+        for warning in trace.warnings:
+            print(f"warning: {name}: {warning}", file=sys.stderr)
+        if granularity != "none":
+            _write_trace(out / f"{name}.csv", trace, granularity)
+    return out, batch.traces
 
 
 def run_experiment(
@@ -626,46 +676,35 @@ def run_experiment(
             raise ConfigurationError("iterations override must be >= 1")
         run_block["iterations"] = iterations_override
     x0 = resolve_x0(run_block["x0"], problem.dim)
-    granularity = doc["output"].get("trace", "all")
-    out = Path(output_dir if output_dir is not None else doc["output"]["directory"])
-    out.mkdir(parents=True, exist_ok=True)
-
-    configs = [_build_solver_config(run_block, method) for _, method in cells]
-    try:
-        batch = run(problem, configs, x0, keep=_kept_rows(granularity))
-    except DivergenceError as exc:
-        raise DivergenceError(exc.iteration, f"{exc.what} in cell {cells[exc.cell][0]}") from exc
-    lines = [SUMMARY_HEADER]
-    for (name, _), trace in zip(cells, batch.traces):
-        if granularity != "none":
-            _write_trace(out / f"{name}.csv", trace, granularity)
-        lines.append(_summary_row(name, trace))
-    (out / "summary.csv").write_text("\n".join(lines) + "\n")
+    runs = [(name, _build_solver_config(run_block, method)) for name, method in cells]
+    out, traces = _run_and_write(doc, output_dir, problem, runs, x0, "cell")
+    rows = [_summary_row(name, trace) for (name, _), trace in zip(runs, traces)]
+    (out / "summary.csv").write_text(SUMMARY_CSV.text(rows))
     return out
 
 
 def run_rates(
     doc: dict | str | Path, output_file: Optional[str | Path] = None
 ) -> Path:
-    """Fit minimal-potential decay slopes for every configured exponent."""
+    """Fit minimal-potential decay slopes for every configured exponent.
+
+    A run whose minimal potential is not positive (one that starts at a
+    stationary point) leaves no slope to fit: a :class:`ConfigurationError`.
+    """
     doc, problem, _ = prepare_config(doc, "rates")
     x0 = resolve_x0(doc["x0"], problem.dim)
     tolerance = doc.get("slope_tolerance", 0.3)
-    fits = []
-    for p, fit in zip(doc["p"], rate_fit(problem, x0, doc["p"], list(doc["k_grid"]), tolerance)):
-        fits.append({
-            "p": p,
-            "k_values": list(fit.k_values),
-            "min_potentials": list(fit.min_potentials),
-            "fitted_slope": fit.fitted_slope,
-            "theoretical_slope": fit.theoretical_slope,
-            "slope_tolerance": fit.slope_tolerance,
-            "passed": fit.passed,
-        })
+    try:
+        fits = rate_fit(problem, x0, doc["p"], list(doc["k_grid"]), tolerance)
+    except ValueError as exc:
+        raise ConfigurationError(f"rates: {exc}") from exc
     report = {
         "problem": doc["problem"],
         "x0": doc["x0"],
-        "fits": fits,
+        "fits": [
+            {**dataclasses.asdict(fit), "p": p, "passed": fit.passed}
+            for p, fit in zip(doc["p"], fits)
+        ],
     }
     path = Path(output_file if output_file is not None else doc["output"]["file"])
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -711,38 +750,21 @@ def run_casestudy(
     doc, problem, cells = prepare_config(doc, "casestudy")
     _, method = cells[0]
     thresholds = {**DEFAULT_CLASSIFY, **doc.get("classify", {})}
-
-    run_block = dict(doc["run"])
-    granularity = doc["output"].get("trace", "all")
-    out = Path(output_dir if output_dir is not None else doc["output"]["directory"])
-    out.mkdir(parents=True, exist_ok=True)
-
-    inits = run_block["initializations"]
+    inits = doc["run"]["initializations"]
     x0 = np.array([resolve_x0(init, problem.dim) for init in inits])
-    config = _build_solver_config(run_block, method)
-    batch = run(problem, [config] * len(inits), x0, keep=_kept_rows(granularity))
-    lines = [CASES_HEADER]
-    classified = 0
-    for i, trace in enumerate(batch.traces):
-        if granularity != "none":
-            _write_trace(out / f"init{i}.csv", trace, granularity)
-        label = classify_terminal(trace, thresholds)
-        if label != "unclassified":
-            classified += 1
-        cos = _fmt(trace.cos_theta[-1]) if trace.cos_defined[-1] else "NA"
-        lines.append(",".join([
-            str(i),
-            label,
-            _fmt(trace.lam[-1]),
-            _fmt(trace.grad_f_sq[-1]),
-            _fmt(trace.grad_g_sq[-1]),
-            cos,
-        ]))
-    if classified == 0:
+    config = _build_solver_config(doc["run"], method)
+    runs = [(f"init{i}", config) for i in range(len(inits))]
+    out, traces = _run_and_write(doc, output_dir, problem, runs, x0, "initialization")
+    labels = [classify_terminal(trace, thresholds) for trace in traces]
+    if all(label == "unclassified" for label in labels):
         print(
             "warning: no initialization matched either terminal signature; "
             "check the classification thresholds",
             file=sys.stderr,
         )
-    (out / "cases.csv").write_text("\n".join(lines) + "\n")
+    rows = [
+        CASES_CSV.row([i, label, *_values(trace, -1, _CASES_FINAL)], trace.cos_defined[-1])
+        for i, (label, trace) in enumerate(zip(labels, traces))
+    ]
+    (out / "cases.csv").write_text(CASES_CSV.text(rows))
     return out

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .direction import DEFAULT_GUARD
+from .direction import DEFAULT_GUARD, lambda_closed_form
 from .errors import CapabilityError, EvaluationError
 from .problems import ProblemSpec, row_dot
 
@@ -46,11 +46,9 @@ def decompose_grad_f(
 def optimal_multiplier(
     grad_f: Array, grad_g: Array, guard: float = DEFAULT_GUARD
 ) -> float:
-    """Nonnegative multiplier minimizing ``||grad_f + lam * grad_g||``."""
-    gg = float(grad_g @ grad_g)
-    if gg <= guard:
-        return 0.0
-    return max(-float(grad_f @ grad_g) / gg, 0.0)
+    """Nonnegative multiplier minimizing ``||grad_f + lam * grad_g||``: the
+    halfspace projection's multiplier at level 0."""
+    return float(lambda_closed_form(grad_f, grad_g, 0.0, guard)[0])
 
 
 @dataclass(frozen=True)

@@ -113,14 +113,13 @@ def scheduled_step(
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Method, step mode, budget, and recording options for one run."""
+    """Method, step mode, budget, guard, penalty step scaling and stop rule of one run."""
 
     method: Method
     step: StepMode
     iterations: int
     guard: float = DEFAULT_GUARD
     scale_penalty_step: bool = True
-    record_iterates: str = "final"
     stop_tolerances: Optional[tuple[float, float]] = None
 
     def __post_init__(self):
@@ -128,8 +127,6 @@ class SolverConfig:
             raise ValueError("iterations must be a positive integer")
         if not (self.guard > 0.0):
             raise ValueError("guard must be strictly positive")
-        if self.record_iterates not in ("none", "final", "all"):
-            raise ValueError(f"unknown record_iterates {self.record_iterates!r}")
         if self.stop_tolerances is not None:
             ef, eg = self.stop_tolerances
             if not (ef >= 0.0 and eg >= 0.0):
@@ -137,7 +134,7 @@ class SolverConfig:
 
 
 #: Columns of a trace row, in the order of ``TraceRecord.table``: that of
-#: the trace CSV (``harness.TRACE_HEADER``, which renders rows by position)
+#: the trace CSV (``harness.TRACE_CSV``, which is derived from this list)
 #: without ``k``, then ``cos_defined``.  The two flags are stored as 0.0 / 1.0.
 COLUMNS = (
     "f", "g", "grad_f_sq", "grad_g_sq", "lam", "d_sq", "cos_theta", "f_perp_sq",
@@ -183,9 +180,7 @@ class TraceRecord:
     potential_kind: str
     method_label: str
     step_label: str
-    x0: Array
     final_x: Array
-    iterates: Optional[Array]
     stopped_early: bool
     clamp_count: int
     degenerate_steps: int
@@ -343,7 +338,6 @@ def _run_batch(
         raise ConfigurationError(f"x0 has shape {x0.shape}, problem dimension is {dim}")
     if not np.all(np.isfinite(x0)):
         raise ConfigurationError("x0 must be finite")
-    x0 = np.array(np.broadcast_to(x0, (cells, dim)))
     setups = [_setup(problem.smoothness, config) for config in configs]
 
     # Rows of a kind sit together; active row j runs configs[cell[j]].
@@ -358,7 +352,7 @@ def _run_batch(
         "clamps": np.zeros(cells, dtype=int),
         "degenerate": np.zeros(cells, dtype=int),
     }
-    x = x0[cell]
+    x = np.broadcast_to(x0, (cells, dim))[cell]
     f_now = problem.eval_f(x)
     g_now = problem.eval_g(x)
     if not (np.isfinite(f_now).all() and np.isfinite(g_now).all()):
@@ -366,8 +360,6 @@ def _run_batch(
 
     budget_max = max(config.iterations for config in configs)
     table = np.empty((budget_max, cells, len(COLUMNS))) if keep == "all" else None
-    record_x = any(config.record_iterates == "all" for config in configs)
-    iterates = np.empty((budget_max, cells, dim)) if record_x else None
     best = best_k = None
     out = {
         "rows": np.zeros(cells, dtype=int),
@@ -440,8 +432,6 @@ def _run_batch(
                 if better.any():
                     best[better] = row[better]
                     best_k[better] = k
-            if iterates is not None:
-                iterates[k, cell] = x
             if clamping:
                 clamps += g_now < clamp_ref
             degenerate += row[:, _DEGENERATE] != 0.0
@@ -471,7 +461,7 @@ def _run_batch(
         per_row = {name: value[go_on] for name, value in per_row.items()}
 
     traces = []
-    for i, (config, setup) in enumerate(zip(configs, setups)):
+    for i, setup in enumerate(setups):
         rows = int(out["rows"][i])
         if table is not None:
             kept, index = table[:rows, i], np.arange(rows)
@@ -486,9 +476,7 @@ def _run_batch(
             potential_kind="direction-only" if setup.beta is None else "full",
             method_label=setup.label,
             step_label=setup.step_label,
-            x0=x0[i],
             final_x=out["final_x"][i],
-            iterates=iterates[:rows, i] if config.record_iterates == "all" else None,
             stopped_early=bool(out["stopped"][i]),
             clamp_count=int(out["clamps"][i]),
             degenerate_steps=int(out["degenerate"][i]),

@@ -134,7 +134,6 @@ class TestBloopDirection:
     def test_orthogonal_composition(self):
         res = bloop_direction(np.array([1.0, 1.0]), np.array([1.0, 0.0]), beta=1.0)
         assert np.allclose(res.d, [1.0, 1.0], atol=1e-15)
-        assert res.equality_multiplier
 
     def test_zero_beta_with_orthogonal_gradients(self):
         gf = np.array([0.0, 1.0])

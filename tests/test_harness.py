@@ -1,14 +1,20 @@
 import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dbgd
 import dbgd.cli as cli
 from dbgd import CapabilityError, ConfigurationError, ConstantStep, SolverConfig, run
 from dbgd.harness import (
-    SUMMARY_HEADER,
-    TRACE_HEADER,
+    CASES_CSV,
+    SUMMARY_CSV,
+    TRACE_CSV,
     build_problem,
     expand_methods,
     load_config,
@@ -18,6 +24,30 @@ from dbgd.harness import (
     run_rates,
     validate_config,
 )
+
+
+# The schema-v1 headers, spelled out: the headers derived from the solver's
+# columns must keep writing these.
+TRACE_HEADER = (
+    "k,f,g,grad_f_sq,grad_g_sq,lambda,d_sq,cos_theta,"
+    "f_perp_sq,f_par_sq,delta_f,delta_g,potential,degenerate"
+)
+SUMMARY_HEADER = (
+    "cell,method,rows,stopped_early,final_f,final_g,final_grad_f_sq,"
+    "final_grad_g_sq,final_lambda,final_d_sq,final_cos_theta,"
+    "final_f_perp_sq,final_f_par_sq,best_k,best_potential,"
+    "best_grad_g_sq,best_d_sq"
+)
+CASES_HEADER = (
+    "init,classification,final_lambda,final_grad_f_sq,final_grad_g_sq,"
+    "final_cos_theta"
+)
+
+
+def test_csv_headers_are_schema_v1():
+    assert TRACE_CSV.header == TRACE_HEADER
+    assert SUMMARY_CSV.header == SUMMARY_HEADER
+    assert CASES_CSV.header == CASES_HEADER
 
 
 def bundled(name: str) -> Path:
@@ -276,9 +306,25 @@ class TestRunRates:
 class TestRunCasestudy:
     def test_bundled_casestudy_finds_both_cases(self, tmp_path):
         out = run_casestudy(bundled("casestudy.json"), output_dir=tmp_path / "cs")
-        rows = (out / "cases.csv").read_text().splitlines()[1:]
+        header, *rows = (out / "cases.csv").read_text().splitlines()
+        assert header == CASES_HEADER
+        assert (out / "init0.csv").read_text().splitlines()[0] == TRACE_HEADER
         labels = [row.split(",")[1] for row in rows]
         assert "case1" in labels and "case2" in labels
+
+    def test_divergence_names_the_initialization(self, tmp_path, capsys):
+        doc = json.loads(bundled("casestudy.json").read_text())
+        # init0 is the bilevel optimum, where both gradients vanish; the
+        # others overflow at this step size
+        doc["run"]["initializations"] = [[-math.pi / 20.0, -1.0], [-3.0, -1.0], [0.2, 0.5]]
+        doc["run"]["step"]["eta"] = 100.0
+        doc["run"]["iterations"] = 500
+        doc["output"]["directory"] = str(tmp_path / "div")
+        path = tmp_path / "diverge.json"
+        path.write_text(json.dumps(doc))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli.main(["casestudy", str(path)]) == 3
+        assert "in initialization init1 at iteration" in capsys.readouterr().err
 
     def test_single_init_at_exact_optimum_is_case1(self, tmp_path):
         import math
@@ -389,6 +435,32 @@ class TestCli:
         monkeypatch.setattr(cli, "run_experiment", boom)
         assert cli.main(["run", "whatever.json"]) == 4
         assert "capability" in capsys.readouterr().err
+
+    def test_rates_from_a_stationary_point_is_a_config_error(self, tmp_path):
+        # every potential is 0 at the bilevel optimum, so no slope can be fitted
+        doc = json.loads(bundled("rates-toy.json").read_text())
+        doc["x0"] = [-0.15707963267948966, -1.0]
+        doc["k_grid"] = [100, 200, 400]
+        doc["output"]["file"] = str(tmp_path / "rates.json")
+        path = tmp_path / "stationary.json"
+        path.write_text(json.dumps(doc))
+        src = str(Path(dbgd.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run([sys.executable, "-m", "dbgd.cli", "rates", str(path)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert "config error: rates: minimal potential 0.0 at K = 100 is not positive" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "rates.json").exists()
+
+    def test_run_warnings_go_to_stderr_named_by_cell(self, tmp_path, capsys):
+        # eta = 1e-2 exceeds 1/(L_f+L_g) = 8.2e-4 on the toy problem; the
+        # warning applies to barrier cells only
+        assert cli.main(["run", str(bundled("toy.json")), "--output", str(tmp_path / "toy")]) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning: ")]
+        assert len(warnings) == 1
+        assert warnings[0].startswith("warning: dbgd_beta=1: constant step 0.01 exceeds 1/(L_f+L_g)")
 
     def test_run_with_output_override(self, tmp_path, capsys):
         doc = minimal_experiment(tmp_path)

@@ -7,6 +7,11 @@ from hypothesis import strategies as st
 
 from dbgd import (
     CapabilityError,
+    ConstantStep,
+    Dbgd,
+    GradNormSquared,
+    Penalty,
+    SolverConfig,
     decompose_grad_f,
     dense_hessian,
     hessian_least_squares,
@@ -16,6 +21,7 @@ from dbgd import (
     optimal_multiplier,
     quadratic_sanity_problem,
     rng,
+    run,
     scaled_kkt_ok,
     stationarity_report,
     toy_problem,
@@ -117,6 +123,30 @@ def test_optimal_multiplier_closed_form():
     assert optimal_multiplier(gf, gg) == pytest.approx(2.0)
     assert optimal_multiplier(gg, gg) == 0.0  # aligned: no help from the constraint
     assert optimal_multiplier(gf, np.zeros(2)) == 0.0
+
+
+@pytest.mark.parametrize("method", [Dbgd(GradNormSquared(1.0)), Penalty(10.0)],
+                         ids=["dbgd", "penalty"])
+def test_trace_rows_equal_the_report_at_their_iterate(method):
+    # The solver's trace and stationarity_report compute the paper's
+    # residuals in two places; row k must be the report at x_k, bit for bit.
+    problem = toy_problem()
+    x0 = np.array([-3.0, -1.0])
+    config = SolverConfig(method, ConstantStep(1e-2), 400)
+    trace = run(problem, config, x0)
+    # x_k is the final point of a k-iteration run
+    shorter = [SolverConfig(method, ConstantStep(1e-2), k) for k in range(1, len(trace))]
+    points = [x0] + [t.final_x for t in run(problem, shorter, x0).traces]
+    undefined = 0
+    for k, x_k in enumerate(points):
+        report = stationarity_report(problem, x_k, lam=float(trace.lam[k]))
+        for name in ("grad_g_sq", "d_sq", "f_par_sq", "f_perp_sq", "cos_theta"):
+            row, rep = np.float64(getattr(trace, name)[k]), np.float64(getattr(report, name))
+            assert row.tobytes() == rep.tobytes() or (np.isnan(row) and np.isnan(rep)), (k, name)
+        assert bool(trace.cos_defined[k]) == report.cos_defined, k
+        undefined += not report.cos_defined
+    if isinstance(method, Dbgd):  # the barrier run crosses a vanished lower gradient
+        assert undefined > 0
 
 
 def _shared_minimum_problem(n):

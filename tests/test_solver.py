@@ -184,20 +184,6 @@ class TestRun:
         )
         assert unscaled.eta == 0.5
 
-    def test_record_all_iterates(self):
-        problem = quadratic_sanity_problem(3)
-        config = SolverConfig(
-            method=Penalty(0.0),
-            step=ConstantStep(0.5),
-            iterations=4,
-            record_iterates="all",
-            scale_penalty_step=False,
-        )
-        x0 = np.zeros(3)
-        trace = run(problem, config, x0)
-        assert trace.iterates.shape == (4, 3)
-        assert np.array_equal(trace.iterates[0], x0)
-
     def test_potential_labels(self):
         problem = quadratic_sanity_problem(3)
         x0 = 0.2 * np.ones(3)
@@ -251,13 +237,6 @@ class TestBestIterate:
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(method=Penalty(0.0), step=ConstantStep(0.1), iterations=0)
-    with pytest.raises(ValueError):
-        SolverConfig(
-            method=Penalty(0.0),
-            step=ConstantStep(0.1),
-            iterations=1,
-            record_iterates="some",
-        )
     with pytest.raises(ValueError):
         ConstantStep(0.0)
     with pytest.raises(ValueError):
