@@ -58,6 +58,7 @@ from .solver import (
     ScheduledStep,
     SolverConfig,
     TraceRecord,
+    _setup,
     run,
 )
 from .verify import rate_fit
@@ -635,7 +636,7 @@ def _run_and_write(
     """Run a config's named runs as one batch and write each run's trace CSV.
 
     Returns the output directory (``output_dir``, else the config's) and
-    the traces.  Each run's warnings go to standard error after its name;
+    the traces.  Run warnings go to standard error before the batch runs;
     a divergence names the first diverging run, as ``{noun} {name}``.
     """
     granularity = doc["output"].get("trace", "all")
@@ -643,16 +644,17 @@ def _run_and_write(
     out.mkdir(parents=True, exist_ok=True)
     names = [name for name, _ in runs]
     keep = "all" if granularity == "all" else "best-last"
+    for name, config in runs:
+        for warning in _setup(problem.smoothness, config).warnings:
+            print(f"warning: {name}: {warning}", file=sys.stderr)
     try:
         batch = run(problem, [config for _, config in runs], x0, keep=keep)
     except DivergenceError as exc:
         raise DivergenceError(
             exc.iteration, f"{exc.what} in {noun} {names[exc.cell]}", exc.cell
         ) from exc
-    for name, trace in zip(names, batch.traces):
-        for warning in trace.warnings:
-            print(f"warning: {name}: {warning}", file=sys.stderr)
-        if granularity != "none":
+    if granularity != "none":
+        for name, trace in zip(names, batch.traces):
             _write_trace(out / f"{name}.csv", trace, granularity)
     return out, batch.traces
 

@@ -1,4 +1,4 @@
-"""Discrete-time iteration with full trace recording.
+"""Discrete-time iteration with per-iteration trace rows.
 
 Runs ``x_{k+1} = x_k - eta_k * d_k`` where the direction comes from the
 dynamic-barrier projection, the orthogonal projection, or a fixed-penalty
@@ -7,6 +7,10 @@ gradient norms, the multiplier, the parallel/orthogonal decomposition of
 the upper gradient, and the potential
 ``0.5 ||d_k||^2 + (beta / (L_g eta)) ||grad_g(x_k)||^2`` whose minimizer
 over the trace is the certified near-stationary iterate.
+
+Each iteration computes what decides a run: ``f``, ``g``, ``lam``,
+``degenerate``, ``d_sq``, ``grad_g_sq``, the decreases and the potential.
+The gradient-geometry columns are computed only for the rows a run keeps.
 """
 
 from __future__ import annotations
@@ -162,6 +166,8 @@ class TraceRecord:
     (``potential_kind == "full"``) and ``0.5 d_sq`` for runs without a
     barrier weight (``potential_kind == "direction-only"``).
     ``cos_theta`` is NaN where a gradient vanished; see ``cos_defined``.
+    The geometry columns ``grad_f_sq``, ``cos_theta``, ``f_perp_sq``,
+    ``f_par_sq`` and ``cos_defined`` are computed for kept rows only.
 
     ``table`` holds the kept rows, one column per name in ``COLUMNS``,
     each also an attribute (``trace.d_sq``); ``k`` holds their iteration
@@ -292,6 +298,21 @@ def _direction(rule, gf: Array, gg: Array, g_now: Array, guard: Array) -> Direct
     return dbgd_direction(gf, gg, barrier_value(rule, g_now, gg), guard)
 
 
+def _fill_geometry(row: Array, gf: Array, gg: Array, guard: Array) -> Array:
+    """Fill the geometry columns of ``row`` from its gradients; return ``row``."""
+    gf_sq = row_dot(gf, gf)
+    gg_sq = row[:, _GRAD_G_SQ]
+    par, perp = decompose_grad_f(gf, gg, guard)
+    defined = (gf_sq > guard) & (gg_sq > guard)
+    cos = row_dot(gf, gg) / np.sqrt(np.where(defined, gf_sq * gg_sq, 1.0))
+    row[:, _GRAD_F_SQ] = gf_sq
+    row[:, _COS] = np.where(defined, np.minimum(1.0, np.maximum(-1.0, cos)), np.nan)
+    row[:, _F_PERP_SQ] = row_dot(perp, perp)
+    row[:, _F_PAR_SQ] = row_dot(par, par)
+    row[:, _COS_DEFINED] = defined
+    return row
+
+
 def _diverged(iteration: int, what: str, cell: Array, *values: Array) -> None:
     """Raise :class:`DivergenceError` naming the lowest-index config with a
     non-finite value."""
@@ -320,9 +341,10 @@ def run(problem: ProblemSpec, config, x0: Array, keep: str = "all"):
     or the batch aborts with :class:`DivergenceError` naming the iteration
     and, in ``cell``, the index of the first run that diverged.
     """
-    if isinstance(config, SolverConfig):
-        return _run_batch(problem, [config], x0, keep).traces[0]
-    return _run_batch(problem, list(config), x0, keep)
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is detected, not warned
+        if isinstance(config, SolverConfig):
+            return _run_batch(problem, [config], x0, keep).traces[0]
+        return _run_batch(problem, list(config), x0, keep)
 
 
 def _run_batch(
@@ -405,32 +427,26 @@ def _run_batch(
             if not (np.isfinite(f_next).all() and np.isfinite(g_next).all()):
                 _diverged(k, "objective value", cell, f_next, g_next)
 
-            gf_sq = row_dot(gf, gf)
             gg_sq = row_dot(gg, gg)
             d_sq = row_dot(d, d)
-            par, perp = decompose_grad_f(gf, gg, guard)
-            defined = (gf_sq > guard) & (gg_sq > guard)
-            cos = row_dot(gf, gg) / np.sqrt(np.where(defined, gf_sq * gg_sq, 1.0))
             row[:, _F] = f_now
             row[:, _G] = g_now
-            row[:, _GRAD_F_SQ] = gf_sq
             row[:, _GRAD_G_SQ] = gg_sq
             row[:, _D_SQ] = d_sq
-            row[:, _COS] = np.where(defined, np.minimum(1.0, np.maximum(-1.0, cos)), np.nan)
-            row[:, _F_PERP_SQ] = row_dot(perp, perp)
-            row[:, _F_PAR_SQ] = row_dot(par, par)
             row[:, _DELTA_F] = f_now - f_next
             row[:, _DELTA_G] = g_now - g_next
             row[:, _POTENTIAL] = 0.5 * d_sq + pot_coef * gg_sq
-            row[:, _COS_DEFINED] = defined
             if table is not None:
-                table[k, cell] = row
+                table[k, cell] = _fill_geometry(row, gf, gg, guard)
             elif k == 0:
                 best, best_k = row.copy(), np.zeros(n, dtype=int)
+                best_gf, best_gg = gf.copy(), gg.copy()
             else:
                 better = row[:, _POTENTIAL] < best[:, _POTENTIAL]
                 if better.any():
                     best[better] = row[better]
+                    best_gf[better] = gf[better]
+                    best_gg[better] = gg[better]
                     best_k[better] = k
             if clamping:
                 clamps += g_now < clamp_ref
@@ -451,11 +467,12 @@ def _run_batch(
         out["final_x"][ended] = x[done]
         out["clamps"][ended] = clamps[done]
         out["degenerate"][ended] = degenerate[done]
-        out["last"][ended] = row[done]
         if best is not None:
-            out["best"][ended] = best[done]
+            out["best"][ended] = _fill_geometry(best[done], best_gf[done], best_gg[done], guard[done])
+            out["last"][ended] = _fill_geometry(row[done], gf[done], gg[done], guard[done])
             out["best_k"][ended] = best_k[done]
             best, best_k = best[~done], best_k[~done]
+            best_gf, best_gg = best_gf[~done], best_gg[~done]
         go_on = ~done
         cell, x, f_now, g_now = cell[go_on], x[go_on], f_now[go_on], g_now[go_on]
         per_row = {name: value[go_on] for name, value in per_row.items()}

@@ -4,8 +4,9 @@ A command advances all its runs (grid cells, initializations, ``(p, K)``
 pairs) as one ``(runs, dim)`` array.  These tests pin that doing so
 changes no bit of any run, that the streamed summary of a best-and-last
 run equals the one read from full traces, that memory does not grow with
-the budget when rows are not all kept, and that divergence still aborts
-the batch naming the run.
+the budget when rows are not all kept, that the gradient-geometry
+columns are computed only for the rows a run keeps, and that divergence
+still aborts the batch naming the run.
 """
 
 import json
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 import dbgd.cli as cli
+import dbgd.solver as solver
 from dbgd import (
     BloopOrthogonal,
     ConstantStep,
@@ -29,6 +31,7 @@ from dbgd import (
     SolverConfig,
     quadratic_sanity_problem,
     run,
+    toy_problem,
 )
 from dbgd.harness import run_experiment
 
@@ -105,6 +108,60 @@ def test_best_last_rows_are_the_argmin_and_last_rows_of_the_full_trace():
         expect = np.stack([a.table[best], a.table[-1]])
         assert bits(expect) == bits(b.table), i
         assert list(b.k) == [best, len(a) - 1], i
+
+
+def test_geometry_columns_are_computed_only_for_kept_rows(monkeypatch):
+    calls = []
+    decompose = solver.decompose_grad_f
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return decompose(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "decompose_grad_f", counted)
+    problem = quadratic_sanity_problem(3)
+    starts = mixed_starts(len(mixed_configs()))
+
+    def count(keep, budget):
+        calls.clear()
+        configs = [replace(config, iterations=budget) for config in mixed_configs()]
+        traces = run(problem, configs, starts, keep=keep).traces
+        return len(calls), len({len(trace) for trace in traces})
+
+    short, retirements = count("best-last", 200)
+    # config 1 stops early, the others retire together at the budget
+    assert retirements == 2
+    assert count("best-last", 2000) == (short, retirements)
+    assert 0 < short <= 2 * retirements  # the best and the last row of each retirement
+    assert count("all", 200)[0] == 200
+
+
+def test_deferred_geometry_reproduces_an_undefined_cosine(tmp_path):
+    # at the toy's bilevel optimum both gradients vanish: every row has an
+    # undefined cosine and a zero potential, so the best row is row 0
+    optimum = [-np.pi / 20.0, -1.0]
+    step = ConstantStep(1e-3)
+    configs = [SolverConfig(Dbgd(GradNormSquared(1.0)), step, 50), SolverConfig(Penalty(10.0), step, 30)]
+    full = run(toy_problem(), configs, np.array(optimum)).traces
+    kept = run(toy_problem(), configs, np.array(optimum), keep="best-last").traces
+    for i, (a, b) in enumerate(zip(full, kept)):
+        assert bits(np.stack([a.table[0], a.table[-1]])) == bits(b.table), i
+        assert list(b.k) == [0, len(a) - 1], i
+        assert np.isnan(b.cos_theta).all() and not b.cos_defined.any(), i
+
+    doc = {
+        "kind": "experiment",
+        "problem": {"name": "toy"},
+        "methods": [{"kind": "dbgd", "beta": [0.5, 1.0]}, {"kind": "penalty", "lambda": [1, 10]}],
+        "run": {"x0": optimum, "iterations": 40, "step": {"mode": "constant", "eta": 1e-3}},
+        "output": {"directory": str(tmp_path / "unused"), "trace": "all"},
+    }
+    summaries = {}
+    for granularity in ("all", "final"):
+        doc["output"]["trace"] = granularity
+        summaries[granularity] = (run_experiment(doc, tmp_path / granularity) / "summary.csv").read_bytes()
+    assert summaries["final"] == summaries["all"]
+    assert b",NA," in summaries["all"]
 
 
 def test_single_config_runs_as_a_batch_of_one():
@@ -198,8 +255,7 @@ def test_divergence_in_a_batch_names_the_diverging_cell(tmp_path, capsys):
     }
     path = tmp_path / "diverge.json"
     path.write_text(json.dumps(doc))
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert cli.main(["run", str(path)]) == 3
+    assert cli.main(["run", str(path)]) == 3
     err = capsys.readouterr().err
     assert "divergence" in err and "in cell penalty_lambda=100" in err
 
@@ -211,9 +267,8 @@ def test_a_run_that_ended_never_diverges():
     problem = quadratic_sanity_problem(3)
     unstable = SolverConfig(Penalty(100.0), ConstantStep(0.1), 100, scale_penalty_step=False)
     stable = SolverConfig(Penalty(1.0), ConstantStep(0.1), 1000, scale_penalty_step=False)
-    with np.errstate(over="ignore"):
-        batch = run(problem, [unstable, stable], np.full(3, 0.3), keep="best-last")
+    batch = run(problem, [unstable, stable], np.full(3, 0.3), keep="best-last")
     assert [len(trace) for trace in batch.traces] == [100, 1000]
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
+    with pytest.raises(DivergenceError) as err:
         run(problem, [stable, replace(unstable, iterations=1000)], np.full(3, 0.3))
     assert err.value.cell == 1

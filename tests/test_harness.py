@@ -56,6 +56,14 @@ def bundled(name: str) -> Path:
     return Path(str(resources.files("dbgd") / "configs" / name))
 
 
+def run_cli(args: list[str]) -> subprocess.CompletedProcess:
+    """Run ``dbgd`` in a fresh interpreter, so that its raw standard error shows."""
+    src = str(Path(dbgd.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    return subprocess.run([sys.executable, "-m", "dbgd.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 def minimal_experiment(tmp_path, **overrides):
     doc = {
         "kind": "experiment",
@@ -312,7 +320,8 @@ class TestRunCasestudy:
         labels = [row.split(",")[1] for row in rows]
         assert "case1" in labels and "case2" in labels
 
-    def test_divergence_names_the_initialization(self, tmp_path, capsys):
+    @staticmethod
+    def _diverging_casestudy(tmp_path) -> Path:
         doc = json.loads(bundled("casestudy.json").read_text())
         # init0 is the bilevel optimum, where both gradients vanish; the
         # others overflow at this step size
@@ -322,9 +331,19 @@ class TestRunCasestudy:
         doc["output"]["directory"] = str(tmp_path / "div")
         path = tmp_path / "diverge.json"
         path.write_text(json.dumps(doc))
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert cli.main(["casestudy", str(path)]) == 3
+        return path
+
+    def test_divergence_names_the_initialization(self, tmp_path, capsys):
+        path = self._diverging_casestudy(tmp_path)
+        assert cli.main(["casestudy", str(path)]) == 3
         assert "in initialization init1 at iteration" in capsys.readouterr().err
+
+    def test_divergence_shows_the_step_warning_and_no_numpy_warnings(self, tmp_path):
+        proc = run_cli(["casestudy", str(self._diverging_casestudy(tmp_path))])
+        assert proc.returncode == 3
+        warning = proc.stderr.index("warning: init1: constant step 100.0 exceeds 1/(L_f+L_g)")
+        assert warning < proc.stderr.index("divergence: ")
+        assert "RuntimeWarning" not in proc.stderr
 
     def test_single_init_at_exact_optimum_is_case1(self, tmp_path):
         import math
@@ -423,8 +442,7 @@ class TestCli:
         }
         path = tmp_path / "diverge.json"
         path.write_text(json.dumps(doc))
-        with np.errstate(over="ignore"):
-            assert cli.main(["run", str(path)]) == 3
+        assert cli.main(["run", str(path)]) == 3
         err = capsys.readouterr().err
         assert "divergence" in err and "penalty_lambda=1000" in err
 
@@ -444,10 +462,7 @@ class TestCli:
         doc["output"]["file"] = str(tmp_path / "rates.json")
         path = tmp_path / "stationary.json"
         path.write_text(json.dumps(doc))
-        src = str(Path(dbgd.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-        proc = subprocess.run([sys.executable, "-m", "dbgd.cli", "rates", str(path)],
-                              capture_output=True, text=True, env=env, timeout=120)
+        proc = run_cli(["rates", str(path)])
         assert proc.returncode == 2
         assert "config error: rates: minimal potential 0.0 at K = 100 is not positive" in proc.stderr
         assert "Traceback" not in proc.stderr

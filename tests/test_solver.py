@@ -128,7 +128,7 @@ class TestRun:
             iterations=200,
             scale_penalty_step=False,  # deliberately unstable
         )
-        with np.errstate(over="ignore"), pytest.raises(DivergenceError) as err:
+        with pytest.raises(DivergenceError) as err:
             run(problem, config, np.array([-3.0, -1.0]))
         assert err.value.iteration >= 0
 
