@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ import dbgd.cli as cli
 from dbgd import CapabilityError, ConfigurationError, ConstantStep, SolverConfig, run
 from dbgd.harness import (
     CASES_CSV,
+    DEFAULT_RULE,
     SUMMARY_CSV,
     TRACE_CSV,
     build_problem,
@@ -81,6 +83,111 @@ def minimal_experiment(tmp_path, **overrides):
     }
     doc.update(overrides)
     return doc
+
+
+DROP = object()  #: a ``mutated`` value that deletes the field
+
+
+def mutated(base: str, path: tuple, value):
+    """A bundled config with the field at ``path`` set to ``value``."""
+    doc = json.loads(bundled(base).read_text())
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+EXP, RATES, CASE = "matfac.json", "rates-quadratic.json", "casestudy.json"
+
+# One invalid config per rule: the change of a bundled config and a word
+# the error message names.
+REJECTED_CONFIGS = [pytest.param(*case, id=id_) for id_, case in {
+    # unknown and missing keys at every level
+    "top-unknown": (EXP, ("plot",), True, "plot"),
+    "top-missing": (EXP, ("output",), DROP, "output"),
+    "rates-missing": (RATES, ("k_grid",), DROP, "k_grid"),
+    "casestudy-missing": (CASE, ("method",), DROP, "method"),
+    "problem-unknown": (EXP, ("problem", "size"), 3, "size"),
+    "problem-missing-name": (EXP, ("problem", "name"), DROP, "name"),
+    "problem-missing-field": (RATES, ("problem", "n"), DROP, "'n'"),
+    "method-unknown": (EXP, ("methods", 0, "gamma"), 1.0, "gamma"),
+    "method-missing-kind": (EXP, ("methods", 0, "kind"), DROP, "kind"),
+    "method-missing-field": (EXP, ("methods", 0, "beta"), DROP, "beta"),
+    "casestudy-method-missing-field": (CASE, ("method", "beta"), DROP, "beta"),
+    "run-unknown": (EXP, ("run", "stepsize"), 0.1, "stepsize"),
+    "run-missing": (EXP, ("run", "iterations"), DROP, "iterations"),
+    "casestudy-run-unknown": (CASE, ("run", "stop_tolerances"), [0, 0], "stop_tolerances"),
+    "casestudy-run-missing": (CASE, ("run", "initializations"), DROP, "initializations"),
+    "step-unknown": (EXP, ("run", "step", "eta0"), 0.1, "eta0"),
+    "step-missing-mode": (EXP, ("run", "step", "mode"), DROP, "mode"),
+    "step-missing-eta": (EXP, ("run", "step", "eta"), DROP, "eta"),
+    "step-missing-p": (EXP, ("run", "step"), {"mode": "scheduled"}, "'p'"),
+    "output-unknown": (EXP, ("output", "format"), "csv", "format"),
+    "output-missing": (EXP, ("output", "directory"), DROP, "directory"),
+    "x0-seed-unknown": (EXP, ("run", "x0", "shift"), 1.0, "x0"),
+    "x0-seed-missing": (EXP, ("run", "x0", "seed"), DROP, "x0"),
+    "classify-unknown": (CASE, ("classify", "case3_lambda_max"), 1.0, "case3_lambda_max"),
+    "rates-output-unknown": (RATES, ("output", "dir"), "out", "dir"),
+    "rates-output-missing": (RATES, ("output", "file"), DROP, "file"),
+    # wrong types, `true` where a number is expected among them
+    "doc-not-object": (EXP, (), [], "object"),
+    "problem-not-object": (EXP, ("problem",), "matfac", "problem"),
+    "methods-not-list": (EXP, ("methods",), {}, "methods"),
+    "iterations-string": (EXP, ("run", "iterations"), "5", "iterations"),
+    "iterations-true": (EXP, ("run", "iterations"), True, "iterations"),
+    "eta-true": (EXP, ("run", "step", "eta"), True, "eta"),
+    "n-true": (EXP, ("problem", "n"), True, "problem.n"),
+    "alpha-true": (EXP, ("problem", "alpha"), True, "alpha"),
+    "beta-string": (EXP, ("methods", 0, "beta"), "0.5", "beta"),
+    "beta-grid-true": (EXP, ("methods", 0, "beta"), [True], "beta"),
+    "x0-string": (EXP, ("run", "x0"), "zeros", "x0"),
+    "x0-vector-string": (RATES, ("x0", 0), "a", "x0"),
+    "scaling-number": (EXP, ("run", "penalty_step_scaling"), 1, "penalty_step_scaling"),
+    "directory-number": (EXP, ("output", "directory"), 3, "directory"),
+    "file-number": (RATES, ("output", "file"), 3, "file"),
+    "p-not-list": (RATES, ("p",), 0.0, "$.p"),
+    "threshold-string": (CASE, ("classify", "case1_lambda_max"), "big", "case1_lambda_max"),
+    "initialization-number": (CASE, ("run", "initializations", 0), 1.0, "initializations"),
+    # bounds
+    "iterations-0": (EXP, ("run", "iterations"), 0, "iterations"),
+    "casestudy-iterations-0": (CASE, ("run", "iterations"), 0, "iterations"),
+    "eta-0": (EXP, ("run", "step", "eta"), 0, "eta"),
+    "eta-negative": (CASE, ("run", "step", "eta"), -0.1, "eta"),
+    "step-p-negative": (EXP, ("run", "step"), {"mode": "scheduled", "p": -1}, "step.p"),
+    "rates-p-negative": (RATES, ("p", 0), -1, "$.p"),
+    "guard-0": (EXP, ("run", "guard"), 0, "guard"),
+    "casestudy-guard-0": (CASE, ("run", "guard"), 0.0, "guard"),
+    "slope-tolerance-0": (RATES, ("slope_tolerance",), 0, "slope_tolerance"),
+    "noise-std-negative": (EXP, ("problem", "noise_std"), -1, "noise_std"),
+    "alpha-0": (EXP, ("problem", "alpha"), 0, "alpha"),
+    "n-0": (RATES, ("problem", "n"), 0, "problem.n"),
+    "box-radius-0": (RATES, ("problem", "box_radius"), 0, "box_radius"),
+    "k-grid-two-budgets": (RATES, ("k_grid",), [100, 1000], "k_grid"),
+    "k-grid-budget-0": (RATES, ("k_grid", 0), 0, "k_grid"),
+    "stop-tolerances-one": (EXP, ("run", "stop_tolerances"), [1e-6], "stop_tolerances"),
+    "stop-tolerances-three": (EXP, ("run", "stop_tolerances"), [1e-6, 1e-8, 0], "stop_tolerances"),
+    "stop-tolerance-negative": (EXP, ("run", "stop_tolerances"), [-1, 0], "stop_tolerances"),
+    "methods-empty": (EXP, ("methods",), [], "methods"),
+    "initializations-empty": (CASE, ("run", "initializations"), [], "initializations"),
+    "initialization-empty": (CASE, ("run", "initializations", 0), [], "initializations"),
+    "p-empty": (RATES, ("p",), [], "$.p"),
+    "grid-empty": (EXP, ("methods", 1, "lambda"), [], "lambda"),
+    "x0-empty": (RATES, ("x0",), [], "x0"),
+    # enums
+    "problem-name": (EXP, ("problem", "name"), "rosenbrock", "name"),
+    "method-kind": (EXP, ("methods", 0, "kind"), "sgd", "kind"),
+    "rule": (EXP, ("methods", 0, "rule"), "newton", "rule"),
+    "rule-of-penalty": (EXP, ("methods", 1, "rule"), DEFAULT_RULE, "rule"),
+    "step-mode": (EXP, ("run", "step", "mode"), "adaptive", "mode"),
+    "trace": (EXP, ("output", "trace"), "some", "trace"),
+    "variant": (EXP, ("problem", "variant"), "l2", "variant"),
+}.items()]
 
 
 class TestValidation:
@@ -157,6 +264,11 @@ class TestValidation:
     def test_unknown_kind(self):
         with pytest.raises(ConfigurationError, match="kind"):
             validate_config({"kind": "benchmark"})
+
+    @pytest.mark.parametrize("base, path, value, word", REJECTED_CONFIGS)
+    def test_rejected_configs(self, base, path, value, word):
+        with pytest.raises(ConfigurationError, match=re.escape(word)):
+            validate_config(mutated(base, path, value))
 
     def test_round_trip_is_lossless(self, tmp_path):
         doc = json.loads(bundled("toy.json").read_text())
