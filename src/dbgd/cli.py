@@ -41,7 +41,6 @@ GRADCHECK_PROBLEMS = {
 #: Problem fields ``dbgd gradcheck`` takes as flags, each with the value it
 #: passes when the flag is absent (None: the constructor's default).
 GRADCHECK_FLAGS = {"n": 10, "r": 10, "alpha": 1.0, "variant": None}
-_FLAG_TYPES = {"integer": int, "number": float}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -79,13 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_grad.add_argument("--seed", type=int, default=0)
     p_grad.add_argument("--points", type=int, default=100)
     for name, default in GRADCHECK_FLAGS.items():
-        schema = PROBLEM_FIELDS[name]
-        p_grad.add_argument(
-            f"--{name}",
-            type=_FLAG_TYPES.get(schema.get("type"), str),
-            choices=schema.get("enum"),
-            default=default,
-        )
+        leaf = PROBLEM_FIELDS[name]
+        p_grad.add_argument(f"--{name}", type=leaf.type, choices=leaf.choices, default=default)
     return parser
 
 

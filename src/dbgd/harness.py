@@ -17,8 +17,8 @@ kept, so memory does not grow with the budget; full traces are written
 in blocks of rows.
 
 The problems and methods a config can name are declared once, in the
-``PROBLEMS`` and ``METHODS`` tables; the config schema, its checks and the
-grid expansion are derived from them.  Unknown keys anywhere in a config
+``PROBLEMS`` and ``METHODS`` tables; the config checks and the grid
+expansion are derived from them.  Unknown keys anywhere in a config
 are errors, not warnings.  Reruns with identical configs and seeds produce
 byte-identical output files.
 """
@@ -28,11 +28,11 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple, Optional
 
-import jsonschema
 import numpy as np
 
 from .direction import (
@@ -124,29 +124,134 @@ SUMMARY_CSV = CsvSchema(
 #: One row per case-study initialization.
 CASES_CSV = CsvSchema("init", "classification", *("final_" + name for name in _CASES_FINAL))
 
-_NUMBER = {"type": "number"}
-_NUMBER_OR_GRID = {
-    "oneOf": [
-        {"type": "number"},
-        {"type": "array", "items": {"type": "number"}, "minItems": 1},
-    ]
-}
-_POSITIVE_INT = {"type": "integer", "minimum": 1}
-_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+#: A config check: ``check(value, where)`` raises a ConfigurationError naming
+#: the field path ``where`` (such as ``$.run.step.eta``) if ``value`` is bad.
+Check = Callable[[Any, str], None]
+
+_NOUNS = {int: "an integer", float: "a finite number", str: "a string", bool: "a boolean"}
+
+
+def _error(where: str, message: str) -> ConfigurationError:
+    return ConfigurationError(f"config field {where}: {message}")
+
+
+class Leaf(NamedTuple):
+    """A scalar config field: a JSON value of ``type``, maybe one of
+    ``choices`` and at least (``strict``: above) ``low``.
+
+    ``int`` takes JSON integers only and ``float`` every finite JSON
+    number; no number type takes ``true`` or ``false``.
+    """
+
+    type: type
+    choices: Optional[tuple] = None
+    low: Optional[float] = None
+    strict: bool = False
+
+    def __call__(self, value: Any, where: str) -> None:
+        if isinstance(value, bool) or self.type is bool:
+            ok = isinstance(value, bool) and self.type is bool
+        elif self.type is float:
+            ok = isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
+        else:
+            ok = isinstance(value, self.type)
+        if not ok:
+            raise _error(where, f"expected {_NOUNS[self.type]}, got {value!r}")
+        if self.choices is not None and value not in self.choices:
+            raise _error(where, f"{value!r} is not one of {list(self.choices)}")
+        if self.low is not None and (value <= self.low if self.strict else value < self.low):
+            raise _error(where, f"{value!r} must be {'>' if self.strict else '>='} {self.low}")
+
+
+class Object(NamedTuple):
+    """A JSON object of the ``required`` and ``optional`` fields, each
+    mapped to the check of its value; ``name`` labels its key errors."""
+
+    required: dict[str, Check]
+    optional: dict[str, Check] = {}
+    name: str = ""
+
+    def __call__(self, value: Any, where: str) -> None:
+        if not isinstance(value, dict):
+            raise _error(where, "expected an object")
+        of = f" for {self.name}" if self.name else ""
+        checks = {**self.required, **self.optional}
+        unknown = value.keys() - checks.keys()
+        if unknown:
+            raise _error(where, f"unknown fields {sorted(unknown)}{of}")
+        missing = [key for key in self.required if key not in value]
+        if missing:
+            raise _error(where, f"missing required fields {missing}{of}")
+        for key, item in value.items():
+            checks[key](item, f"{where}.{key}")
+
+
+class Array(NamedTuple):
+    """A JSON array of ``length`` or more (``exact``: exactly ``length``)
+    values, each checked by ``item``."""
+
+    item: Check
+    length: int = 1
+    exact: bool = False
+
+    def __call__(self, value: Any, where: str) -> None:
+        if not isinstance(value, list):
+            raise _error(where, "expected a list")
+        if len(value) < self.length or self.exact and len(value) != self.length:
+            raise _error(where, f"expected {self.length}{'' if self.exact else ' or more'} items")
+        for i, item in enumerate(value):
+            self.item(item, f"{where}[{i}]")
+
+
+def _tag(block: Any, where: str, key: str, leaf: Leaf) -> Any:
+    """The field ``key`` of an object, which picks the object's check, checked by ``leaf``."""
+    if not isinstance(block, dict):
+        raise _error(where, "expected an object")
+    if key not in block:
+        raise _error(where, f"missing required field {key!r}")
+    leaf(block[key], f"{where}.{key}")
+    return block[key]
+
+
+def _tagged(key: str, variants: dict[str, Object]) -> Check:
+    """A check of an object whose field ``key`` names the one of
+    ``variants`` that checks its other fields."""
+    tag = Leaf(str, tuple(variants))
+    objs = {name: obj._replace(required={key: tag, **obj.required})
+            for name, obj in variants.items()}
+    return lambda block, where: objs[_tag(block, where, key, tag)](block, where)
+
+
+_NUMBER = Leaf(float)
+_NONNEGATIVE = Leaf(float, low=0)
+_POSITIVE = Leaf(float, low=0, strict=True)
+_POSITIVE_INT = Leaf(int, low=1)
+_STRING = Leaf(str)
+_VECTOR = Array(_NUMBER)
+
+
+def _vector_or(check: Check) -> Check:
+    """A check taking a non-empty list of numbers, or what ``check`` takes."""
+    return lambda value, where: (_VECTOR if isinstance(value, list) else check)(value, where)
+
+
+_NUMBER_OR_GRID = _vector_or(_NUMBER)
+_X0 = _vector_or(Object({"seed": Leaf(int)}, {"scale": _NUMBER}))
 
 
 class ProblemEntry(NamedTuple):
     """A config-buildable problem: its constructor and its config fields.
 
-    Field names are the constructor's keyword arguments and map to their
-    JSON-schema fragments; an optional field left out of a config takes the
-    constructor's default.  ``alias`` is a second name ``dbgd gradcheck``
-    accepts.
+    Field names are the constructor's keyword arguments and map to the
+    :class:`Leaf` checks of their values, whose ``type`` and ``choices``
+    ``dbgd gradcheck`` gives its flags; an optional field left out of a
+    config takes the constructor's default.  ``alias`` is a second name
+    ``dbgd gradcheck`` accepts.
     """
 
     build: Callable[..., ProblemSpec]
-    required: dict[str, dict]
-    optional: dict[str, dict] = {}
+    required: dict[str, Leaf]
+    optional: dict[str, Leaf] = {}
     alias: Optional[str] = None
 
 
@@ -160,20 +265,24 @@ PROBLEMS = {
         matrix_factorization_problem,
         {"n": _POSITIVE_INT, "r": _POSITIVE_INT, "alpha": _POSITIVE},
         {
-            "variant": {"enum": ["smooth-l1", "log-smooth"]},
-            "noise_std": {"type": "number", "minimum": 0},
-            "seed": {"type": "integer"},
+            "variant": Leaf(str, ("smooth-l1", "log-smooth")),
+            "noise_std": _NONNEGATIVE,
+            "seed": Leaf(int),
         },
         alias="matfac",
     ),
 }
 
-#: Schema fragment of every problem field, over all problems.
+#: Check of every problem field, over all problems.
 PROBLEM_FIELDS = {
-    name: fragment
+    name: leaf
     for entry in PROBLEMS.values()
-    for name, fragment in {**entry.required, **entry.optional}.items()
+    for name, leaf in {**entry.required, **entry.optional}.items()
 }
+_PROBLEM = _tagged("name", {
+    name: Object(entry.required, entry.optional, f"problem {name!r}")
+    for name, entry in PROBLEMS.items()
+})
 
 
 class MethodEntry(NamedTuple):
@@ -217,163 +326,71 @@ METHODS = {
     ),
 }
 
-_PROBLEM_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["name"],
-    "properties": {"name": {"enum": list(PROBLEMS)}, **PROBLEM_FIELDS},
+_METHOD_KIND = Leaf(str, tuple(dict.fromkeys(kind for kind, _ in METHODS)))
+_METHOD_RULE = Leaf(str, tuple(rule for _, rule in METHODS if rule is not None))
+
+
+def _method_key(block: dict) -> tuple[str, Optional[str]]:
+    kind = block["kind"]
+    return kind, block.get("rule", DEFAULT_RULE if kind == "dbgd" else None)
+
+
+def _method_entry(block: Any, where: str) -> MethodEntry:
+    """The ``METHODS`` entry of a method block, after checking the block against it."""
+    _tag(block, where, "kind", _METHOD_KIND)
+    if "rule" in block:
+        _METHOD_RULE(block["rule"], f"{where}.rule")
+    kind, rule = _method_key(block)
+    entry = METHODS.get((kind, rule))
+    if entry is None:
+        raise _error(where, f"kind {kind!r} has no rule {rule!r}")
+    fields = dict.fromkeys(entry.fields, _NUMBER_OR_GRID)
+    optional = {} if rule is None else {"rule": _METHOD_RULE}
+    Object({"kind": _METHOD_KIND, **fields}, optional)(block, where)
+    return entry
+
+
+_STEP = _tagged("mode", {
+    "constant": Object({"eta": _POSITIVE}, {"p": _NONNEGATIVE}, "constant step mode"),
+    "scheduled": Object({"p": _NONNEGATIVE}, {"eta": _POSITIVE}, "scheduled step mode"),
+})
+
+DEFAULT_CLASSIFY = {
+    "case1_lambda_max": 0.1,
+    "case1_grad_f_sq_max": 1e-2,
+    "case2_cos_theta_max": -0.99,
+    "case2_lambda_min": 10.0,
 }
 
-_METHOD_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["kind"],
-    "properties": {
-        "kind": {"enum": list(dict.fromkeys(kind for kind, _ in METHODS))},
-        "rule": {"enum": [rule for _, rule in METHODS if rule is not None]},
-        **{field: _NUMBER_OR_GRID for entry in METHODS.values() for field in entry.fields},
-    },
-}
+_RUN = {"iterations": _POSITIVE_INT, "step": _STEP}
+_OUTPUT = Object({"directory": _STRING}, {"trace": Leaf(str, ("all", "final", "none"))})
 
-_X0_SCHEMA = {
-    "oneOf": [
-        {"type": "array", "items": {"type": "number"}, "minItems": 1},
-        {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["seed"],
-            "properties": {"seed": {"type": "integer"}, "scale": _NUMBER},
-        },
-    ]
-}
-
-_STEP_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["mode"],
-    "properties": {
-        "mode": {"enum": ["constant", "scheduled"]},
-        "eta": {"type": "number", "exclusiveMinimum": 0},
-        "p": {"type": "number", "minimum": 0},
-    },
-}
-
-_RUN_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["x0", "iterations", "step"],
-    "properties": {
-        "x0": _X0_SCHEMA,
-        "iterations": {"type": "integer", "minimum": 1},
-        "step": _STEP_SCHEMA,
-        "guard": {"type": "number", "exclusiveMinimum": 0},
-        "penalty_step_scaling": {"type": "boolean"},
-        "stop_tolerances": {
-            "type": "array",
-            "items": {"type": "number", "minimum": 0},
-            "minItems": 2,
-            "maxItems": 2,
-        },
-    },
-}
-
-_OUTPUT_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["directory"],
-    "properties": {
-        "directory": {"type": "string"},
-        "trace": {"enum": ["all", "final", "none"]},
-    },
-}
-
-EXPERIMENT_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["kind", "problem", "methods", "run", "output"],
-    "properties": {
-        "kind": {"const": "experiment"},
-        "problem": _PROBLEM_SCHEMA,
-        "methods": {"type": "array", "items": _METHOD_SCHEMA, "minItems": 1},
-        "run": _RUN_SCHEMA,
-        "output": _OUTPUT_SCHEMA,
-    },
-}
-
-RATES_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["kind", "problem", "x0", "p", "k_grid", "output"],
-    "properties": {
-        "kind": {"const": "rates"},
-        "problem": _PROBLEM_SCHEMA,
-        "x0": _X0_SCHEMA,
-        "p": {
-            "type": "array",
-            "items": {"type": "number", "minimum": 0},
-            "minItems": 1,
-        },
-        "k_grid": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 1},
-            "minItems": 3,
-        },
-        "slope_tolerance": {"type": "number", "exclusiveMinimum": 0},
-        "output": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["file"],
-            "properties": {"file": {"type": "string"}},
-        },
-    },
-}
-
-CASESTUDY_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["kind", "problem", "method", "run", "output"],
-    "properties": {
-        "kind": {"const": "casestudy"},
-        "problem": _PROBLEM_SCHEMA,
-        "method": _METHOD_SCHEMA,
-        "run": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["initializations", "iterations", "step"],
-            "properties": {
-                "initializations": {
-                    "type": "array",
-                    "items": {
-                        "type": "array",
-                        "items": {"type": "number"},
-                        "minItems": 1,
-                    },
-                    "minItems": 1,
-                },
-                "iterations": {"type": "integer", "minimum": 1},
-                "step": _STEP_SCHEMA,
-                "guard": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "classify": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "case1_lambda_max": _NUMBER,
-                "case1_grad_f_sq_max": _NUMBER,
-                "case2_cos_theta_max": _NUMBER,
-                "case2_lambda_min": _NUMBER,
-            },
-        },
-        "output": _OUTPUT_SCHEMA,
-    },
-}
-
-_SCHEMAS = {
-    "experiment": EXPERIMENT_SCHEMA,
-    "rates": RATES_SCHEMA,
-    "casestudy": CASESTUDY_SCHEMA,
-}
+#: The check of a config document, by its kind.
+_CONFIG = _tagged("kind", {
+    "experiment": Object({
+        "problem": _PROBLEM,
+        "methods": Array(_method_entry),
+        "run": Object({"x0": _X0, **_RUN}, {
+            "guard": _POSITIVE,
+            "penalty_step_scaling": Leaf(bool),
+            "stop_tolerances": Array(_NONNEGATIVE, 2, exact=True),
+        }),
+        "output": _OUTPUT,
+    }),
+    "rates": Object({
+        "problem": _PROBLEM,
+        "x0": _X0,
+        "p": Array(_NONNEGATIVE),
+        "k_grid": Array(_POSITIVE_INT, 3),
+        "output": Object({"file": _STRING}),
+    }, {"slope_tolerance": _POSITIVE}),
+    "casestudy": Object({
+        "problem": _PROBLEM,
+        "method": _method_entry,
+        "run": Object({"initializations": Array(_VECTOR), **_RUN}, {"guard": _POSITIVE}),
+        "output": _OUTPUT,
+    }, {"classify": Object({}, dict.fromkeys(DEFAULT_CLASSIFY, _NUMBER))}),
+})
 
 
 def load_config(path: str | Path) -> dict:
@@ -392,28 +409,20 @@ def load_config(path: str | Path) -> dict:
 
 
 def validate_config(doc: Any) -> str:
-    """Validate a parsed config document; returns its kind.
+    """Validate a parsed config document, in one pass; returns its kind.
 
-    Checks the document's structure and fields; the value ranges only a
-    constructor knows are checked by :func:`prepare_config`.
+    Checks every field against ``_CONFIG`` and the ``PROBLEMS``/``METHODS``
+    entries; the value ranges only a constructor knows are checked by
+    :func:`prepare_config`.
     """
-    if not isinstance(doc, dict):
-        raise ConfigurationError("config must be a JSON object")
-    kind = doc.get("kind")
-    if kind not in _SCHEMAS:
-        raise ConfigurationError(
-            f"config 'kind' must be one of {sorted(_SCHEMAS)}, got {kind!r}"
-        )
-    validator = jsonschema.Draft202012Validator(_SCHEMAS[kind])
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        where = "$" + "".join(
-            f"[{p}]" if isinstance(p, int) else f".{p}" for p in err.absolute_path
-        )
-        raise ConfigurationError(f"config field {where}: {err.message}")
-    _semantic_checks(doc)
-    return kind
+    _CONFIG(doc, "$")
+    if "run" in doc and doc["run"]["step"]["mode"] == "scheduled":
+        if any(_method_key(block) != ("dbgd", DEFAULT_RULE) for block in _method_blocks(doc)):
+            raise ConfigurationError(
+                "scheduled step mode requires every method to be dbgd "
+                f"with the {DEFAULT_RULE} rule"
+            )
+    return doc["kind"]
 
 
 def prepare_config(
@@ -440,65 +449,10 @@ def prepare_config(
     return doc, problem, cells
 
 
-def _semantic_checks(doc: dict) -> None:
-    problem = doc["problem"]
-    name = problem["name"]
-    entry = PROBLEMS[name]
-    extra = set(problem) - {"name", *entry.required, *entry.optional}
-    if extra:
-        raise ConfigurationError(
-            f"problem {name!r} does not accept fields {sorted(extra)}"
-        )
-    for req in entry.required:
-        if req not in problem:
-            raise ConfigurationError(f"problem {name!r} requires {req!r}")
-
-    method_blocks = _method_blocks(doc)
-    for i, block in enumerate(method_blocks):
-        _method_entry(block, f"methods[{i}]")
-
-    run_block = doc.get("run", {})
-    step = run_block.get("step")
-    if step is not None:
-        mode = step["mode"]
-        if mode == "constant" and "eta" not in step:
-            raise ConfigurationError("constant step mode requires 'eta'")
-        if mode == "scheduled" and "p" not in step:
-            raise ConfigurationError("scheduled step mode requires 'p'")
-        if mode == "scheduled":
-            for block in method_blocks:
-                if _method_key(block) != ("dbgd", DEFAULT_RULE):
-                    raise ConfigurationError(
-                        "scheduled step mode requires every method to be dbgd "
-                        f"with the {DEFAULT_RULE} rule"
-                    )
-
-
 def _method_blocks(doc: dict) -> list[dict]:
     if "methods" in doc:
         return doc["methods"]
     return [doc["method"]] if "method" in doc else []
-
-
-def _method_key(block: dict) -> tuple[str, Optional[str]]:
-    kind = block["kind"]
-    return kind, block.get("rule", DEFAULT_RULE if kind == "dbgd" else None)
-
-
-def _method_entry(block: dict, where: str) -> MethodEntry:
-    """The table entry of a method block, after checking the block's fields."""
-    kind, rule = _method_key(block)
-    entry = METHODS.get((kind, rule))
-    if entry is None:
-        raise ConfigurationError(f"{where}: kind {kind!r} has no rule {rule!r}")
-    allowed = {"kind", *entry.fields} | ({"rule"} if rule is not None else set())
-    extra = set(block) - allowed
-    if extra:
-        raise ConfigurationError(f"{where}: fields {sorted(extra)} not valid for this method")
-    missing = set(entry.fields) - set(block)
-    if missing:
-        raise ConfigurationError(f"{where}: missing required fields {sorted(missing)}")
-    return entry
 
 
 def build_problem(block: dict) -> ProblemSpec:
@@ -712,14 +666,6 @@ def run_rates(
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return path
-
-
-DEFAULT_CLASSIFY = {
-    "case1_lambda_max": 0.1,
-    "case1_grad_f_sq_max": 1e-2,
-    "case2_cos_theta_max": -0.99,
-    "case2_lambda_min": 10.0,
-}
 
 
 def classify_terminal(trace: TraceRecord, thresholds: dict) -> str:

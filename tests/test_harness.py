@@ -58,12 +58,17 @@ def bundled(name: str) -> Path:
     return Path(str(resources.files("dbgd") / "configs" / name))
 
 
-def run_cli(args: list[str]) -> subprocess.CompletedProcess:
-    """Run ``dbgd`` in a fresh interpreter, so that its raw standard error shows."""
+def run_python(args: list[str]) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this ``dbgd``."""
     src = str(Path(dbgd.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    return subprocess.run([sys.executable, "-m", "dbgd.cli", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def run_cli(args: list[str]) -> subprocess.CompletedProcess:
+    """Run ``dbgd`` in a fresh interpreter, so that its raw standard error shows."""
+    return run_python(["-m", "dbgd.cli", *args])
 
 
 def minimal_experiment(tmp_path, **overrides):
@@ -520,6 +525,41 @@ class TestCli:
         for command in ("validate", "run"):
             assert cli.main([command, str(path)]) == 2
             assert f"config error: {where}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("base, path, value, where", [
+        (EXP, ("run", "iterations"), 5.0, "$.run.iterations"),
+        (EXP, ("run", "x0", "seed"), 1.0, "$.run.x0.seed"),
+        (EXP, ("problem", "n"), 3.0, "$.problem.n"),
+        (EXP, ("problem", "seed"), 0.0, "$.problem.seed"),
+        (RATES, ("k_grid", 0), 100.0, "$.k_grid[0]"),
+        (EXP, ("run", "guard"), math.nan, "$.run.guard"),
+        (EXP, ("run", "stop_tolerances"), [math.nan, math.nan], "$.run.stop_tolerances[0]"),
+        (EXP, ("run", "step", "eta"), math.inf, "$.run.step.eta"),
+        (RATES, ("slope_tolerance",), math.inf, "$.slope_tolerance"),
+        (RATES, ("slope_tolerance",), math.nan, "$.slope_tolerance"),
+        (EXP, ("kind",), [], "$.kind"),
+    ], ids=["iterations-5.0", "x0-seed-1.0", "n-3.0", "problem-seed-0.0", "k-grid-100.0",
+            "guard-nan", "stop-tolerances-nan", "eta-infinity", "slope-tolerance-infinity",
+            "slope-tolerance-nan", "kind-list"])
+    def test_non_integers_non_finite_numbers_and_odd_kinds_are_config_errors(
+        self, tmp_path, capsys, base, path, value, where
+    ):
+        # json.loads reads the NaN and Infinity that json.dumps writes; an
+        # exception escaping cli.main would be a traceback with exit 1
+        doc = mutated(base, path, value)
+        doc["output"] = {"file": str(tmp_path / "rates.json")} if base == RATES else {
+            "directory": str(tmp_path / "out"), "trace": "none"}
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(doc))
+        for command in ("validate", "rates" if base == RATES else "run"):
+            assert cli.main([command, str(config)]) == 2, command
+            assert f"config error: config field {where}: " in capsys.readouterr().err, command
+        assert not (tmp_path / "out").exists() and not (tmp_path / "rates.json").exists()
+
+    def test_the_cli_does_not_import_jsonschema(self):
+        proc = run_python(["-c", "import sys, dbgd.cli; print('jsonschema' in sys.modules)"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     @pytest.mark.parametrize("points", ["0", "-3"])
     def test_gradcheck_of_no_point_is_a_config_error(self, capsys, points):
