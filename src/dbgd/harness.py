@@ -204,7 +204,7 @@ class Array(NamedTuple):
 
 
 def _tag(block: Any, where: str, key: str, leaf: Leaf) -> Any:
-    """The field ``key`` of an object, which picks the object's check, checked by ``leaf``."""
+    """Check the field ``key`` of object ``block`` with ``leaf``; returns its value."""
     if not isinstance(block, dict):
         raise _error(where, "expected an object")
     if key not in block:
