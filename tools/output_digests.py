@@ -6,7 +6,11 @@ Runs ``dbgd run`` on ``toy.json``, ``matfac.json``, ``matfac-log.json`` and
 ``matfac.json --iterations 100000``, ``dbgd casestudy`` on
 ``casestudy.json`` and ``dbgd rates`` on both rates configs, each into its
 own subdirectory of ``DIR``, with the ``dbgd`` package of the checkout this
-script sits in.  It then prints one ``sha256  relative/path`` line per file
+script sits in.  It also writes two experiments of its own under
+``DIR/configs`` and runs them: one cell of every method kind on a
+3-dimensional quadratic (``g* = 0``) with every trace row, and a
+scheduled-step dbgd run on the toy with final rows only, so that every
+method the harness can build is covered.  It then prints one ``sha256  relative/path`` line per file
 under ``DIR``, sorted by path, so that two checkouts write byte-identical
 outputs exactly when ``diff`` of their printouts is empty.  It writes
 nothing outside ``DIR``; the command's own messages go to standard error.
@@ -15,6 +19,7 @@ nothing outside ``DIR``; the command's own messages go to standard error.
 from __future__ import annotations
 
 import hashlib
+import json
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -35,7 +40,33 @@ RUNS = (
     ("casestudy", ["casestudy", "casestudy.json"]),
     ("rates-toy.json", ["rates", "rates-toy.json"]),
     ("rates-quadratic.json", ["rates", "rates-quadratic.json"]),
+    ("kinds", ["run", "kinds.json"]),
+    ("scheduled", ["run", "scheduled.json"]),
 )
+
+#: Experiments this script writes, by config file name.
+GENERATED = {
+    "kinds.json": {
+        "kind": "experiment",
+        "problem": {"name": "quadratic", "n": 3},
+        "methods": [
+            {"kind": "dbgd", "beta": 0.5},
+            {"kind": "dbgd", "rule": "dynamic-barrier-min", "alpha": 0.5, "beta": 0.5},
+            {"kind": "dbgd", "rule": "lower-linearization", "eta": 0.1},
+            {"kind": "bloop", "beta": 0.5},
+            {"kind": "penalty", "lambda": 10},
+        ],
+        "run": {"x0": {"seed": 2}, "iterations": 300, "step": {"mode": "constant", "eta": 0.1}},
+        "output": {"directory": "kinds", "trace": "all"},
+    },
+    "scheduled.json": {
+        "kind": "experiment",
+        "problem": {"name": "toy"},
+        "methods": [{"kind": "dbgd", "beta": 1.0}],
+        "run": {"x0": [-3.0, -1.0], "iterations": 2000, "step": {"mode": "scheduled", "p": 1.0}},
+        "output": {"directory": "scheduled", "trace": "final"},
+    },
+}
 
 
 def main(argv: list[str]) -> int:
@@ -43,9 +74,14 @@ def main(argv: list[str]) -> int:
         print("usage: python3 tools/output_digests.py DIR", file=sys.stderr)
         return 2
     out = Path(argv[0])
+    generated = out / "configs"
+    generated.mkdir(parents=True, exist_ok=True)
+    for config, doc in GENERATED.items():
+        (generated / config).write_text(json.dumps(doc, indent=2) + "\n")
     for name, (command, config, *rest) in RUNS:
+        path = generated / config if config in GENERATED else CONFIGS / config
         with redirect_stdout(sys.stderr):
-            status = cli.main([command, str(CONFIGS / config), *rest, "--output", str(out / name)])
+            status = cli.main([command, str(path), *rest, "--output", str(out / name)])
         if status != 0:
             print(f"dbgd {command} {config} exited {status}", file=sys.stderr)
             return status
