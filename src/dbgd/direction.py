@@ -8,7 +8,8 @@ gradient:
 
 where ``phi >= 0`` is a barrier level computed from the current iterate.
 Its solution is ``d = grad_f + lam * grad_g`` with a closed-form
-multiplier.  This module provides the barrier rules, the closed-form
+multiplier.  This module provides the methods, each the rule that picks
+the multiplier (the barrier rules and the fixed penalty), the closed-form
 solution, the orthogonal-projection (equality-constrained) variant, the
 fixed-multiplier penalty direction, and an independent dual-bisection
 solver used as a correctness oracle for the closed form.
@@ -102,6 +103,23 @@ class BloopOrthogonal:
 
 #: Each rule's ``label`` is the ``method_label`` of the traces it drives.
 BarrierRule = Union[GradNormSquared, DynamicBarrierMin, LowerLinearization, BloopOrthogonal]
+
+
+@dataclass(frozen=True)
+class Penalty:
+    """Fixed-multiplier method: direction ``grad_f + lam * grad_g``."""
+
+    label: ClassVar[str] = "penalty"
+    lam: float
+
+    def __post_init__(self):
+        if not np.all(np.asarray(self.lam) >= 0.0):
+            raise ValueError("penalty multiplier must be nonnegative")
+
+
+#: A method is the rule that picks its multiplier; the order of the
+#: union is the order a batch keeps the rows of each kind in.
+Method = Union[BarrierRule, Penalty]
 
 
 def _per_row(value):

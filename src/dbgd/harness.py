@@ -40,6 +40,8 @@ from .direction import (
     DynamicBarrierMin,
     GradNormSquared,
     LowerLinearization,
+    Method,
+    Penalty,
 )
 from .errors import ConfigurationError, DivergenceError
 from .problems import (
@@ -52,9 +54,6 @@ from .problems import (
 from .solver import (
     COLUMNS,
     ConstantStep,
-    Dbgd,
-    Method,
-    Penalty,
     ScheduledStep,
     SolverConfig,
     TraceRecord,
@@ -306,24 +305,22 @@ DEFAULT_RULE = "grad-norm-squared"
 #: Every method a config can name, keyed by ``(kind, rule)``.
 METHODS = {
     ("dbgd", DEFAULT_RULE): MethodEntry(
-        "dbgd", ("beta",), lambda g_star, beta: Dbgd(GradNormSquared(beta))
+        "dbgd", ("beta",), lambda g_star, beta: GradNormSquared(beta)
     ),
     ("dbgd", "dynamic-barrier-min"): MethodEntry(
         "dbgd-min",
         ("alpha", "beta"),
-        lambda g_star, alpha, beta: Dbgd(DynamicBarrierMin(alpha, beta, g_star)),
+        lambda g_star, alpha, beta: DynamicBarrierMin(alpha, beta, g_star),
         needs_g_star=True,
     ),
     ("dbgd", "lower-linearization"): MethodEntry(
         "dbgd-lin",
         ("eta",),
-        lambda g_star, eta: Dbgd(LowerLinearization(g_star, eta)),
+        lambda g_star, eta: LowerLinearization(g_star, eta),
         needs_g_star=True,
     ),
     ("penalty", None): MethodEntry("penalty", ("lambda",), lambda g_star, lam: Penalty(lam)),
-    ("bloop", None): MethodEntry(
-        "bloop", ("beta",), lambda g_star, beta: Dbgd(BloopOrthogonal(beta))
-    ),
+    ("bloop", None): MethodEntry("bloop", ("beta",), lambda g_star, beta: BloopOrthogonal(beta)),
 }
 
 _METHOD_KIND = Leaf(str, tuple(dict.fromkeys(kind for kind, _ in METHODS)))

@@ -17,18 +17,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, fields
-from typing import Any, ClassVar, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union, get_args
 
 import numpy as np
 
 from .direction import (
     DEFAULT_GUARD,
-    BarrierRule,
     BloopOrthogonal,
     DirectionResult,
-    DynamicBarrierMin,
     GradNormSquared,
-    LowerLinearization,
+    Method,
+    Penalty,
     barrier_value,
     bloop_direction,
     dbgd_direction,
@@ -39,33 +38,6 @@ from .metrics import decompose_grad_f
 from .problems import ProblemSpec, SmoothnessProfile, row_dot
 
 Array = np.ndarray
-
-
-@dataclass(frozen=True)
-class Dbgd:
-    """Dynamic-barrier method with the given barrier rule."""
-
-    rule: BarrierRule
-
-    @property
-    def label(self) -> str:
-        """Trace label of the barrier rule."""
-        return self.rule.label
-
-
-@dataclass(frozen=True)
-class Penalty:
-    """Fixed-multiplier method: direction ``grad_f + lam * grad_g``."""
-
-    label: ClassVar[str] = "penalty"
-    lam: float
-
-    def __post_init__(self):
-        if not np.all(np.asarray(self.lam) >= 0.0):
-            raise ValueError("penalty multiplier must be nonnegative")
-
-
-Method = Union[Dbgd, Penalty]
 
 
 @dataclass(frozen=True)
@@ -229,24 +201,22 @@ class BatchTrace:
 
 #: Direction kinds, in the order their rows take in a batch.  Each kind
 #: present takes one direction call per iteration, for all its rows.
-_KINDS = (GradNormSquared, DynamicBarrierMin, LowerLinearization, BloopOrthogonal, Penalty)
+_KINDS = get_args(Method)
 
 
 class _Setup(NamedTuple):
     """What a config resolves to before its run starts."""
 
-    rule: Any  # the barrier rule, or the Penalty itself
+    rule: Method
     eta: float  # after penalty step scaling
     beta: Optional[float]
     pot_coef: float
-    label: str
     step_label: str
     warnings: list[str]
 
 
 def _setup(profile: SmoothnessProfile, config: SolverConfig) -> _Setup:
-    label = config.method.label
-    rule = getattr(config.method, "rule", config.method)
+    rule = config.method
     warnings: list[str] = []
     if isinstance(config.step, ScheduledStep):
         if not isinstance(rule, GradNormSquared):
@@ -260,7 +230,7 @@ def _setup(profile: SmoothnessProfile, config: SolverConfig) -> _Setup:
     else:
         eta = config.step.eta
         step_label = "constant"
-        if label.startswith("dbgd") and eta > 1.0 / profile.lip_total:
+        if rule.label.startswith("dbgd") and eta > 1.0 / profile.lip_total:
             warnings.append(
                 f"constant step {eta} exceeds 1/(L_f+L_g) = {1.0 / profile.lip_total}; "
                 "descent guarantees may fail"
@@ -269,18 +239,18 @@ def _setup(profile: SmoothnessProfile, config: SolverConfig) -> _Setup:
         eta = eta / (1.0 + rule.lam)
     beta = getattr(rule, "beta", None)
     pot_coef = 0.0 if beta is None else beta / (profile.lip_grad_g * eta)
-    return _Setup(rule, eta, beta, pot_coef, label, step_label, warnings)
+    return _Setup(rule, eta, beta, pot_coef, step_label, warnings)
 
 
-def _stacked(rules: list) -> Any:
-    """One rule (or Penalty) whose fields hold the values of ``rules``, row by row."""
+def _stacked(rules: list[Method]) -> Method:
+    """One method whose fields hold the values of ``rules``, row by row."""
     first = rules[0]
     return type(first)(**{
         f.name: np.array([getattr(rule, f.name) for rule in rules]) for f in fields(first)
     })
 
 
-def _groups(setups: list[_Setup], cell: Array) -> list[tuple[slice, Any]]:
+def _groups(setups: list[_Setup], cell: Array) -> list[tuple[slice, Method]]:
     """The slice of each kind's rows, with the kind's stacked rule."""
     groups, start = [], 0
     for _, members in itertools.groupby(cell.tolist(), key=lambda i: type(setups[i].rule)):
@@ -290,7 +260,7 @@ def _groups(setups: list[_Setup], cell: Array) -> list[tuple[slice, Any]]:
     return groups
 
 
-def _direction(rule, gf: Array, gg: Array, g_now: Array, guard: Array) -> DirectionResult:
+def _direction(rule: Method, gf: Array, gg: Array, g_now: Array, guard: Array) -> DirectionResult:
     if isinstance(rule, Penalty):
         return penalty_direction(gf, gg, rule.lam)
     if isinstance(rule, BloopOrthogonal):
@@ -491,7 +461,7 @@ def _run_batch(
             eta=setup.eta,
             beta=setup.beta,
             potential_kind="direction-only" if setup.beta is None else "full",
-            method_label=setup.label,
+            method_label=setup.rule.label,
             step_label=setup.step_label,
             final_x=out["final_x"][i],
             stopped_early=bool(out["stopped"][i]),

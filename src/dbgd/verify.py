@@ -18,7 +18,7 @@ import numpy as np
 from .direction import GradNormSquared
 from .errors import CapabilityError, ConfigurationError, EvaluationError
 from .problems import ProblemSpec, SmoothnessProfile, rng
-from .solver import Dbgd, ScheduledStep, SolverConfig, TraceRecord, run
+from .solver import ScheduledStep, SolverConfig, TraceRecord, run
 
 Array = np.ndarray
 
@@ -317,7 +317,7 @@ def rate_fit(
     if len(k_grid) < 3:
         raise ValueError("k_grid must contain at least 3 budgets")
     configs = [
-        SolverConfig(method=Dbgd(GradNormSquared(1.0)), step=ScheduledStep(p), iterations=int(k))
+        SolverConfig(method=GradNormSquared(1.0), step=ScheduledStep(p), iterations=int(k))
         for p in ps
         for k in k_grid
     ]

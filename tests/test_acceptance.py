@@ -14,7 +14,6 @@ import pytest
 
 from dbgd import (
     ConstantStep,
-    Dbgd,
     GradNormSquared,
     SmoothnessProfile,
     SolverConfig,
@@ -94,7 +93,7 @@ def test_criterion_03_lemma_audits():
     eta, beta = 0.4, 1.0
     problem = quadratic_sanity_problem(6, box_radius=0.5)
     config = SolverConfig(
-        method=Dbgd(GradNormSquared(beta)),
+        method=GradNormSquared(beta),
         step=ConstantStep(eta),
         iterations=1000,
     )

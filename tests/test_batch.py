@@ -21,7 +21,6 @@ import dbgd.solver as solver
 from dbgd import (
     BloopOrthogonal,
     ConstantStep,
-    Dbgd,
     DivergenceError,
     DynamicBarrierMin,
     GradNormSquared,
@@ -40,16 +39,16 @@ def mixed_configs() -> list[SolverConfig]:
     """All five (kind, rule) methods, an early stop and unequal budgets."""
     step = ConstantStep(0.1)
     return [
-        SolverConfig(Dbgd(GradNormSquared(0.5)), step, 300),
-        SolverConfig(Dbgd(GradNormSquared(0.5)), step, 300, stop_tolerances=(1e-6, 1e-8)),
-        SolverConfig(Dbgd(DynamicBarrierMin(1.0, 0.25, 0.0)), step, 300),
-        SolverConfig(Dbgd(LowerLinearization(g_star=0.05, eta=0.1)), step, 300),
-        SolverConfig(Dbgd(BloopOrthogonal(0.5)), step, 300),
+        SolverConfig(GradNormSquared(0.5), step, 300),
+        SolverConfig(GradNormSquared(0.5), step, 300, stop_tolerances=(1e-6, 1e-8)),
+        SolverConfig(DynamicBarrierMin(1.0, 0.25, 0.0), step, 300),
+        SolverConfig(LowerLinearization(g_star=0.05, eta=0.1), step, 300),
+        SolverConfig(BloopOrthogonal(0.5), step, 300),
         SolverConfig(Penalty(2.0), step, 300),
         SolverConfig(Penalty(10.0), step, 300, scale_penalty_step=False, guard=1e-20),
-        SolverConfig(Dbgd(GradNormSquared(1.0)), ScheduledStep(1.0), 50),
-        SolverConfig(Dbgd(GradNormSquared(1.0)), ScheduledStep(1.0), 400),
-        SolverConfig(Dbgd(GradNormSquared(1.0)), ScheduledStep(0.0), 120),
+        SolverConfig(GradNormSquared(1.0), ScheduledStep(1.0), 50),
+        SolverConfig(GradNormSquared(1.0), ScheduledStep(1.0), 400),
+        SolverConfig(GradNormSquared(1.0), ScheduledStep(0.0), 120),
     ]
 
 
@@ -141,7 +140,7 @@ def test_deferred_geometry_reproduces_an_undefined_cosine(tmp_path):
     # undefined cosine and a zero potential, so the best row is row 0
     optimum = [-np.pi / 20.0, -1.0]
     step = ConstantStep(1e-3)
-    configs = [SolverConfig(Dbgd(GradNormSquared(1.0)), step, 50), SolverConfig(Penalty(10.0), step, 30)]
+    configs = [SolverConfig(GradNormSquared(1.0), step, 50), SolverConfig(Penalty(10.0), step, 30)]
     full = run(toy_problem(), configs, np.array(optimum)).traces
     kept = run(toy_problem(), configs, np.array(optimum), keep="best-last").traces
     for i, (a, b) in enumerate(zip(full, kept)):

@@ -644,12 +644,12 @@ def test_trace_csv_floats_round_trip(tmp_path):
     # 17 significant digits must reproduce the exact float64 values
     doc = minimal_experiment(tmp_path)
     out = run_experiment(doc)
-    from dbgd import ConstantStep, Dbgd, GradNormSquared, SolverConfig
+    from dbgd import ConstantStep, GradNormSquared, SolverConfig
     from dbgd import run as solver_run
 
     problem = build_problem(doc["problem"])
     config = SolverConfig(
-        method=Dbgd(GradNormSquared(1.0)),
+        method=GradNormSquared(1.0),
         step=ConstantStep(0.3),
         iterations=50,
     )

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from dbgd import (
     CapabilityError,
     ConstantStep,
-    Dbgd,
     GradNormSquared,
     Penalty,
     SolverConfig,
@@ -125,7 +124,7 @@ def test_optimal_multiplier_closed_form():
     assert optimal_multiplier(gf, np.zeros(2)) == 0.0
 
 
-@pytest.mark.parametrize("method", [Dbgd(GradNormSquared(1.0)), Penalty(10.0)],
+@pytest.mark.parametrize("method", [GradNormSquared(1.0), Penalty(10.0)],
                          ids=["dbgd", "penalty"])
 def test_trace_rows_equal_the_report_at_their_iterate(method):
     # The solver's trace and stationarity_report compute the paper's
@@ -145,7 +144,7 @@ def test_trace_rows_equal_the_report_at_their_iterate(method):
             assert row.tobytes() == rep.tobytes() or (np.isnan(row) and np.isnan(rep)), (k, name)
         assert bool(trace.cos_defined[k]) == report.cos_defined, k
         undefined += not report.cos_defined
-    if isinstance(method, Dbgd):  # the barrier run crosses a vanished lower gradient
+    if not isinstance(method, Penalty):  # the barrier run crosses a vanished lower gradient
         assert undefined > 0
 
 

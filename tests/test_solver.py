@@ -5,7 +5,6 @@ from dbgd import (
     BloopOrthogonal,
     ConfigurationError,
     ConstantStep,
-    Dbgd,
     DivergenceError,
     DynamicBarrierMin,
     GradNormSquared,
@@ -60,7 +59,7 @@ class TestRun:
         # thresholds fixed from a calibration run of this configuration
         problem = quadratic_sanity_problem(4)
         config = SolverConfig(
-            method=Dbgd(GradNormSquared(1.0)),
+            method=GradNormSquared(1.0),
             step=ScheduledStep(1.0),
             iterations=10**4,
         )
@@ -72,7 +71,7 @@ class TestRun:
     def test_toy_run_ends_fully_aligned_or_opposed(self):
         problem = toy_problem()
         config = SolverConfig(
-            method=Dbgd(GradNormSquared(1.0)),
+            method=GradNormSquared(1.0),
             step=ConstantStep(1e-2),
             iterations=1000,
         )
@@ -84,7 +83,7 @@ class TestRun:
     def test_traces_are_bitwise_deterministic(self):
         problem = quadratic_sanity_problem(5)
         config = SolverConfig(
-            method=Dbgd(GradNormSquared(0.5)),
+            method=GradNormSquared(0.5),
             step=ConstantStep(0.3),
             iterations=200,
         )
@@ -97,7 +96,7 @@ class TestRun:
     def test_early_stop_certifies_tolerances(self):
         problem = quadratic_sanity_problem(4)
         config = SolverConfig(
-            method=Dbgd(GradNormSquared(1.0)),
+            method=GradNormSquared(1.0),
             step=ConstantStep(0.4),
             iterations=10**4,
             stop_tolerances=(1e-2, 1e-3),
@@ -112,7 +111,7 @@ class TestRun:
         problem = quadratic_sanity_problem(6, box_radius=0.5)
         eta, beta = 0.4, 1.0
         config = SolverConfig(
-            method=Dbgd(GradNormSquared(beta)),
+            method=GradNormSquared(beta),
             step=ConstantStep(eta),
             iterations=500,
         )
@@ -150,7 +149,7 @@ class TestRun:
         with pytest.raises(ConfigurationError):
             run(problem, config, np.zeros(4))
         config = SolverConfig(
-            method=Dbgd(DynamicBarrierMin(1.0, 1.0, 0.0)),
+            method=DynamicBarrierMin(1.0, 1.0, 0.0),
             step=ScheduledStep(0.0),
             iterations=10,
         )
@@ -160,7 +159,7 @@ class TestRun:
     def test_large_constant_step_records_warning(self):
         problem = quadratic_sanity_problem(4)
         config = SolverConfig(
-            method=Dbgd(GradNormSquared(1.0)),
+            method=GradNormSquared(1.0),
             step=ConstantStep(0.6),  # above 1/(L_f + L_g) = 0.5
             iterations=5,
         )
@@ -196,7 +195,7 @@ class TestRun:
         assert np.allclose(pen.potential, 0.5 * pen.d_sq)
         blp = run(
             problem,
-            SolverConfig(method=Dbgd(BloopOrthogonal(0.5)), step=ConstantStep(0.1), iterations=3),
+            SolverConfig(method=BloopOrthogonal(0.5), step=ConstantStep(0.1), iterations=3),
             x0,
         )
         assert blp.potential_kind == "full"
@@ -207,7 +206,7 @@ class TestRun:
     def test_potential_is_nonnegative(self):
         problem = toy_problem()
         config = SolverConfig(
-            method=Dbgd(GradNormSquared(1.0)), step=ConstantStep(1e-3), iterations=500
+            method=GradNormSquared(1.0), step=ConstantStep(1e-3), iterations=500
         )
         trace = run(problem, config, np.array([0.5, 0.5]))
         assert np.all(trace.potential >= 0.0)

@@ -13,7 +13,7 @@ stationarity residuals unambiguously.  This test pins that behavior.
 import numpy as np
 import pytest
 
-from dbgd import ConstantStep, Dbgd, GradNormSquared, Penalty, SolverConfig, run, toy_problem
+from dbgd import ConstantStep, GradNormSquared, Penalty, SolverConfig, run, toy_problem
 
 
 def test_barrier_method_dominates_penalties_at_small_step():
@@ -24,7 +24,7 @@ def test_barrier_method_dominates_penalties_at_small_step():
     barrier = run(
         problem,
         SolverConfig(
-            method=Dbgd(GradNormSquared(1.0)),
+            method=GradNormSquared(1.0),
             step=ConstantStep(1e-3),
             iterations=iterations,
         ),

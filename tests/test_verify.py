@@ -9,7 +9,6 @@ from dbgd import (
     CapabilityError,
     ConfigurationError,
     ConstantStep,
-    Dbgd,
     EvaluationError,
     GradNormSquared,
     Penalty,
@@ -121,7 +120,7 @@ AUDIT_SETUP = dict(n=6, box_radius=0.5, eta=0.4, beta=1.0, iterations=1000)
 def _audit_trace():
     problem = quadratic_sanity_problem(AUDIT_SETUP["n"], AUDIT_SETUP["box_radius"])
     config = SolverConfig(
-        method=Dbgd(GradNormSquared(AUDIT_SETUP["beta"])),
+        method=GradNormSquared(AUDIT_SETUP["beta"]),
         step=ConstantStep(AUDIT_SETUP["eta"]),
         iterations=AUDIT_SETUP["iterations"],
     )
@@ -156,7 +155,7 @@ class TestInequalityAudit:
     def test_zero_beta_run_still_audits_clean(self):
         problem = quadratic_sanity_problem(6, box_radius=0.5)
         config = SolverConfig(
-            method=Dbgd(GradNormSquared(0.0)),
+            method=GradNormSquared(0.0),
             step=ConstantStep(0.4),
             iterations=300,
         )
@@ -214,7 +213,7 @@ class TestLocalCertificate:
     def test_toy_terminal_point_certifies(self):
         problem = toy_problem()
         config = SolverConfig(
-            method=Dbgd(GradNormSquared(1.0)),
+            method=GradNormSquared(1.0),
             step=ConstantStep(1e-3),
             iterations=2000,
         )
