@@ -235,7 +235,7 @@ def _vector_or(check: Check) -> Check:
 
 
 _NUMBER_OR_GRID = _vector_or(_NUMBER)
-_X0 = _vector_or(Object({"seed": Leaf(int)}, {"scale": _NUMBER}))
+_X0 = _vector_or(Object({"seed": Leaf(int, low=0)}, {"scale": _NUMBER}))
 
 
 class ProblemEntry(NamedTuple):
@@ -419,6 +419,11 @@ def validate_config(doc: Any) -> str:
                 "scheduled step mode requires every method to be dbgd "
                 f"with the {DEFAULT_RULE} rule"
             )
+        # a case study's grid is rejected as such by prepare_config
+        for i, block in enumerate(doc.get("methods", [])):
+            if len(_grid_values(block["beta"])) > 1:
+                raise _error(f"$.methods[{i}].beta", "the scheduled step mode sets beta "
+                             "from the budget, so a block takes one beta")
     return doc["kind"]
 
 

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +12,11 @@ import pytest
 
 import dbgd
 import dbgd.cli as cli
-from dbgd import CapabilityError, ConfigurationError, ConstantStep, SolverConfig, run
+from dbgd import CapabilityError, ConfigurationError, ConstantStep, Method, SolverConfig, run
 from dbgd.harness import (
     CASES_CSV,
     DEFAULT_RULE,
+    METHODS,
     SUMMARY_CSV,
     TRACE_CSV,
     build_problem,
@@ -325,6 +327,13 @@ class TestExpansion:
             trace = run(problem, config, x0)
             assert (trace.method_label, trace.potential_kind) == (label, potential_kind), name
 
+    def test_the_methods_table_builds_every_kind_of_the_method_union(self):
+        # the solver batches rows in the order of get_args(Method)
+        kinds = typing.get_args(Method)
+        built = [entry.build(0.0, *(0.5 for _ in entry.fields)) for entry in METHODS.values()]
+        assert all(isinstance(method, kinds) for method in built)
+        assert {type(method) for method in built} == set(kinds)
+
     def test_g_star_rules_reject_matfac(self):
         problem = build_problem(
             {"name": "matrix-factorization", "n": 4, "r": 2, "alpha": 1.0}
@@ -538,9 +547,11 @@ class TestCli:
         (RATES, ("slope_tolerance",), math.inf, "$.slope_tolerance"),
         (RATES, ("slope_tolerance",), math.nan, "$.slope_tolerance"),
         (EXP, ("kind",), [], "$.kind"),
+        (EXP, ("run", "x0", "seed"), -1, "$.run.x0.seed"),
+        (RATES, ("x0",), {"seed": -3}, "$.x0.seed"),
     ], ids=["iterations-5.0", "x0-seed-1.0", "n-3.0", "problem-seed-0.0", "k-grid-100.0",
             "guard-nan", "stop-tolerances-nan", "eta-infinity", "slope-tolerance-infinity",
-            "slope-tolerance-nan", "kind-list"])
+            "slope-tolerance-nan", "kind-list", "x0-seed-negative", "rates-x0-seed-negative"])
     def test_non_integers_non_finite_numbers_and_odd_kinds_are_config_errors(
         self, tmp_path, capsys, base, path, value, where
     ):
@@ -578,6 +589,20 @@ class TestCli:
             assert cli.main([command, str(path)]) == 2, command
             assert "single method without grids" in capsys.readouterr().err, command
         assert not (tmp_path / "cs").exists()
+
+    def test_scheduled_step_rejects_a_beta_grid(self, tmp_path, capsys):
+        # the schedule sets beta, so each beta of a grid would run the same cell
+        doc = minimal_experiment(tmp_path, methods=[
+            {"kind": "dbgd", "beta": 0.5}, {"kind": "dbgd", "beta": [0.1, 1.0]}])
+        doc["run"]["step"] = {"mode": "scheduled", "p": 1.0}
+        path = tmp_path / "scheduled.json"
+        path.write_text(json.dumps(doc))
+        for command in ("validate", "run"):
+            assert cli.main([command, str(path)]) == 2, command
+            assert "config error: config field $.methods[1].beta: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        doc["methods"][1]["beta"] = [1.0]
+        validate_config(doc)
 
     def test_divergence_exit_code(self, tmp_path, capsys):
         doc = {
