@@ -331,7 +331,6 @@ class TestExpansion:
         # the solver batches rows in the order of get_args(Method)
         kinds = typing.get_args(Method)
         built = [entry.build(0.0, *(0.5 for _ in entry.fields)) for entry in METHODS.values()]
-        assert all(isinstance(method, kinds) for method in built)
         assert {type(method) for method in built} == set(kinds)
 
     def test_g_star_rules_reject_matfac(self):

@@ -10,10 +10,11 @@ script sits in.  It also writes two experiments of its own under
 ``DIR/configs`` and runs them: one cell of every method kind on a
 3-dimensional quadratic (``g* = 0``) with every trace row, and a
 scheduled-step dbgd run on the toy with final rows only, so that every
-method the harness can build is covered.  It then prints one ``sha256  relative/path`` line per file
-under ``DIR``, sorted by path, so that two checkouts write byte-identical
-outputs exactly when ``diff`` of their printouts is empty.  It writes
-nothing outside ``DIR``; the command's own messages go to standard error.
+method the harness can build is covered.  It then prints one
+``sha256  relative/path`` line per file under ``DIR``, sorted by path, so
+that two checkouts write byte-identical outputs exactly when ``diff`` of
+their printouts is empty.  It writes nothing outside ``DIR``; the
+command's own messages go to standard error.
 """
 
 from __future__ import annotations
