@@ -6,11 +6,13 @@ Runs ``dbgd run`` on ``toy.json``, ``matfac.json``, ``matfac-log.json`` and
 ``matfac.json --iterations 100000``, ``dbgd casestudy`` on
 ``casestudy.json`` and ``dbgd rates`` on both rates configs, each into its
 own subdirectory of ``DIR``, with the ``dbgd`` package of the checkout this
-script sits in.  It also writes two experiments of its own under
+script sits in.  It also writes three configs of its own under
 ``DIR/configs`` and runs them: one cell of every method kind on a
-3-dimensional quadratic (``g* = 0``) with every trace row, and a
-scheduled-step dbgd run on the toy with final rows only, so that every
-method the harness can build is covered.  It then prints one
+3-dimensional quadratic (``g* = 0``) with every trace row, a
+scheduled-step dbgd run on the toy with final rows only, and the bundled
+case study under the scheduled step with every trace row, so that every
+method the harness can build and both step modes of every config kind
+that has them are covered.  It then prints one
 ``sha256  relative/path`` line per file under ``DIR``, sorted by path, so
 that two checkouts write byte-identical outputs exactly when ``diff`` of
 their printouts is empty.  It writes nothing outside ``DIR``; the
@@ -43,9 +45,12 @@ RUNS = (
     ("rates-quadratic.json", ["rates", "rates-quadratic.json"]),
     ("kinds", ["run", "kinds.json"]),
     ("scheduled", ["run", "scheduled.json"]),
+    ("scheduled-casestudy", ["casestudy", "scheduled-casestudy.json"]),
 )
 
-#: Experiments this script writes, by config file name.
+_CASESTUDY = json.loads((CONFIGS / "casestudy.json").read_text())
+
+#: Configs this script writes, by file name.
 GENERATED = {
     "kinds.json": {
         "kind": "experiment",
@@ -66,6 +71,11 @@ GENERATED = {
         "methods": [{"kind": "dbgd", "beta": 1.0}],
         "run": {"x0": [-3.0, -1.0], "iterations": 2000, "step": {"mode": "scheduled", "p": 1.0}},
         "output": {"directory": "scheduled", "trace": "final"},
+    },
+    "scheduled-casestudy.json": {
+        **_CASESTUDY,
+        "run": {**_CASESTUDY["run"], "step": {"mode": "scheduled", "p": 1.0}},
+        "output": {"directory": "scheduled-casestudy", "trace": "all"},
     },
 }
 
