@@ -53,12 +53,11 @@ from .problems import (
 )
 from .solver import (
     COLUMNS,
-    ConstantStep,
-    ScheduledStep,
     SolverConfig,
     TraceRecord,
     _setup,
     run,
+    scheduled_step,
 )
 from .verify import rate_fit
 
@@ -517,12 +516,15 @@ def expand_methods(blocks: list[dict], problem: ProblemSpec) -> list[tuple[str, 
     return cells
 
 
-def _build_solver_config(run_block: dict, method: Method) -> SolverConfig:
-    step_block = run_block["step"]
-    if step_block["mode"] == "constant":
-        step = ConstantStep(step_block["eta"])
+def _build_solver_config(run_block: dict, method: Method, problem: ProblemSpec) -> SolverConfig:
+    """The config of one run; a scheduled step resolves to its ``eta`` and
+    its grad-norm-squared ``beta`` for the block's budget."""
+    step = run_block["step"]
+    if step["mode"] == "scheduled":
+        eta, beta = scheduled_step(problem.smoothness, run_block["iterations"], step["p"])
+        method = GradNormSquared(beta)
     else:
-        step = ScheduledStep(step_block["p"])
+        eta = step["eta"]
     stop = run_block.get("stop_tolerances")
     options = {
         arg: run_block[key]
@@ -531,7 +533,7 @@ def _build_solver_config(run_block: dict, method: Method) -> SolverConfig:
     }
     return SolverConfig(
         method=method,
-        step=step,
+        eta=eta,
         iterations=run_block["iterations"],
         stop_tolerances=tuple(stop) if stop is not None else None,
         **options,
@@ -634,7 +636,7 @@ def run_experiment(
             raise ConfigurationError("iterations override must be >= 1")
         run_block["iterations"] = iterations_override
     x0 = resolve_x0(run_block["x0"], problem.dim)
-    runs = [(name, _build_solver_config(run_block, method)) for name, method in cells]
+    runs = [(name, _build_solver_config(run_block, method, problem)) for name, method in cells]
     out, traces = _run_and_write(doc, output_dir, problem, runs, x0, "cell")
     rows = [_summary_row(name, trace) for (name, _), trace in zip(runs, traces)]
     (out / "summary.csv").write_text(SUMMARY_CSV.text(rows))
@@ -702,7 +704,7 @@ def run_casestudy(
     thresholds = {**DEFAULT_CLASSIFY, **doc.get("classify", {})}
     inits = doc["run"]["initializations"]
     x0 = np.array([resolve_x0(init, problem.dim) for init in inits])
-    config = _build_solver_config(doc["run"], method)
+    config = _build_solver_config(doc["run"], method, problem)
     runs = [(f"init{i}", config) for i in range(len(inits))]
     out, traces = _run_and_write(doc, output_dir, problem, runs, x0, "initialization")
     labels = [classify_terminal(trace, thresholds) for trace in traces]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple, Optional, Union, get_args
+from typing import NamedTuple, Optional, get_args
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .direction import (
     DEFAULT_GUARD,
     BloopOrthogonal,
     DirectionResult,
-    GradNormSquared,
     Method,
     Penalty,
     barrier_value,
@@ -40,42 +39,16 @@ from .problems import ProblemSpec, SmoothnessProfile, row_dot
 Array = np.ndarray
 
 
-@dataclass(frozen=True)
-class ConstantStep:
-    eta: float
-
-    def __post_init__(self):
-        if not (self.eta > 0.0):
-            raise ValueError("eta must be strictly positive")
-
-
-@dataclass(frozen=True)
-class ScheduledStep:
-    """Budget-balanced step/barrier schedule with exponent ``p >= 0``.
-
-    Resolves to ``eta = 1 / (L * K^(1/(3+p)))`` and
-    ``beta = K^(-p/(3+p))`` for an iteration budget ``K``, where ``L`` is
-    the summed gradient Lipschitz constant.  Larger ``p`` trades lower-level
-    accuracy for upper-level accuracy.
-    """
-
-    p: float
-
-    def __post_init__(self):
-        if not (self.p >= 0.0):
-            raise ValueError("p must be nonnegative")
-
-
-StepMode = Union[ConstantStep, ScheduledStep]
-
-
 def scheduled_step(
     profile: SmoothnessProfile, iterations: int, p: float
 ) -> tuple[float, float]:
     """Resolve the scheduled step size and barrier weight for a budget.
 
     Returns ``(eta, beta)`` with ``eta = 1/(L * K^(1/(3+p)))`` and
-    ``beta = K^(-p/(3+p))``.
+    ``beta = K^(-p/(3+p))`` for the budget ``K = iterations``, where ``L``
+    is the summed gradient Lipschitz constant; a scheduled run is the
+    grad-norm-squared rule with this ``beta`` and constant step ``eta``.
+    Larger ``p >= 0`` trades lower-level accuracy for upper-level accuracy.
     """
     if iterations < 1:
         raise ValueError("iterations must be a positive integer")
@@ -89,16 +62,18 @@ def scheduled_step(
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Method, step mode, budget, guard, penalty step scaling and stop rule of one run."""
+    """Method, step size, budget, guard, penalty step scaling and stop rule of one run."""
 
     method: Method
-    step: StepMode
+    eta: float
     iterations: int
     guard: float = DEFAULT_GUARD
     scale_penalty_step: bool = True
     stop_tolerances: Optional[tuple[float, float]] = None
 
     def __post_init__(self):
+        if not (self.eta > 0.0):
+            raise ValueError("eta must be strictly positive")
         if self.iterations < 1:
             raise ValueError("iterations must be a positive integer")
         if not (self.guard > 0.0):
@@ -157,7 +132,6 @@ class TraceRecord:
     beta: Optional[float]
     potential_kind: str
     method_label: str
-    step_label: str
     final_x: Array
     stopped_early: bool
     clamp_count: int
@@ -207,39 +181,25 @@ _KINDS = get_args(Method)
 class _Setup(NamedTuple):
     """What a config resolves to before its run starts."""
 
-    rule: Method
     eta: float  # after penalty step scaling
     beta: Optional[float]
     pot_coef: float
-    step_label: str
     warnings: list[str]
 
 
 def _setup(profile: SmoothnessProfile, config: SolverConfig) -> _Setup:
-    rule = config.method
+    rule, eta = config.method, config.eta
     warnings: list[str] = []
-    if isinstance(config.step, ScheduledStep):
-        if not isinstance(rule, GradNormSquared):
-            raise ConfigurationError(
-                "the scheduled step mode applies to the dynamic-barrier method "
-                "with the grad-norm-squared rule only"
-            )
-        eta, sched_beta = scheduled_step(profile, config.iterations, config.step.p)
-        rule = GradNormSquared(sched_beta)
-        step_label = "scheduled"
-    else:
-        eta = config.step.eta
-        step_label = "constant"
-        if rule.label.startswith("dbgd") and eta > 1.0 / profile.lip_total:
-            warnings.append(
-                f"constant step {eta} exceeds 1/(L_f+L_g) = {1.0 / profile.lip_total}; "
-                "descent guarantees may fail"
-            )
+    if rule.label.startswith("dbgd") and eta > 1.0 / profile.lip_total:
+        warnings.append(
+            f"constant step {eta} exceeds 1/(L_f+L_g) = {1.0 / profile.lip_total}; "
+            "descent guarantees may fail"
+        )
     if isinstance(rule, Penalty) and config.scale_penalty_step:
         eta = eta / (1.0 + rule.lam)
     beta = getattr(rule, "beta", None)
     pot_coef = 0.0 if beta is None else beta / (profile.lip_grad_g * eta)
-    return _Setup(rule, eta, beta, pot_coef, step_label, warnings)
+    return _Setup(eta, beta, pot_coef, warnings)
 
 
 def _stacked(rules: list[Method]) -> Method:
@@ -250,11 +210,11 @@ def _stacked(rules: list[Method]) -> Method:
     })
 
 
-def _groups(setups: list[_Setup], cell: Array) -> list[tuple[slice, Method]]:
+def _groups(configs: list[SolverConfig], cell: Array) -> list[tuple[slice, Method]]:
     """The slice of each kind's rows, with the kind's stacked rule."""
     groups, start = [], 0
-    for _, members in itertools.groupby(cell.tolist(), key=lambda i: type(setups[i].rule)):
-        rules = [setups[i].rule for i in members]
+    for _, members in itertools.groupby(cell.tolist(), key=lambda i: type(configs[i].method)):
+        rules = [configs[i].method for i in members]
         groups.append((slice(start, start + len(rules)), _stacked(rules)))
         start += len(rules)
     return groups
@@ -333,14 +293,14 @@ def _run_batch(
     setups = [_setup(problem.smoothness, config) for config in configs]
 
     # Rows of a kind sit together; active row j runs configs[cell[j]].
-    cell = np.array(sorted(range(cells), key=lambda i: _KINDS.index(type(setups[i].rule))))
+    cell = np.array(sorted(range(cells), key=lambda i: _KINDS.index(type(configs[i].method))))
     per_row = {
         "eta": np.array([setups[i].eta for i in cell])[:, None],
         "pot_coef": np.array([setups[i].pot_coef for i in cell]),
         "guard": np.array([configs[i].guard for i in cell]),
         "budget": np.array([configs[i].iterations for i in cell]),
         "tolerance": np.array([configs[i].stop_tolerances or (-np.inf, -np.inf) for i in cell]),
-        "clamp_ref": np.array([getattr(setups[i].rule, "g_star", -np.inf) for i in cell]),
+        "clamp_ref": np.array([getattr(configs[i].method, "g_star", -np.inf) for i in cell]),
         "clamps": np.zeros(cells, dtype=int),
         "degenerate": np.zeros(cells, dtype=int),
     }
@@ -367,7 +327,7 @@ def _run_batch(
     k = 0
     while cell.size:
         n = cell.size
-        groups = _groups(setups, cell)
+        groups = _groups(configs, cell)
         eta, pot_coef, guard = per_row["eta"], per_row["pot_coef"], per_row["guard"]
         budget, clamp_ref = per_row["budget"], per_row["clamp_ref"]
         eps_f, eps_g = per_row["tolerance"].T
@@ -448,7 +408,7 @@ def _run_batch(
         per_row = {name: value[go_on] for name, value in per_row.items()}
 
     traces = []
-    for i, setup in enumerate(setups):
+    for i, (config, setup) in enumerate(zip(configs, setups)):
         rows = int(out["rows"][i])
         if table is not None:
             kept, index = table[:rows, i], np.arange(rows)
@@ -461,8 +421,7 @@ def _run_batch(
             eta=setup.eta,
             beta=setup.beta,
             potential_kind="direction-only" if setup.beta is None else "full",
-            method_label=setup.rule.label,
-            step_label=setup.step_label,
+            method_label=config.method.label,
             final_x=out["final_x"][i],
             stopped_early=bool(out["stopped"][i]),
             clamp_count=int(out["clamps"][i]),

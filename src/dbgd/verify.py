@@ -18,7 +18,7 @@ import numpy as np
 from .direction import GradNormSquared
 from .errors import CapabilityError, ConfigurationError, EvaluationError
 from .problems import ProblemSpec, SmoothnessProfile, rng
-from .solver import ScheduledStep, SolverConfig, TraceRecord, run
+from .solver import SolverConfig, TraceRecord, run, scheduled_step
 
 Array = np.ndarray
 
@@ -145,8 +145,6 @@ def inequality_audit(
             f"inequality audit needs a dynamic-barrier grad-norm-squared trace, "
             f"got {trace.method_label!r}"
         )
-    if trace.step_label != "constant":
-        raise ConfigurationError("inequality audit needs a constant-step trace")
     if profile.grad_f_bound is None:
         raise CapabilityError("grad_f_bound")
 
@@ -316,11 +314,11 @@ def rate_fit(
     """
     if len(k_grid) < 3:
         raise ValueError("k_grid must contain at least 3 budgets")
-    configs = [
-        SolverConfig(method=GradNormSquared(1.0), step=ScheduledStep(p), iterations=int(k))
-        for p in ps
-        for k in k_grid
-    ]
+    configs = []
+    for p in ps:
+        for k in k_grid:
+            eta, beta = scheduled_step(problem.smoothness, int(k), p)
+            configs.append(SolverConfig(method=GradNormSquared(beta), eta=eta, iterations=int(k)))
     traces = iter(run(problem, configs, x0, keep="best-last").traces)
     fits = []
     for p in ps:

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from dbgd import (
-    ConstantStep,
     GradNormSquared,
     SmoothnessProfile,
     SolverConfig,
@@ -94,7 +93,7 @@ def test_criterion_03_lemma_audits():
     problem = quadratic_sanity_problem(6, box_radius=0.5)
     config = SolverConfig(
         method=GradNormSquared(beta),
-        step=ConstantStep(eta),
+        eta=eta,
         iterations=1000,
     )
     trace = run(problem, config, 0.1 * np.ones(6))

@@ -20,35 +20,40 @@ import dbgd.cli as cli
 import dbgd.solver as solver
 from dbgd import (
     BloopOrthogonal,
-    ConstantStep,
     DivergenceError,
     DynamicBarrierMin,
     GradNormSquared,
     LowerLinearization,
     Penalty,
-    ScheduledStep,
     SolverConfig,
     quadratic_sanity_problem,
     run,
+    scheduled_step,
     toy_problem,
 )
 from dbgd.harness import run_experiment
 
 
+def scheduled(problem, iterations: int, p: float) -> SolverConfig:
+    eta, beta = scheduled_step(problem.smoothness, iterations, p)
+    return SolverConfig(GradNormSquared(beta), eta, iterations)
+
+
 def mixed_configs() -> list[SolverConfig]:
-    """All five (kind, rule) methods, an early stop and unequal budgets."""
-    step = ConstantStep(0.1)
+    """All five (kind, rule) methods, an early stop, unequal budgets and
+    scheduled steps (for the problem of the tests below)."""
+    eta, problem = 0.1, quadratic_sanity_problem(3)
     return [
-        SolverConfig(GradNormSquared(0.5), step, 300),
-        SolverConfig(GradNormSquared(0.5), step, 300, stop_tolerances=(1e-6, 1e-8)),
-        SolverConfig(DynamicBarrierMin(1.0, 0.25, 0.0), step, 300),
-        SolverConfig(LowerLinearization(g_star=0.05, eta=0.1), step, 300),
-        SolverConfig(BloopOrthogonal(0.5), step, 300),
-        SolverConfig(Penalty(2.0), step, 300),
-        SolverConfig(Penalty(10.0), step, 300, scale_penalty_step=False, guard=1e-20),
-        SolverConfig(GradNormSquared(1.0), ScheduledStep(1.0), 50),
-        SolverConfig(GradNormSquared(1.0), ScheduledStep(1.0), 400),
-        SolverConfig(GradNormSquared(1.0), ScheduledStep(0.0), 120),
+        SolverConfig(GradNormSquared(0.5), eta, 300),
+        SolverConfig(GradNormSquared(0.5), eta, 300, stop_tolerances=(1e-6, 1e-8)),
+        SolverConfig(DynamicBarrierMin(1.0, 0.25, 0.0), eta, 300),
+        SolverConfig(LowerLinearization(g_star=0.05, eta=0.1), eta, 300),
+        SolverConfig(BloopOrthogonal(0.5), eta, 300),
+        SolverConfig(Penalty(2.0), eta, 300),
+        SolverConfig(Penalty(10.0), eta, 300, scale_penalty_step=False, guard=1e-20),
+        scheduled(problem, 50, 1.0),
+        scheduled(problem, 400, 1.0),
+        scheduled(problem, 120, 0.0),
     ]
 
 
@@ -64,7 +69,7 @@ def assert_same_run(a, b, what):
     assert bits(a.table) == bits(b.table), what
     assert np.array_equal(a.k, b.k), what
     assert bits(a.final_x) == bits(b.final_x), what
-    for name in ("eta", "beta", "potential_kind", "method_label", "step_label",
+    for name in ("eta", "beta", "potential_kind", "method_label",
                  "stopped_early", "clamp_count", "degenerate_steps", "warnings"):
         assert getattr(a, name) == getattr(b, name), (what, name)
     assert len(a) == len(b), what
@@ -139,8 +144,8 @@ def test_deferred_geometry_reproduces_an_undefined_cosine(tmp_path):
     # at the toy's bilevel optimum both gradients vanish: every row has an
     # undefined cosine and a zero potential, so the best row is row 0
     optimum = [-np.pi / 20.0, -1.0]
-    step = ConstantStep(1e-3)
-    configs = [SolverConfig(GradNormSquared(1.0), step, 50), SolverConfig(Penalty(10.0), step, 30)]
+    eta = 1e-3
+    configs = [SolverConfig(GradNormSquared(1.0), eta, 50), SolverConfig(Penalty(10.0), eta, 30)]
     full = run(toy_problem(), configs, np.array(optimum)).traces
     kept = run(toy_problem(), configs, np.array(optimum), keep="best-last").traces
     for i, (a, b) in enumerate(zip(full, kept)):
@@ -264,8 +269,8 @@ def test_a_run_that_ended_never_diverges():
     # after about 320 steps: within a budget of 100 it must finish cleanly,
     # however long the rest of its batch runs on
     problem = quadratic_sanity_problem(3)
-    unstable = SolverConfig(Penalty(100.0), ConstantStep(0.1), 100, scale_penalty_step=False)
-    stable = SolverConfig(Penalty(1.0), ConstantStep(0.1), 1000, scale_penalty_step=False)
+    unstable = SolverConfig(Penalty(100.0), 0.1, 100, scale_penalty_step=False)
+    stable = SolverConfig(Penalty(1.0), 0.1, 1000, scale_penalty_step=False)
     batch = run(problem, [unstable, stable], np.full(3, 0.3), keep="best-last")
     assert [len(trace) for trace in batch.traces] == [100, 1000]
     with pytest.raises(DivergenceError) as err:

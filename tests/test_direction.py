@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from dbgd import (
     BloopOrthogonal,
-    ConstantStep,
     DynamicBarrierMin,
     GradNormSquared,
     InfeasibleSubproblemError,
@@ -48,7 +47,7 @@ class TestBarrierValue:
         assert barrier_value(rule, 0.5, np.zeros(2)) == 0.0
         # g = 0.01 at the start lies below the rule's g* = 1; each run counts
         # its own clamps, so an identical second run reports the same count.
-        config = SolverConfig(method=rule, step=ConstantStep(0.1), iterations=5)
+        config = SolverConfig(method=rule, eta=0.1, iterations=5)
         problem = quadratic_sanity_problem(2)
         counts = [run(problem, config, np.array([0.1, 0.1])).clamp_count for _ in range(2)]
         assert counts[0] > 0

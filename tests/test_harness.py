@@ -12,7 +12,7 @@ import pytest
 
 import dbgd
 import dbgd.cli as cli
-from dbgd import CapabilityError, ConfigurationError, ConstantStep, Method, SolverConfig, run
+from dbgd import CapabilityError, ConfigurationError, Method, SolverConfig, run
 from dbgd.harness import (
     CASES_CSV,
     DEFAULT_RULE,
@@ -323,7 +323,7 @@ class TestExpansion:
         assert [name for name, _ in cells] == [name for name, _, _ in expected]
         x0 = np.full(3, 0.2)
         for (_, method), (name, label, potential_kind) in zip(cells, expected):
-            config = SolverConfig(method=method, step=ConstantStep(0.1), iterations=2)
+            config = SolverConfig(method=method, eta=0.1, iterations=2)
             trace = run(problem, config, x0)
             assert (trace.method_label, trace.potential_kind) == (label, potential_kind), name
 
@@ -668,13 +668,13 @@ def test_trace_csv_floats_round_trip(tmp_path):
     # 17 significant digits must reproduce the exact float64 values
     doc = minimal_experiment(tmp_path)
     out = run_experiment(doc)
-    from dbgd import ConstantStep, GradNormSquared, SolverConfig
+    from dbgd import GradNormSquared, SolverConfig
     from dbgd import run as solver_run
 
     problem = build_problem(doc["problem"])
     config = SolverConfig(
         method=GradNormSquared(1.0),
-        step=ConstantStep(0.3),
+        eta=0.3,
         iterations=50,
     )
     trace = solver_run(problem, config, np.array(doc["run"]["x0"]))

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from dbgd import (
     CapabilityError,
-    ConstantStep,
     GradNormSquared,
     Penalty,
     SolverConfig,
@@ -131,10 +130,10 @@ def test_trace_rows_equal_the_report_at_their_iterate(method):
     # residuals in two places; row k must be the report at x_k, bit for bit.
     problem = toy_problem()
     x0 = np.array([-3.0, -1.0])
-    config = SolverConfig(method, ConstantStep(1e-2), 400)
+    config = SolverConfig(method, 1e-2, 400)
     trace = run(problem, config, x0)
     # x_k is the final point of a k-iteration run
-    shorter = [SolverConfig(method, ConstantStep(1e-2), k) for k in range(1, len(trace))]
+    shorter = [SolverConfig(method, 1e-2, k) for k in range(1, len(trace))]
     points = [x0] + [t.final_x for t in run(problem, shorter, x0).traces]
     undefined = 0
     for k, x_k in enumerate(points):

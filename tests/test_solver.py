@@ -4,12 +4,9 @@ import pytest
 from dbgd import (
     BloopOrthogonal,
     ConfigurationError,
-    ConstantStep,
     DivergenceError,
-    DynamicBarrierMin,
     GradNormSquared,
     Penalty,
-    ScheduledStep,
     SmoothnessProfile,
     SolverConfig,
     best_iterate,
@@ -48,7 +45,7 @@ class TestRun:
         problem = quadratic_sanity_problem(4)
         config = SolverConfig(
             method=Penalty(0.0),
-            step=ConstantStep(0.5),
+            eta=0.5,
             iterations=300,
             scale_penalty_step=False,
         )
@@ -58,9 +55,10 @@ class TestRun:
     def test_scheduled_run_reaches_frozen_thresholds(self):
         # thresholds fixed from a calibration run of this configuration
         problem = quadratic_sanity_problem(4)
+        eta, beta = scheduled_step(problem.smoothness, 10**4, 1.0)
         config = SolverConfig(
-            method=GradNormSquared(1.0),
-            step=ScheduledStep(1.0),
+            method=GradNormSquared(beta),
+            eta=eta,
             iterations=10**4,
         )
         trace = run(problem, config, 1.5 * np.ones(4))
@@ -72,7 +70,7 @@ class TestRun:
         problem = toy_problem()
         config = SolverConfig(
             method=GradNormSquared(1.0),
-            step=ConstantStep(1e-2),
+            eta=1e-2,
             iterations=1000,
         )
         trace = run(problem, config, np.array([-3.0, -1.0]))
@@ -84,7 +82,7 @@ class TestRun:
         problem = quadratic_sanity_problem(5)
         config = SolverConfig(
             method=GradNormSquared(0.5),
-            step=ConstantStep(0.3),
+            eta=0.3,
             iterations=200,
         )
         x0 = 0.3 * np.ones(5)
@@ -97,7 +95,7 @@ class TestRun:
         problem = quadratic_sanity_problem(4)
         config = SolverConfig(
             method=GradNormSquared(1.0),
-            step=ConstantStep(0.4),
+            eta=0.4,
             iterations=10**4,
             stop_tolerances=(1e-2, 1e-3),
         )
@@ -112,7 +110,7 @@ class TestRun:
         eta, beta = 0.4, 1.0
         config = SolverConfig(
             method=GradNormSquared(beta),
-            step=ConstantStep(eta),
+            eta=eta,
             iterations=500,
         )
         trace = run(problem, config, 0.1 * np.ones(6))
@@ -123,7 +121,7 @@ class TestRun:
         problem = toy_problem()
         config = SolverConfig(
             method=Penalty(1000.0),
-            step=ConstantStep(1e-2),
+            eta=1e-2,
             iterations=200,
             scale_penalty_step=False,  # deliberately unstable
         )
@@ -134,33 +132,18 @@ class TestRun:
     def test_dimension_mismatch_is_config_error(self):
         problem = quadratic_sanity_problem(4)
         config = SolverConfig(
-            method=Penalty(0.0), step=ConstantStep(0.1), iterations=10
+            method=Penalty(0.0), eta=0.1, iterations=10
         )
         with pytest.raises(ConfigurationError):
             run(problem, config, np.zeros(3))
         with pytest.raises(ConfigurationError):
             run(problem, config, np.array([np.nan, 0.0, 0.0, 0.0]))
 
-    def test_scheduled_step_requires_grad_norm_rule(self):
-        problem = quadratic_sanity_problem(4)
-        config = SolverConfig(
-            method=Penalty(1.0), step=ScheduledStep(0.0), iterations=10
-        )
-        with pytest.raises(ConfigurationError):
-            run(problem, config, np.zeros(4))
-        config = SolverConfig(
-            method=DynamicBarrierMin(1.0, 1.0, 0.0),
-            step=ScheduledStep(0.0),
-            iterations=10,
-        )
-        with pytest.raises(ConfigurationError):
-            run(problem, config, np.zeros(4))
-
     def test_large_constant_step_records_warning(self):
         problem = quadratic_sanity_problem(4)
         config = SolverConfig(
             method=GradNormSquared(1.0),
-            step=ConstantStep(0.6),  # above 1/(L_f + L_g) = 0.5
+            eta=0.6,  # above 1/(L_f + L_g) = 0.5
             iterations=5,
         )
         trace = run(problem, config, 0.1 * np.ones(4))
@@ -168,14 +151,14 @@ class TestRun:
 
     def test_penalty_step_scaling(self):
         problem = quadratic_sanity_problem(2)
-        base = SolverConfig(method=Penalty(4.0), step=ConstantStep(0.5), iterations=1)
+        base = SolverConfig(method=Penalty(4.0), eta=0.5, iterations=1)
         scaled = run(problem, base, np.ones(2))
         assert scaled.eta == pytest.approx(0.1)
         unscaled = run(
             problem,
             SolverConfig(
                 method=Penalty(4.0),
-                step=ConstantStep(0.5),
+                eta=0.5,
                 iterations=1,
                 scale_penalty_step=False,
             ),
@@ -188,14 +171,14 @@ class TestRun:
         x0 = 0.2 * np.ones(3)
         pen = run(
             problem,
-            SolverConfig(method=Penalty(1.0), step=ConstantStep(0.1), iterations=3),
+            SolverConfig(method=Penalty(1.0), eta=0.1, iterations=3),
             x0,
         )
         assert pen.potential_kind == "direction-only"
         assert np.allclose(pen.potential, 0.5 * pen.d_sq)
         blp = run(
             problem,
-            SolverConfig(method=BloopOrthogonal(0.5), step=ConstantStep(0.1), iterations=3),
+            SolverConfig(method=BloopOrthogonal(0.5), eta=0.1, iterations=3),
             x0,
         )
         assert blp.potential_kind == "full"
@@ -206,7 +189,7 @@ class TestRun:
     def test_potential_is_nonnegative(self):
         problem = toy_problem()
         config = SolverConfig(
-            method=GradNormSquared(1.0), step=ConstantStep(1e-3), iterations=500
+            method=GradNormSquared(1.0), eta=1e-3, iterations=500
         )
         trace = run(problem, config, np.array([0.5, 0.5]))
         assert np.all(trace.potential >= 0.0)
@@ -217,7 +200,7 @@ class TestBestIterate:
     def _trace_with_potential(self, values):
         problem = quadratic_sanity_problem(2)
         config = SolverConfig(
-            method=Penalty(0.0), step=ConstantStep(0.1), iterations=len(values)
+            method=Penalty(0.0), eta=0.1, iterations=len(values)
         )
         trace = run(problem, config, np.zeros(2))
         trace.potential[:] = values
@@ -235,10 +218,10 @@ class TestBestIterate:
 
 def test_solver_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(method=Penalty(0.0), step=ConstantStep(0.1), iterations=0)
+        SolverConfig(method=Penalty(0.0), eta=0.1, iterations=0)
     with pytest.raises(ValueError):
-        ConstantStep(0.0)
+        SolverConfig(method=Penalty(0.0), eta=0.0, iterations=1)
     with pytest.raises(ValueError):
-        ScheduledStep(-1.0)
+        scheduled_step(SmoothnessProfile(1.0, 1.0), 10, -1.0)
     with pytest.raises(ValueError):
         Penalty(-2.0)

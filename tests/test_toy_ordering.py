@@ -13,7 +13,7 @@ stationarity residuals unambiguously.  This test pins that behavior.
 import numpy as np
 import pytest
 
-from dbgd import ConstantStep, GradNormSquared, Penalty, SolverConfig, run, toy_problem
+from dbgd import GradNormSquared, Penalty, SolverConfig, run, toy_problem
 
 
 def test_barrier_method_dominates_penalties_at_small_step():
@@ -25,7 +25,7 @@ def test_barrier_method_dominates_penalties_at_small_step():
         problem,
         SolverConfig(
             method=GradNormSquared(1.0),
-            step=ConstantStep(1e-3),
+            eta=1e-3,
             iterations=iterations,
         ),
         x0,
@@ -37,7 +37,7 @@ def test_barrier_method_dominates_penalties_at_small_step():
             problem,
             SolverConfig(
                 method=Penalty(lam),
-                step=ConstantStep(1e-3),
+                eta=1e-3,
                 iterations=iterations,
             ),
             x0,
@@ -57,7 +57,7 @@ def test_penalty_plateau_scales_inversely_with_multiplier():
         trace = run(
             problem,
             SolverConfig(
-                method=Penalty(lam), step=ConstantStep(1e-2), iterations=1000
+                method=Penalty(lam), eta=1e-2, iterations=1000
             ),
             x0,
         )

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from dbgd import (
     CapabilityError,
     ConfigurationError,
-    ConstantStep,
     EvaluationError,
     GradNormSquared,
     Penalty,
@@ -121,7 +120,7 @@ def _audit_trace():
     problem = quadratic_sanity_problem(AUDIT_SETUP["n"], AUDIT_SETUP["box_radius"])
     config = SolverConfig(
         method=GradNormSquared(AUDIT_SETUP["beta"]),
-        step=ConstantStep(AUDIT_SETUP["eta"]),
+        eta=AUDIT_SETUP["eta"],
         iterations=AUDIT_SETUP["iterations"],
     )
     trace = run(problem, config, 0.1 * np.ones(AUDIT_SETUP["n"]))
@@ -156,7 +155,7 @@ class TestInequalityAudit:
         problem = quadratic_sanity_problem(6, box_radius=0.5)
         config = SolverConfig(
             method=GradNormSquared(0.0),
-            step=ConstantStep(0.4),
+            eta=0.4,
             iterations=300,
         )
         trace = run(problem, config, 0.1 * rng(3).standard_normal(6))
@@ -166,7 +165,7 @@ class TestInequalityAudit:
     def test_mode_mismatch_is_config_error(self):
         problem = quadratic_sanity_problem(3)
         config = SolverConfig(
-            method=Penalty(1.0), step=ConstantStep(0.1), iterations=5
+            method=Penalty(1.0), eta=0.1, iterations=5
         )
         trace = run(problem, config, 0.1 * np.ones(3))
         with pytest.raises(ConfigurationError):
@@ -214,7 +213,7 @@ class TestLocalCertificate:
         problem = toy_problem()
         config = SolverConfig(
             method=GradNormSquared(1.0),
-            step=ConstantStep(1e-3),
+            eta=1e-3,
             iterations=2000,
         )
         trace = run(problem, config, np.array([-3.0, -1.0]))
