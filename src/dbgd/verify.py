@@ -129,14 +129,14 @@ class AuditReport:
 def inequality_audit(
     trace: TraceRecord,
     profile: SmoothnessProfile,
-    eta: float,
-    beta: float,
     slack: float = 1e-8,
 ) -> AuditReport:
-    """Audit a constant-step dynamic-barrier trace against its descent bounds.
+    """Audit a dynamic-barrier trace against its descent bounds.
 
-    Valid only for the grad-norm-squared rule; the profile constants must
-    hold over the recorded trajectory for the outcome to be meaningful.
+    Valid only for the grad-norm-squared rule; the bounds take the run's own
+    step size and barrier weight (``trace.eta``, ``trace.beta``), and the
+    profile constants must hold over the recorded trajectory for the
+    outcome to be meaningful.
     All slacks are relative to the magnitude of the audited side (the
     multiplier bound uses a fixed ``1e-12``).
     """
@@ -149,6 +149,7 @@ def inequality_audit(
         raise CapabilityError("grad_f_bound")
 
     lf, lg, gf_bound = profile.lip_grad_f, profile.lip_grad_g, profile.grad_f_bound
+    eta, beta = trace.eta, trace.beta
     d_sq, gg_sq = trace.d_sq, trace.grad_g_sq
     lam, df, dg = trace.lam, trace.delta_f, trace.delta_g
 

@@ -98,7 +98,7 @@ def test_criterion_03_lemma_audits():
     )
     trace = run(problem, config, 0.1 * np.ones(6))
 
-    clean = inequality_audit(trace, problem.smoothness, eta, beta)
+    clean = inequality_audit(trace, problem.smoothness)
     assert clean.violations["upper_descent"] == 0
     assert clean.violations["lower_descent"] == 0
     assert clean.violations["multiplier_bound"] == 0
@@ -114,7 +114,7 @@ def test_criterion_03_lemma_audits():
             "grad_f_bound": prof.grad_f_bound,
         }
         values[field] = values[field] / 2.0
-        report = inequality_audit(trace, SmoothnessProfile(**values), eta, beta)
+        report = inequality_audit(trace, SmoothnessProfile(**values))
         corrupted_totals[field] = report.total_violations
         assert report.total_violations >= 1, f"halved {field} went undetected"
     elapsed = time.perf_counter() - start

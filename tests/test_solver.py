@@ -114,7 +114,7 @@ class TestRun:
             iterations=500,
         )
         trace = run(problem, config, 0.1 * np.ones(6))
-        report = inequality_audit(trace, problem.smoothness, eta, beta)
+        report = inequality_audit(trace, problem.smoothness)
         assert report.total_violations == 0
 
     def test_divergence_is_reported_with_iteration(self):

@@ -130,9 +130,7 @@ def _audit_trace():
 class TestInequalityAudit:
     def test_valid_constants_have_zero_violations(self):
         problem, trace = _audit_trace()
-        report = inequality_audit(
-            trace, problem.smoothness, AUDIT_SETUP["eta"], AUDIT_SETUP["beta"]
-        )
+        report = inequality_audit(trace, problem.smoothness)
         assert report.total_violations == 0
 
     @pytest.mark.parametrize("field", ["lip_grad_f", "lip_grad_g", "grad_f_bound"])
@@ -146,9 +144,7 @@ class TestInequalityAudit:
         }
         values[field] = values[field] / 2.0
         corrupted = SmoothnessProfile(**values)
-        report = inequality_audit(
-            trace, corrupted, AUDIT_SETUP["eta"], AUDIT_SETUP["beta"]
-        )
+        report = inequality_audit(trace, corrupted)
         assert report.total_violations >= 1
 
     def test_zero_beta_run_still_audits_clean(self):
@@ -159,7 +155,7 @@ class TestInequalityAudit:
             iterations=300,
         )
         trace = run(problem, config, 0.1 * rng(3).standard_normal(6))
-        report = inequality_audit(trace, problem.smoothness, 0.4, 0.0)
+        report = inequality_audit(trace, problem.smoothness)
         assert report.total_violations == 0
 
     def test_mode_mismatch_is_config_error(self):
@@ -169,13 +165,13 @@ class TestInequalityAudit:
         )
         trace = run(problem, config, 0.1 * np.ones(3))
         with pytest.raises(ConfigurationError):
-            inequality_audit(trace, problem.smoothness, 0.1, 1.0)
+            inequality_audit(trace, problem.smoothness)
 
     def test_missing_gradient_bound_is_capability_error(self):
         problem, trace = _audit_trace()
         profile = SmoothnessProfile(1.0, 1.0, grad_f_bound=None)
         with pytest.raises(CapabilityError):
-            inequality_audit(trace, profile, AUDIT_SETUP["eta"], AUDIT_SETUP["beta"])
+            inequality_audit(trace, profile)
 
 
 class TestLocalCertificate:
