@@ -347,8 +347,8 @@ def _method_entry(block: Any, where: str) -> MethodEntry:
 
 
 _STEP = _tagged("mode", {
-    "constant": Object({"eta": _POSITIVE}, {"p": _NONNEGATIVE}, "constant step mode"),
-    "scheduled": Object({"p": _NONNEGATIVE}, {"eta": _POSITIVE}, "scheduled step mode"),
+    "constant": Object({"eta": _POSITIVE}, name="constant step mode"),
+    "scheduled": Object({"p": _NONNEGATIVE}, name="scheduled step mode"),
 })
 
 DEFAULT_CLASSIFY = {

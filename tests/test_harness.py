@@ -12,7 +12,15 @@ import pytest
 
 import dbgd
 import dbgd.cli as cli
-from dbgd import CapabilityError, ConfigurationError, Method, SolverConfig, run
+from dbgd import (
+    CapabilityError,
+    ConfigurationError,
+    GradNormSquared,
+    Method,
+    SolverConfig,
+    run,
+    scheduled_step,
+)
 from dbgd.harness import (
     CASES_CSV,
     DEFAULT_RULE,
@@ -26,6 +34,7 @@ from dbgd.harness import (
     run_casestudy,
     run_experiment,
     run_rates,
+    trace_csv,
     validate_config,
 )
 
@@ -135,6 +144,9 @@ REJECTED_CONFIGS = [pytest.param(*case, id=id_) for id_, case in {
     "step-missing-mode": (EXP, ("run", "step", "mode"), DROP, "mode"),
     "step-missing-eta": (EXP, ("run", "step", "eta"), DROP, "eta"),
     "step-missing-p": (EXP, ("run", "step"), {"mode": "scheduled"}, "'p'"),
+    "step-constant-p": (EXP, ("run", "step"), {"mode": "constant", "eta": 0.01, "p": 1}, "['p']"),
+    "step-scheduled-eta": (CASE, ("run", "step"), {"mode": "scheduled", "p": 1, "eta": 123},
+                           "['eta']"),
     "output-unknown": (EXP, ("output", "format"), "csv", "format"),
     "output-missing": (EXP, ("output", "directory"), DROP, "directory"),
     "x0-seed-unknown": (EXP, ("run", "x0", "shift"), 1.0, "x0"),
@@ -496,6 +508,58 @@ class TestRunCasestudy:
         rows = (out / "cases.csv").read_text().splitlines()[1:]
         assert all(row.split(",")[1] == "unclassified" for row in rows)
         assert "thresholds" in capsys.readouterr().err
+
+
+class TestScheduledStep:
+    """A scheduled block runs as the constant step and grad-norm-squared
+    beta that ``scheduled_step`` gives for the budget of the run."""
+
+    @staticmethod
+    def library_trace(problem, iterations, p, x0):
+        eta, beta = scheduled_step(problem.smoothness, iterations, p)
+        return run(problem, SolverConfig(GradNormSquared(beta), eta, iterations), np.array(x0))
+
+    @staticmethod
+    def scheduled_toy(tmp_path, iterations, p=1.0):
+        doc = minimal_experiment(tmp_path, problem={"name": "toy"},
+                                 methods=[{"kind": "dbgd", "beta": 1.0}])
+        doc["run"] = {"x0": [-3.0, -1.0], "iterations": iterations,
+                      "step": {"mode": "scheduled", "p": p}}
+        path = tmp_path / "scheduled.json"
+        path.write_text(json.dumps(doc))
+        return doc, path
+
+    def test_casestudy_traces_equal_library_runs(self, tmp_path):
+        doc = json.loads(bundled("casestudy.json").read_text())
+        doc["run"]["step"] = {"mode": "scheduled", "p": 1.0}
+        doc["output"] = {"directory": str(tmp_path / "cs"), "trace": "all"}
+        out = run_casestudy(doc)
+        problem = build_problem(doc["problem"])
+        for i, x0 in enumerate(doc["run"]["initializations"]):
+            trace = self.library_trace(problem, doc["run"]["iterations"], 1.0, x0)
+            same = (out / f"init{i}.csv").read_text() == trace_csv(trace)  # no 2,000-line diff
+            assert same, f"init{i}.csv"
+
+    def test_the_iterations_override_resolves_the_schedule(self, tmp_path):
+        doc, path = self.scheduled_toy(tmp_path, 50)
+        assert cli.main(["run", str(path), "--iterations", "7"]) == 0
+        problem = build_problem(doc["problem"])
+        assert scheduled_step(problem.smoothness, 7, 1.0) != scheduled_step(
+            problem.smoothness, 50, 1.0)
+        trace = self.library_trace(problem, 7, 1.0, doc["run"]["x0"])
+        assert (tmp_path / "out" / "dbgd_beta=1.csv").read_text() == trace_csv(trace)
+
+    @pytest.mark.parametrize("iterations", [1, 2, 2000])
+    def test_a_scheduled_run_never_warns_of_its_step(self, tmp_path, capsys, iterations):
+        # the toy's 1/(L_f+L_g) is below its bundled constant step, which warns
+        doc, path = self.scheduled_toy(tmp_path, iterations)
+        assert cli.main(["run", str(path)]) == 0
+        assert "warning" not in capsys.readouterr().err
+        problem = build_problem(doc["problem"])
+        trace = self.library_trace(problem, iterations, 1.0, doc["run"]["x0"])
+        assert trace.warnings == []
+        if iterations == 1:
+            assert trace.eta == 1.0 / problem.smoothness.lip_total
 
 
 class TestCli:
