@@ -510,7 +510,7 @@ class TestRunCasestudy:
         assert "thresholds" in capsys.readouterr().err
 
 
-class TestScheduledStep:
+class TestScheduledResolution:
     """A scheduled block runs as the constant step and grad-norm-squared
     beta that ``scheduled_step`` gives for the budget of the run."""
 
