@@ -241,7 +241,8 @@ def test_memory_of_final_traces_does_not_grow_with_the_budget(tmp_path):
     assert long <= short + 4096, (short, long)
 
 
-def test_divergence_in_a_batch_names_the_diverging_cell(tmp_path, capsys):
+def _diverging_grid(tmp_path, trace: str):
+    """Config path of a grid whose ``penalty_lambda=100`` cell diverges."""
     doc = {
         "kind": "experiment",
         "problem": {"name": "quadratic", "n": 3},
@@ -255,13 +256,24 @@ def test_divergence_in_a_batch_names_the_diverging_cell(tmp_path, capsys):
             "step": {"mode": "constant", "eta": 0.1},
             "penalty_step_scaling": False,
         },
-        "output": {"directory": str(tmp_path / "div"), "trace": "none"},
+        "output": {"directory": str(tmp_path / "div"), "trace": trace},
     }
     path = tmp_path / "diverge.json"
     path.write_text(json.dumps(doc))
-    assert cli.main(["run", str(path)]) == 3
+    return path
+
+
+def test_divergence_in_a_batch_names_the_diverging_cell(tmp_path, capsys):
+    assert cli.main(["run", str(_diverging_grid(tmp_path, "none"))]) == 3
     err = capsys.readouterr().err
     assert "divergence" in err and "in cell penalty_lambda=100" in err
+
+
+def test_a_diverging_batch_writes_no_output_file(tmp_path, capsys):
+    # the other cells' rows written before the divergence are removed too
+    assert cli.main(["run", str(_diverging_grid(tmp_path, "all"))]) == 3
+    assert "in cell penalty_lambda=100" in capsys.readouterr().err
+    assert sorted(p.name for p in (tmp_path / "div").iterdir()) == []
 
 
 def test_a_run_that_ended_never_diverges():
