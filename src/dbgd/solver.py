@@ -267,9 +267,11 @@ def run(problem: ProblemSpec, config, x0: Array, keep: str = "all"):
     for bit the one it gets alone.  Each run takes its full budget unless
     ``stop_tolerances = (eps_f, eps_g)`` is set, in which case it stops at
     the first iterate with ``d_sq <= eps_f`` and ``grad_g_sq <= eps_g``.
-    A run that stops leaves the batch.  Every recorded quantity is finite
-    or the batch aborts with :class:`DivergenceError` naming the iteration
-    and, in ``cell``, the index of the first run that diverged.
+    A run that stops leaves the batch.  Every quantity that decides a run
+    (``f``, ``g``, the gradients, ``lam``, ``d_sq``, ``grad_g_sq``, the
+    decreases and the potential) is finite or the batch aborts with
+    :class:`DivergenceError` naming the iteration and, in ``cell``, the
+    index of the first run that diverged.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is detected, not warned
         if isinstance(config, SolverConfig):
@@ -338,8 +340,9 @@ def _run_batch(
         while True:
             gf = problem.eval_grad_f(x)
             gg = problem.eval_grad_g(x)
-            if not (np.isfinite(gf).all() and np.isfinite(gg).all()):
-                _diverged(k, "gradient", cell, gf, gg)
+            gg_sq = row_dot(gg, gg)  # finite only where gg is
+            if not (np.isfinite(gf).all() and np.isfinite(gg_sq).all()):
+                _diverged(k, "gradient", cell, gf, gg_sq)
 
             row = np.empty((n, len(COLUMNS)))
             d = np.empty_like(gf)
@@ -348,8 +351,9 @@ def _run_batch(
                 d[rows] = res.d
                 row[rows, _LAM] = res.lam
                 row[rows, _DEGENERATE] = res.degenerate
-            if not (np.isfinite(d).all() and np.isfinite(row[:, _LAM]).all()):
-                _diverged(k, "direction", cell, d, row[:, _LAM])
+            d_sq = row_dot(d, d)
+            if not (np.isfinite(d_sq).all() and np.isfinite(row[:, _LAM]).all()):
+                _diverged(k, "direction", cell, d_sq, row[:, _LAM])
 
             x_next = x - eta * d
             f_next = problem.eval_f(x_next)
@@ -357,8 +361,6 @@ def _run_batch(
             if not (np.isfinite(f_next).all() and np.isfinite(g_next).all()):
                 _diverged(k, "objective value", cell, f_next, g_next)
 
-            gg_sq = row_dot(gg, gg)
-            d_sq = row_dot(d, d)
             row[:, _F] = f_now
             row[:, _G] = g_now
             row[:, _GRAD_G_SQ] = gg_sq
@@ -366,6 +368,8 @@ def _run_batch(
             row[:, _DELTA_F] = f_now - f_next
             row[:, _DELTA_G] = g_now - g_next
             row[:, _POTENTIAL] = 0.5 * d_sq + pot_coef * gg_sq
+            if not np.isfinite(row[:, _DELTA_F:_DEGENERATE]).all():  # the decreases, the potential
+                _diverged(k, "decrease or potential", cell, row[:, _DELTA_F:_DEGENERATE])
             if table is not None:
                 table[k, cell] = _fill_geometry(row, gf, gg, guard)
             elif k == 0:

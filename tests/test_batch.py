@@ -288,3 +288,21 @@ def test_a_run_that_ended_never_diverges():
     with pytest.raises(DivergenceError) as err:
         run(problem, [stable, replace(unstable, iterations=1000)], np.full(3, 0.3))
     assert err.value.cell == 1
+
+
+@pytest.mark.parametrize("keep", ["all", "best-last"])
+def test_a_run_that_overflows_in_its_last_row_diverges(keep):
+    # each run's states stay finite to its budget, but its last row's
+    # d_sq and potential overflow; one more iteration overflows f
+    runs = [
+        (quadratic_sanity_problem(3), np.full(3, 0.3),
+         SolverConfig(Penalty(100.0), 0.1, 160, scale_penalty_step=False)),
+        (toy_problem(), np.array([-3.0, -1.0]),
+         SolverConfig(Penalty(1000.0), 0.01, 118, scale_penalty_step=False)),
+    ]
+    for problem, x0, config in runs:
+        with pytest.raises(DivergenceError) as err:
+            run(problem, config, x0, keep=keep)
+        assert err.value.iteration == config.iterations - 1, config
+        shorter = run(problem, replace(config, iterations=config.iterations - 1), x0, keep=keep)
+        assert np.isfinite(shorter.table[:, ~np.isin(solver.COLUMNS, ["cos_theta"])]).all()
