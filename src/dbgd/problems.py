@@ -84,8 +84,11 @@ class SmoothnessProfile:
 class ProblemSpec:
     """A simple bilevel instance.
 
-    Evaluators must be re-entrant and side-effect free; a constructed
-    instance is immutable and safe to share across concurrent runs.
+    Evaluators must be re-entrant, and each result must depend on its
+    inputs only; an evaluator may keep a memo of its last input (the
+    matrix-factorization ``g``, ``grad_g`` and ``hvp_g`` share the residual
+    of their last point).  A constructed instance is immutable and safe to
+    share across concurrent runs.
 
     Parameters
     ----------
@@ -365,25 +368,34 @@ def matrix_factorization_problem(
     def factor(x: Array) -> Array:
         return x.reshape(*x.shape[:-1], n, r)
 
-    def residual(v: Array) -> Array:
-        res = v @ v.swapaxes(-1, -2)
-        res -= m
+    # The solver asks for g(x_next), then for grad_g at the same point in
+    # the next iteration: the residual of the last point is kept, keyed on
+    # the point's type, shape and bytes (not its identity, since an array
+    # can change in place).  Callers only read it.
+    memo = [(None, None)]
+
+    def residual(x: Array) -> Array:
+        key = (x.dtype.str, x.shape, x.tobytes())
+        last, res = memo[0]
+        if key != last:
+            v = factor(x)
+            res = v @ v.swapaxes(-1, -2)
+            res -= m
+            memo[0] = (key, res)
         return res
 
     def g(x: Array) -> Array:
-        res = residual(factor(x))
-        res *= res
-        return res.reshape(*x.shape[:-1], n * n).sum(axis=-1)
+        res = residual(x)
+        return (res * res).reshape(*x.shape[:-1], n * n).sum(axis=-1)
 
     def grad_g(x: Array) -> Array:
-        v = factor(x)
-        out = residual(v) @ v
+        out = residual(x) @ factor(x)
         out *= 4.0
         return out.reshape(x.shape)
 
     def hvp_g(x: Array, w_flat: Array) -> Array:
         v, w = factor(x), factor(w_flat)
-        out = (w @ v.swapaxes(-1, -2) + v @ w.swapaxes(-1, -2)) @ v + residual(v) @ w
+        out = (w @ v.swapaxes(-1, -2) + v @ w.swapaxes(-1, -2)) @ v + residual(x) @ w
         return (4.0 * out).reshape(*out.shape[:-2], n * r)
 
     def sample(gen: np.random.Generator) -> Array:

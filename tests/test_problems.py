@@ -121,6 +121,25 @@ class TestMatrixFactorization:
         expect = (v / np.sqrt(v * v + 1.0)).reshape(-1)
         assert np.allclose(grad, expect, rtol=1e-14)
 
+    def test_the_residual_memo_follows_the_values_of_a_point(self):
+        # g, grad_g and hvp_g share the residual of their last point; a point
+        # changed in place (the same array object) must get a fresh one
+        p = matrix_factorization_problem(4, 2, 1.0, seed=5)
+        gen = rng(6)
+        x, w = gen.standard_normal(8), gen.standard_normal(8)
+
+        def fresh(oracle, *args):
+            return getattr(matrix_factorization_problem(4, 2, 1.0, seed=5), oracle)(*args)
+
+        for step in range(3):
+            assert p.eval_g(x) == p.eval_g(x) == fresh("eval_g", x.copy()), step
+            assert p.eval_grad_g(x).tobytes() == fresh("eval_grad_g", x.copy()).tobytes(), step
+            assert p.eval_hvp_g(x, w).tobytes() == fresh("eval_hvp_g", x.copy(), w).tobytes()
+            x *= 1.5
+        batch = np.stack([x, 2.0 * x])
+        assert p.eval_g(batch).tobytes() == fresh("eval_g", batch.copy()).tobytes()
+        assert p.eval_g(batch[0]) == fresh("eval_g", x.copy())
+
 
 @pytest.mark.parametrize("name,factory", ALL_PROBLEMS)
 def test_gradients_match_finite_differences(name, factory):
