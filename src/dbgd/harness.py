@@ -11,10 +11,11 @@ A config is a single JSON object whose ``kind`` selects the workflow:
   classify each terminal point by its stationarity signature.
 
 Each command runs all its independent runs (grid cells, initializations,
-``(p, K)`` pairs) as one solver batch.  Unless a config asks for every
-trace row (``output.trace: all``), only each run's best and last rows are
-kept, so memory does not grow with the budget; full traces are written
-in blocks of rows.
+``(p, K)`` pairs) as one solver batch.  When a config asks for every trace
+row (``output.trace: all``), the solver hands the rows to a writer in
+blocks of iterations, and the writer appends each block to its run's CSV;
+otherwise only each run's best and last rows are kept.  Either way memory
+does not grow with the budget.
 
 The problems and methods a config can name are declared once, in the
 ``PROBLEMS`` and ``METHODS`` tables; the config checks and the grid
@@ -64,9 +65,6 @@ from .verify import rate_fit
 #: Version of the trace/summary CSV schemas below.
 TRACE_SCHEMA_VERSION = 1
 
-#: Trace CSV rows rendered and written at a time.
-TRACE_BLOCK_ROWS = 256
-
 #: Columns written as integers or as text; every other column is a float.
 _INTEGER_COLUMNS = {"k", "degenerate", "rows", "stopped_early", "init"}
 _TEXT_COLUMNS = {"cell", "method", "classification"}
@@ -112,6 +110,7 @@ _SUMMARY_BEST = ("k", "potential", "grad_g_sq", "d_sq")
 _CASES_FINAL = ("lam", "grad_f_sq", "grad_g_sq", "cos_theta")
 
 _COS_DEFINED = COLUMNS.index("cos_defined")
+_POTENTIAL = COLUMNS.index("potential")
 #: One row per kept trace row: ``k``, then every column but ``cos_defined``.
 TRACE_CSV = CsvSchema("k", *(name for name in COLUMNS if name != "cos_defined"))
 #: One row per experiment cell.
@@ -540,16 +539,18 @@ def _build_solver_config(run_block: dict, method: Method, problem: ProblemSpec) 
     )
 
 
-def trace_csv(
-    trace: TraceRecord, granularity: str = "all", start: int = 0, stop: Optional[int] = None
-) -> str:
-    """Render kept rows ``start:stop`` of a trace as CSV text.
+class TraceRows(NamedTuple):
+    """Trace rows: ``table`` as in :class:`TraceRecord`, ``k`` their iterations."""
 
-    ``final`` granularity renders the last row only.  The text starts with
-    the header when ``start`` is 0.
-    """
+    table: np.ndarray
+    k: np.ndarray
+
+
+def trace_csv(trace: TraceRecord | TraceRows, granularity: str = "all", header: bool = True) -> str:
+    """Render the kept rows of a trace, or the last one under ``final``
+    granularity, as CSV text after the header when ``header``."""
     if granularity == "all":
-        rows, ks = trace.table[start:stop], trace.k[start:stop]
+        rows, ks = trace.table, trace.k
     else:
         rows, ks = trace.table[-1:], trace.k[-1:]
     templates = TRACE_CSV.templates  # the row loop is the hot path of trace output
@@ -557,15 +558,45 @@ def trace_csv(
     for k, row in zip(ks.tolist(), rows.tolist()):
         cos_defined = row.pop(_COS_DEFINED)
         lines.append(templates[cos_defined] % (k, *row))
-    return TRACE_CSV.text(lines, header=start == 0)
+    return TRACE_CSV.text(lines, header=header)
 
 
-def _write_trace(path: Path, trace: TraceRecord, granularity: str) -> None:
-    """Write a trace CSV one block of rows at a time."""
-    blocks = range(0, len(trace.k), TRACE_BLOCK_ROWS) if granularity == "all" else [0]
-    with open(path, "w") as fh:
-        for start in blocks:
-            fh.write(trace_csv(trace, granularity, start, start + TRACE_BLOCK_ROWS))
+class _TraceWriter:
+    """The solver's row sink under ``trace: all``.
+
+    Appends each block of rows to its run's trace CSV at ``paths[i]`` and
+    keeps each run's minimal-potential row (the earliest on ties) and last
+    row, which its trace holds, as under ``keep="best-last"``.
+    """
+
+    def __init__(self, paths: list[Path]):
+        self.paths = paths
+        self.opened: list[Path] = []
+        self.best = np.full((len(paths), len(COLUMNS)), np.inf)
+        self.best_k = np.zeros(len(paths), dtype=int)
+        self.last = np.empty_like(self.best)
+
+    def block(self, k0: int, cell: np.ndarray, rows: np.ndarray) -> None:
+        ks = np.arange(k0, k0 + len(rows))
+        for j, i in enumerate(cell.tolist()):
+            if k0 == 0:
+                self.opened.append(self.paths[i])
+            with open(self.paths[i], "a" if k0 else "w") as fh:
+                fh.write(trace_csv(TraceRows(rows[:, j], ks), header=k0 == 0))
+        first = rows[:, :, _POTENTIAL].argmin(axis=0)
+        candidate = rows[first, np.arange(len(cell))]
+        better = candidate[:, _POTENTIAL] < self.best[cell, _POTENTIAL]
+        self.best[cell[better]] = candidate[better]
+        self.best_k[cell[better]] = k0 + first[better]
+        self.last[cell] = rows[-1]
+
+    def kept(self, i: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        return np.stack([self.best[i], self.last[i]]), np.array([self.best_k[i], rows - 1])
+
+    def discard(self) -> None:
+        """Remove the files written so far."""
+        for path in self.opened:
+            path.unlink()
 
 
 def _values(trace: TraceRecord, row: int, columns: tuple[str, ...]) -> list:
@@ -594,26 +625,33 @@ def _run_and_write(
     """Run a config's named runs as one batch and write each run's trace CSV.
 
     Returns the output directory (``output_dir``, else the config's) and
-    the traces.  Run warnings go to standard error before the batch runs;
-    a divergence names the first diverging run, as ``{noun} {name}``.
+    the traces, which hold each run's best and last rows.  Run warnings go
+    to standard error before the batch runs; a divergence names the first
+    diverging run, as ``{noun} {name}``, and leaves no trace CSV.
     """
     granularity = doc["output"].get("trace", "all")
     out = Path(output_dir if output_dir is not None else doc["output"]["directory"])
     out.mkdir(parents=True, exist_ok=True)
     names = [name for name, _ in runs]
-    keep = "all" if granularity == "all" else "best-last"
+    paths = [out / f"{name}.csv" for name in names]
+    writer = _TraceWriter(paths) if granularity == "all" else None
     for name, config in runs:
         for warning in _setup(problem.smoothness, config).warnings:
             print(f"warning: {name}: {warning}", file=sys.stderr)
     try:
-        batch = run(problem, [config for _, config in runs], x0, keep=keep)
-    except DivergenceError as exc:
-        raise DivergenceError(
-            exc.iteration, f"{exc.what} in {noun} {names[exc.cell]}", exc.cell
-        ) from exc
-    if granularity != "none":
-        for name, trace in zip(names, batch.traces):
-            _write_trace(out / f"{name}.csv", trace, granularity)
+        batch = run(problem, [config for _, config in runs], x0,
+                    keep="best-last" if writer is None else writer)
+    except BaseException as exc:
+        if writer is not None:
+            writer.discard()
+        if isinstance(exc, DivergenceError):
+            raise DivergenceError(
+                exc.iteration, f"{exc.what} in {noun} {names[exc.cell]}", exc.cell
+            ) from exc
+        raise
+    if granularity == "final":
+        for path, trace in zip(paths, batch.traces):
+            path.write_text(trace_csv(trace, "final"))
     return out, batch.traces
 
 

@@ -10,14 +10,17 @@ over the trace is the certified near-stationary iterate.
 
 Each iteration computes what decides a run: ``f``, ``g``, ``lam``,
 ``degenerate``, ``d_sq``, ``grad_g_sq``, the decreases and the potential.
-The gradient-geometry columns are computed only for the rows a run keeps.
+The gradient-geometry columns are computed only for the rows a run keeps:
+a run that keeps every row buffers its rows with their gradients and fills
+the geometry of a block of iterations at once, then hands the block to a
+sink, which keeps it in memory or writes it out.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple, Optional, get_args
+from typing import NamedTuple, Optional, Protocol, Union, get_args
 
 import numpy as np
 
@@ -120,10 +123,12 @@ class TraceRecord:
     each also an attribute (``trace.d_sq``); ``k`` holds their iteration
     indices.  A run that keeps ``"all"`` rows keeps every row; one that
     keeps ``"best-last"`` keeps its minimal-potential row (the earliest on
-    ties) followed by its last row.  ``len(trace)`` counts the rows the run
-    recorded, kept or not.  ``clamp_count`` is the number of rows whose
-    ``g_star``-based barrier level was clamped at zero because ``g`` lay
-    below ``g_star``; ``degenerate_steps`` counts the degenerate rows.
+    ties) followed by its last row; one that streams its rows to a
+    :class:`RowSink` keeps what the sink returns.  ``len(trace)`` counts
+    the rows the run recorded, kept or not.  ``clamp_count`` is the number
+    of rows whose ``g_star``-based barrier level was clamped at zero
+    because ``g`` lay below ``g_star``; ``degenerate_steps`` counts the
+    degenerate rows.
     """
 
     table: Array
@@ -243,6 +248,51 @@ def _fill_geometry(row: Array, gf: Array, gg: Array, guard: Array) -> Array:
     return row
 
 
+class RowSink(Protocol):
+    """Where a run that keeps every row puts its rows, block by block.
+
+    ``block(k0, cell, rows)`` takes the rows of iterations ``k0,
+    k0 + 1, ...`` of the runs ``cell`` (indices of the batch's configs) as
+    ``rows[iteration, run, column]``, every column filled; the array is
+    reused after the call.  A run's blocks come in iteration order, and a
+    block holds no row after the run ended.  ``kept(i, rows)`` returns the
+    ``(table, k)`` of the trace of run ``i``, which recorded ``rows`` rows.
+    """
+
+    def block(self, k0: int, cell: Array, rows: Array) -> None: ...
+
+    def kept(self, i: int, rows: int) -> tuple[Array, Array]: ...
+
+
+class _Table:
+    """The :class:`RowSink` of ``keep="all"``: every row, in memory."""
+
+    def __init__(self, iterations: int, cells: int):
+        self.table = np.empty((iterations, cells, len(COLUMNS)))
+
+    def block(self, k0: int, cell: Array, rows: Array) -> None:
+        self.table[k0:k0 + len(rows), cell] = rows
+
+    def kept(self, i: int, rows: int) -> tuple[Array, Array]:
+        return self.table[:rows, i], np.arange(rows)
+
+
+#: Bytes of the gradient rows a run that keeps every row buffers, in
+#: blocks of at most ``_BLOCK_ITERATIONS`` iterations, before it fills
+#: their geometry columns.
+_BLOCK_BYTES = 1 << 20
+_BLOCK_ITERATIONS = 256
+
+
+def _flush(sink: RowSink, k0: int, cell: Array, rows: Array, gf: Array, gg: Array,
+           guard: Array) -> None:
+    """Fill the geometry of buffered ``rows[iteration, run]`` and hand them to ``sink``."""
+    b, n = rows.shape[:2]
+    _fill_geometry(rows.reshape(b * n, -1), gf.reshape(b * n, -1), gg.reshape(b * n, -1),
+                   np.tile(guard, b))
+    sink.block(k0, cell, rows)
+
+
 def _diverged(iteration: int, what: str, cell: Array, *values: Array) -> None:
     """Raise :class:`DivergenceError` naming the lowest-index config with a
     non-finite value."""
@@ -252,15 +302,17 @@ def _diverged(iteration: int, what: str, cell: Array, *values: Array) -> None:
     raise DivergenceError(iteration, what, int(cell[bad].min()))
 
 
-def run(problem: ProblemSpec, config, x0: Array, keep: str = "all"):
+def run(problem: ProblemSpec, config, x0: Array, keep: Union[str, RowSink] = "all"):
     """Execute the iteration and return the trace of each run.
 
     ``config`` is one :class:`SolverConfig`, which runs as a batch of one
     and returns its :class:`TraceRecord`, or a sequence of them, which run
     as one batch and return a :class:`BatchTrace`.  ``x0`` is one start
     point for every run, or one row per run.  ``keep`` is ``"all"`` (every
-    row) or ``"best-last"`` (the minimal-potential and last rows, so that
-    memory does not grow with the budget).
+    row), ``"best-last"`` (the minimal-potential and last rows, so that
+    memory does not grow with the budget) or a :class:`RowSink`, which
+    receives every row as it is computed, in blocks of up to 256
+    iterations, and decides what each trace keeps.
 
     A batch advances all its runs as one ``(runs, dim)`` array, each run
     with its own method, step, budget and stop state; a run's trace is bit
@@ -280,9 +332,9 @@ def run(problem: ProblemSpec, config, x0: Array, keep: str = "all"):
 
 
 def _run_batch(
-    problem: ProblemSpec, configs: list[SolverConfig], x0: Array, keep: str
+    problem: ProblemSpec, configs: list[SolverConfig], x0: Array, keep: Union[str, RowSink]
 ) -> BatchTrace:
-    if keep not in ("all", "best-last"):
+    if isinstance(keep, str) and keep not in ("all", "best-last"):
         raise ValueError(f"unknown keep {keep!r}")
     if not configs:
         raise ValueError("a batch needs at least one config")
@@ -313,7 +365,12 @@ def _run_batch(
         _diverged(0, "objective value", cell, f_now, g_now)
 
     budget_max = max(config.iterations for config in configs)
-    table = np.empty((budget_max, cells, len(COLUMNS))) if keep == "all" else None
+    if keep == "best-last":
+        sink = None
+    else:
+        sink = _Table(budget_max, cells) if keep == "all" else keep
+        # two gradients of 8-byte floats per run and iteration
+        block = max(1, min(_BLOCK_ITERATIONS, budget_max, _BLOCK_BYTES // (16 * cells * dim)))
     best = best_k = None
     out = {
         "rows": np.zeros(cells, dtype=int),
@@ -337,6 +394,10 @@ def _run_batch(
         horizon = int(budget.min())
         stopping = bool(np.isfinite(eps_f).any())
         clamping = bool(np.isfinite(clamp_ref).any())
+        if sink is not None:
+            buffered = 0
+            block_rows = np.empty((block, n, len(COLUMNS)))
+            block_gf, block_gg = np.empty((2, block, n, dim))
         while True:
             gf = problem.eval_grad_f(x)
             gg = problem.eval_grad_g(x)
@@ -344,7 +405,7 @@ def _run_batch(
             if not (np.isfinite(gf).all() and np.isfinite(gg_sq).all()):
                 _diverged(k, "gradient", cell, gf, gg_sq)
 
-            row = np.empty((n, len(COLUMNS)))
+            row = np.empty((n, len(COLUMNS))) if sink is None else block_rows[buffered]
             d = np.empty_like(gf)
             for rows, rule in groups:
                 res = _direction(rule, gf[rows], gg[rows], g_now[rows], guard[rows])
@@ -370,8 +431,12 @@ def _run_batch(
             row[:, _POTENTIAL] = 0.5 * d_sq + pot_coef * gg_sq
             if not np.isfinite(row[:, _DELTA_F:_DEGENERATE]).all():  # the decreases, the potential
                 _diverged(k, "decrease or potential", cell, row[:, _DELTA_F:_DEGENERATE])
-            if table is not None:
-                table[k, cell] = _fill_geometry(row, gf, gg, guard)
+            if sink is not None:
+                block_gf[buffered], block_gg[buffered] = gf, gg
+                buffered += 1
+                if buffered == block:
+                    _flush(sink, k + 1 - block, cell, block_rows, block_gf, block_gg, guard)
+                    buffered = 0
             elif k == 0:
                 best, best_k = row.copy(), np.zeros(n, dtype=int)
                 best_gf, best_gg = gf.copy(), gg.copy()
@@ -395,6 +460,9 @@ def _run_batch(
                     break
 
         # Retire the runs that ended; the others go on in a smaller batch.
+        if sink is not None and buffered:
+            _flush(sink, k - buffered, cell, block_rows[:buffered], block_gf[:buffered],
+                   block_gg[:buffered], guard)
         ended = cell[done]
         out["rows"][ended] = k
         out["stopped"][ended] = stopped[done]
@@ -414,8 +482,8 @@ def _run_batch(
     traces = []
     for i, (config, setup) in enumerate(zip(configs, setups)):
         rows = int(out["rows"][i])
-        if table is not None:
-            kept, index = table[:rows, i], np.arange(rows)
+        if sink is not None:
+            kept, index = sink.kept(i, rows)
         else:
             kept = np.stack([out["best"][i], out["last"][i]])
             index = np.array([out["best_k"][i], rows - 1])

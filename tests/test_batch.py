@@ -10,6 +10,7 @@ still aborts the batch naming the run.
 """
 
 import json
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -101,6 +102,62 @@ def test_each_run_of_a_batch_equals_its_batch_of_one(keep):
     assert batch.degenerate.sum() == sum(t.degenerate_steps for t in alone)
 
 
+class BlockLog(solver._Table):
+    """Keeps every row, as ``keep="all"`` does, and logs each block's first
+    iteration, length and runs."""
+
+    def __init__(self, iterations: int, cells: int):
+        super().__init__(iterations, cells)
+        self.blocks = []
+
+    def block(self, k0, cell, rows):
+        self.blocks.append((k0, len(rows), cell.tolist()))
+        super().block(k0, cell, rows)
+
+
+def test_block_boundaries_change_no_bit():
+    # runs that end just before, at and just after a 256-iteration block,
+    # one that stops early in the middle of the second block, and a long
+    # one; the first run's guard leaves its cosines undefined
+    problem = quadratic_sanity_problem(3)
+    configs = [
+        SolverConfig(Penalty(2.0), 0.1, 255, guard=10.0),
+        SolverConfig(GradNormSquared(0.5), 0.1, 256),
+        SolverConfig(BloopOrthogonal(0.5), 0.1, 257),
+        SolverConfig(GradNormSquared(0.5), 0.1, 700, stop_tolerances=(1e-14, 1e-16)),
+        SolverConfig(DynamicBarrierMin(1.0, 0.25, 0.0), 0.1, 700),
+    ]
+    starts = mixed_starts(len(configs))
+    log = BlockLog(700, len(configs))
+    batch = run(problem, configs, starts, keep=log)
+    lengths = [len(trace) for trace in batch.traces]
+    assert lengths[:3] == [255, 256, 257] and 256 < lengths[3] < 512
+    for i, (config, x0) in enumerate(zip(configs, starts)):
+        assert_same_run(batch.traces[i], run(problem, config, x0, keep="all"), f"config {i}")
+    assert not batch.traces[0].cos_defined.any() and batch.traces[1].cos_defined.all()
+
+    # each run's blocks cover its rows in order; a block ends at every
+    # retirement and after 256 iterations
+    for i, rows in enumerate(lengths):
+        spans = [(k0, k0 + size) for k0, size, cell in log.blocks if i in cell]
+        assert spans[0][0] == 0 and spans[-1][1] == rows, i
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:])), i
+    ends = [k0 + size for k0, size, _ in log.blocks]
+    assert ends == [255, 256, 257, lengths[3], lengths[3] + 256, 700]
+
+
+@pytest.mark.parametrize("n,cells,block", [(3000, 1, 21), (40000, 2, 1)])
+def test_blocks_hold_at_most_a_megabyte_of_gradients(n, cells, block):
+    problem = quadratic_sanity_problem(n)
+    budget = 3 * block + 1
+    configs = [SolverConfig(GradNormSquared(0.5), 0.1, budget)] * cells
+    log = BlockLog(budget, cells)
+    run(problem, configs, np.full(n, 0.1), keep=log)
+    # 2**20 bytes hold 21 iterations of two float64 gradients of 3,000
+    # entries, and less than one of two runs of 40,000 entries
+    assert {size for _, size, _ in log.blocks[:-1]} == {block}
+
+
 def test_best_last_rows_are_the_argmin_and_last_rows_of_the_full_trace():
     problem = quadratic_sanity_problem(3)
     configs = mixed_configs()
@@ -137,7 +194,11 @@ def test_geometry_columns_are_computed_only_for_kept_rows(monkeypatch):
     assert retirements == 2
     assert count("best-last", 2000) == (short, retirements)
     assert 0 < short <= 2 * retirements  # the best and the last row of each retirement
-    assert count("all", 200)[0] == 200
+    # every row is kept, its geometry filled once per block of rows: a block
+    # ends where config 1 stops, at the budget and after 256 iterations
+    stop = len(run(problem, replace(mixed_configs()[1], iterations=2000), starts[1]))
+    assert count("all", 200)[0] == retirements
+    assert count("all", 2000)[0] == 1 + math.ceil((2000 - stop) / 256)
 
 
 def test_deferred_geometry_reproduces_an_undefined_cosine(tmp_path):
@@ -157,13 +218,14 @@ def test_deferred_geometry_reproduces_an_undefined_cosine(tmp_path):
         "kind": "experiment",
         "problem": {"name": "toy"},
         "methods": [{"kind": "dbgd", "beta": [0.5, 1.0]}, {"kind": "penalty", "lambda": [1, 10]}],
-        "run": {"x0": optimum, "iterations": 40, "step": {"mode": "constant", "eta": 1e-3}},
+        "run": {"x0": optimum, "iterations": 300, "step": {"mode": "constant", "eta": 1e-3}},
         "output": {"directory": str(tmp_path / "unused"), "trace": "all"},
     }
     summaries = {}
     for granularity in ("all", "final"):
         doc["output"]["trace"] = granularity
         summaries[granularity] = (run_experiment(doc, tmp_path / granularity) / "summary.csv").read_bytes()
+    # 300 rows span two blocks of a streamed trace: the tie goes to row 0
     assert summaries["final"] == summaries["all"]
     assert b",NA," in summaries["all"]
 
@@ -219,8 +281,8 @@ def _traced_peak(doc: dict, iterations: int, out) -> int:
         tracemalloc.stop()
 
 
-def test_memory_of_final_traces_does_not_grow_with_the_budget(tmp_path):
-    doc = {
+def _small_matfac_grid(tmp_path, trace: str) -> dict:
+    return {
         "kind": "experiment",
         "problem": {"name": "matrix-factorization", "n": 6, "r": 3, "alpha": 1.0},
         "methods": [
@@ -232,8 +294,12 @@ def test_memory_of_final_traces_does_not_grow_with_the_budget(tmp_path):
             "iterations": 10,
             "step": {"mode": "constant", "eta": 1e-4},
         },
-        "output": {"directory": str(tmp_path / "unused"), "trace": "final"},
+        "output": {"directory": str(tmp_path / "unused"), "trace": trace},
     }
+
+
+def test_memory_of_final_traces_does_not_grow_with_the_budget(tmp_path):
+    doc = _small_matfac_grid(tmp_path, "final")
     # tracemalloc slows the run tenfold, hence budgets of 200 and 2,000
     short = _traced_peak(doc, 200, tmp_path / "short")
     long = _traced_peak(doc, 2000, tmp_path / "long")
@@ -241,14 +307,26 @@ def test_memory_of_final_traces_does_not_grow_with_the_budget(tmp_path):
     assert long <= short + 4096, (short, long)
 
 
-def _diverging_grid(tmp_path, trace: str):
-    """Config path of a grid whose ``penalty_lambda=100`` cell diverges."""
+def test_memory_of_every_row_traces_does_not_grow_with_the_budget(tmp_path):
+    # the rows stream to the trace CSVs in blocks of 256 iterations; both
+    # budgets fill a block whose iteration numbers are not cached small ints
+    doc = _small_matfac_grid(tmp_path, "all")
+    short = _traced_peak(doc, 600, tmp_path / "short")
+    long = _traced_peak(doc, 2000, tmp_path / "long")
+    # a table of every row would add 1400 rows * 4 runs * 14 columns * 8 B = 627 kB
+    assert long <= short + 4096, (short, long)
+    assert len((tmp_path / "long" / "penalty_lambda=100.csv").read_text().splitlines()) == 2001
+
+
+def _diverging_grid(tmp_path, trace: str, lam: float = 100):
+    """Config path of a grid whose ``penalty_lambda={lam}`` cell diverges
+    (at iteration 159 for lambda = 100, 312 for 40)."""
     doc = {
         "kind": "experiment",
         "problem": {"name": "quadratic", "n": 3},
         "methods": [
             {"kind": "dbgd", "beta": 1.0},
-            {"kind": "penalty", "lambda": [1, 100, 2]},
+            {"kind": "penalty", "lambda": [1, lam, 2]},
         ],
         "run": {
             "x0": [0.3, 0.3, 0.3],
@@ -269,10 +347,11 @@ def test_divergence_in_a_batch_names_the_diverging_cell(tmp_path, capsys):
     assert "divergence" in err and "in cell penalty_lambda=100" in err
 
 
-def test_a_diverging_batch_writes_no_output_file(tmp_path, capsys):
-    # the other cells' rows written before the divergence are removed too
-    assert cli.main(["run", str(_diverging_grid(tmp_path, "all"))]) == 3
-    assert "in cell penalty_lambda=100" in capsys.readouterr().err
+@pytest.mark.parametrize("lam", [100, 40])
+def test_a_diverging_batch_writes_no_output_file(tmp_path, capsys, lam):
+    # lambda = 40 diverges after a first block of 256 rows has been written
+    assert cli.main(["run", str(_diverging_grid(tmp_path, "all", lam))]) == 3
+    assert f"in cell penalty_lambda={lam}" in capsys.readouterr().err
     assert sorted(p.name for p in (tmp_path / "div").iterdir()) == []
 
 
