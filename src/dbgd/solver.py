@@ -302,6 +302,27 @@ def _diverged(iteration: int, what: str, cell: Array, *values: Array) -> None:
     raise DivergenceError(iteration, what, int(cell[bad].min()))
 
 
+#: Columns an iteration computes from ``gg``, ``lam``, ``d`` and ``f``, ``g``
+#: at the next iterate: each of those that is not finite leaves one of the
+#: columns non-finite (``d_sq`` for ``d``, the decreases for ``f`` and ``g``),
+#: and so does an overflow of a column.
+_NEW = np.array([_GRAD_G_SQ, _LAM, _D_SQ, _DELTA_F, _DELTA_G, _POTENTIAL])
+
+
+def _diverged_row(iteration: int, cell: Array, gf: Array, row: Array, f_next: Array,
+                  g_next: Array) -> None:
+    """Raise :class:`DivergenceError` for the first non-finite quantity of
+    an iteration, in the order the iteration computes them."""
+    for what, values in (
+        ("gradient", (gf, row[:, _GRAD_G_SQ])),
+        ("direction", (row[:, _D_SQ], row[:, _LAM])),
+        ("objective value", (f_next, g_next)),
+        ("decrease or potential", (row[:, _DELTA_F:_DEGENERATE],)),
+    ):
+        if not all(np.isfinite(value).all() for value in values):
+            _diverged(iteration, what, cell, *values)
+
+
 def run(problem: ProblemSpec, config, x0: Array, keep: Union[str, RowSink] = "all"):
     """Execute the iteration and return the trace of each run.
 
@@ -401,10 +422,6 @@ def _run_batch(
         while True:
             gf = problem.eval_grad_f(x)
             gg = problem.eval_grad_g(x)
-            gg_sq = row_dot(gg, gg)  # finite only where gg is
-            if not (np.isfinite(gf).all() and np.isfinite(gg_sq).all()):
-                _diverged(k, "gradient", cell, gf, gg_sq)
-
             row = np.empty((n, len(COLUMNS))) if sink is None else block_rows[buffered]
             d = np.empty_like(gf)
             for rows, rule in groups:
@@ -412,16 +429,12 @@ def _run_batch(
                 d[rows] = res.d
                 row[rows, _LAM] = res.lam
                 row[rows, _DEGENERATE] = res.degenerate
-            d_sq = row_dot(d, d)
-            if not (np.isfinite(d_sq).all() and np.isfinite(row[:, _LAM]).all()):
-                _diverged(k, "direction", cell, d_sq, row[:, _LAM])
-
             x_next = x - eta * d
             f_next = problem.eval_f(x_next)
             g_next = problem.eval_g(x_next)
-            if not (np.isfinite(f_next).all() and np.isfinite(g_next).all()):
-                _diverged(k, "objective value", cell, f_next, g_next)
 
+            gg_sq = row_dot(gg, gg)
+            d_sq = row_dot(d, d)
             row[:, _F] = f_now
             row[:, _G] = g_now
             row[:, _GRAD_G_SQ] = gg_sq
@@ -429,8 +442,8 @@ def _run_batch(
             row[:, _DELTA_F] = f_now - f_next
             row[:, _DELTA_G] = g_now - g_next
             row[:, _POTENTIAL] = 0.5 * d_sq + pot_coef * gg_sq
-            if not np.isfinite(row[:, _DELTA_F:_DEGENERATE]).all():  # the decreases, the potential
-                _diverged(k, "decrease or potential", cell, row[:, _DELTA_F:_DEGENERATE])
+            if not (np.isfinite(gf).all() and np.isfinite(row[:, _NEW]).all()):
+                _diverged_row(k, cell, gf, row, f_next, g_next)
             if sink is not None:
                 block_gf[buffered], block_gg[buffered] = gf, gg
                 buffered += 1
