@@ -382,6 +382,23 @@ def test_a_run_that_overflows_in_its_last_row_diverges(keep):
     for problem, x0, config in runs:
         with pytest.raises(DivergenceError) as err:
             run(problem, config, x0, keep=keep)
-        assert err.value.iteration == config.iterations - 1, config
+        assert (err.value.iteration, err.value.what) == (config.iterations - 1, "direction")
         shorter = run(problem, replace(config, iterations=config.iterations - 1), x0, keep=keep)
         assert np.isfinite(shorter.table[:, ~np.isin(solver.COLUMNS, ["cos_theta"])]).all()
+
+
+def test_divergence_names_the_first_non_finite_quantity():
+    # a NaN gradient also makes the direction, the next iterate and its
+    # objective values NaN; the error names the gradient, computed first
+    base = quadratic_sanity_problem(3)
+
+    def grad_f(x):
+        return np.where(x[..., :1] < 0.25, np.nan, base.grad_f(x))
+
+    problem = replace(base, grad_f=grad_f)
+    configs = [SolverConfig(Penalty(1.0), 0.1, 50), SolverConfig(GradNormSquared(0.5), 0.1, 50)]
+    starts = np.array([[0.9, 0.3, 0.3], [0.3, 0.3, 0.3]])
+    with pytest.raises(DivergenceError) as err:
+        run(problem, configs, starts)
+    assert (err.value.what, err.value.cell) == ("gradient", 1)
+    assert err.value.iteration > 0
