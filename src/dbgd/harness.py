@@ -596,7 +596,7 @@ class _TraceWriter:
     def discard(self) -> None:
         """Remove the files written so far."""
         for path in self.opened:
-            path.unlink()
+            path.unlink(missing_ok=True)
 
 
 def _values(trace: TraceRecord, row: int, columns: tuple[str, ...]) -> list:

@@ -2,11 +2,12 @@
 
 A command advances all its runs (grid cells, initializations, ``(p, K)``
 pairs) as one ``(runs, dim)`` array.  These tests pin that doing so
-changes no bit of any run, that the streamed summary of a best-and-last
-run equals the one read from full traces, that memory does not grow with
-the budget when rows are not all kept, that the gradient-geometry
-columns are computed only for the rows a run keeps, and that divergence
-still aborts the batch naming the run.
+changes no bit of any run, nor does streaming every row in blocks, that
+the streamed summary of a best-and-last run equals the one read from
+full traces, that memory does not grow with the budget, that the
+gradient-geometry columns are computed only for the rows a run keeps,
+and that divergence still aborts the batch naming the run and leaves no
+output file.
 """
 
 import json
@@ -356,8 +357,8 @@ def test_a_diverging_batch_writes_no_output_file(tmp_path, capsys, lam):
 
 
 def test_a_run_that_ended_never_diverges():
-    # lambda = 100 at eta = 0.1 grows by a factor 9 per step and overflows
-    # after about 320 steps: within a budget of 100 it must finish cleanly,
+    # lambda = 100 at eta = 0.1 grows by a factor 9 per step and its d_sq
+    # overflows after 159 steps: within a budget of 100 it must finish cleanly,
     # however long the rest of its batch runs on
     problem = quadratic_sanity_problem(3)
     unstable = SolverConfig(Penalty(100.0), 0.1, 100, scale_penalty_step=False)
