@@ -6,17 +6,17 @@ Runs ``dbgd run`` on ``toy.json``, ``matfac.json``, ``matfac-log.json`` and
 ``matfac.json --iterations 100000``, ``dbgd casestudy`` on
 ``casestudy.json`` and ``dbgd rates`` on both rates configs, each into its
 own subdirectory of ``DIR``, with the ``dbgd`` package of the checkout this
-script sits in.  It also writes three configs of its own under
+script sits in.  It also writes six configs of its own under
 ``DIR/configs`` and runs them: one cell of every method kind on a
 3-dimensional quadratic (``g* = 0``) with every trace row, a
 scheduled-step dbgd run on the toy with final rows only, the bundled
 case study under the scheduled step with every trace row, a toy grid with
-stop tolerances and every trace row (its cells stop at unequal
-iterations), and ``matfac.json`` with every trace row at 700 iterations (a
-budget that is not a multiple of 256, on 20 cells of dimension 100), so
-that every method the harness can build, both step modes of every config
-kind that has them, and every-row traces of runs that end early or late
-are covered.  It then prints one
+stop tolerances (its cells stop at unequal iterations) once with every
+trace row and once with final rows only, and ``matfac.json`` with every
+trace row at 700 iterations (a budget that is not a multiple of 256, on
+20 cells of dimension 100), so that every method the harness can build,
+both step modes of every config kind that has them, and runs that end
+early or late under either trace granularity are covered.  It then prints one
 ``sha256  relative/path`` line per file under ``DIR``, sorted by path, so
 that two checkouts write byte-identical outputs exactly when ``diff`` of
 their printouts is empty.  It writes nothing outside ``DIR``; the
@@ -51,11 +51,29 @@ RUNS = (
     ("scheduled", ["run", "scheduled.json"]),
     ("scheduled-casestudy", ["casestudy", "scheduled-casestudy.json"]),
     ("stopping", ["run", "stopping.json"]),
+    ("stopping-final", ["run", "stopping-final.json"]),
     ("matfac-all-700", ["run", "matfac-all.json", "--iterations", "700"]),
 )
 
 _CASESTUDY = json.loads((CONFIGS / "casestudy.json").read_text())
 _MATFAC = json.loads((CONFIGS / "matfac.json").read_text())
+
+#: A toy grid with stop tolerances: its cells stop at unequal iterations.
+_STOPPING = {
+    "kind": "experiment",
+    "problem": {"name": "toy"},
+    "methods": [
+        {"kind": "dbgd", "beta": [0.5, 1.0]},
+        {"kind": "bloop", "beta": 0.5},
+        {"kind": "penalty", "lambda": [1, 10, 100, 1000]},
+    ],
+    "run": {
+        "x0": [-3.0, -1.0],
+        "iterations": 1000,
+        "step": {"mode": "constant", "eta": 0.01},
+        "stop_tolerances": [1e-9, 1e-20],
+    },
+}
 
 #: Configs this script writes, by file name.
 GENERATED = {
@@ -84,21 +102,9 @@ GENERATED = {
         "run": {**_CASESTUDY["run"], "step": {"mode": "scheduled", "p": 1.0}},
         "output": {"directory": "scheduled-casestudy", "trace": "all"},
     },
-    "stopping.json": {
-        "kind": "experiment",
-        "problem": {"name": "toy"},
-        "methods": [
-            {"kind": "dbgd", "beta": [0.5, 1.0]},
-            {"kind": "bloop", "beta": 0.5},
-            {"kind": "penalty", "lambda": [1, 10, 100, 1000]},
-        ],
-        "run": {
-            "x0": [-3.0, -1.0],
-            "iterations": 1000,
-            "step": {"mode": "constant", "eta": 0.01},
-            "stop_tolerances": [1e-9, 1e-20],
-        },
-        "output": {"directory": "stopping", "trace": "all"},
+    "stopping.json": {**_STOPPING, "output": {"directory": "stopping", "trace": "all"}},
+    "stopping-final.json": {
+        **_STOPPING, "output": {"directory": "stopping-final", "trace": "final"},
     },
     "matfac-all.json": {**_MATFAC, "output": {"directory": "matfac-all", "trace": "all"}},
 }
