@@ -56,7 +56,9 @@ from .solver import (
     COLUMNS,
     SolverConfig,
     TraceRecord,
+    _BestLast,
     _setup,
+    fill_geometry,
     run,
     scheduled_step,
 )
@@ -110,7 +112,6 @@ _SUMMARY_BEST = ("k", "potential", "grad_g_sq", "d_sq")
 _CASES_FINAL = ("lam", "grad_f_sq", "grad_g_sq", "cos_theta")
 
 _COS_DEFINED = COLUMNS.index("cos_defined")
-_POTENTIAL = COLUMNS.index("potential")
 #: One row per kept trace row: ``k``, then every column but ``cos_defined``.
 TRACE_CSV = CsvSchema("k", *(name for name in COLUMNS if name != "cos_defined"))
 #: One row per experiment cell.
@@ -561,37 +562,29 @@ def trace_csv(trace: TraceRecord | TraceRows, granularity: str = "all", header: 
     return TRACE_CSV.text(lines, header=header)
 
 
-class _TraceWriter:
+class _TraceWriter(_BestLast):
     """The solver's row sink under ``trace: all``.
 
-    Appends each block of rows to its run's trace CSV at ``paths[i]`` and
-    keeps each run's minimal-potential row (the earliest on ties) and last
-    row, which its trace holds, as under ``keep="best-last"``.
+    Fills the geometry of every row of a block and appends the block to
+    its run's trace CSV at ``paths[i]``; each run's trace holds its
+    minimal-potential and last rows, kept as ``keep="best-last"`` keeps them.
     """
 
-    def __init__(self, paths: list[Path]):
+    def __init__(self, paths: list[Path], dim: int):
+        super().__init__(len(paths), dim)
         self.paths = paths
         self.opened: list[Path] = []
-        self.best = np.full((len(paths), len(COLUMNS)), np.inf)
-        self.best_k = np.zeros(len(paths), dtype=int)
-        self.last = np.empty_like(self.best)
 
-    def block(self, k0: int, cell: np.ndarray, rows: np.ndarray) -> None:
+    def block(self, k0: int, cell: np.ndarray, rows: np.ndarray, gf: np.ndarray,
+              gg: np.ndarray, guard: np.ndarray) -> None:
+        fill_geometry(rows, gf, gg, guard)
         ks = np.arange(k0, k0 + len(rows))
         for j, i in enumerate(cell.tolist()):
             if k0 == 0:
                 self.opened.append(self.paths[i])
             with open(self.paths[i], "a" if k0 else "w") as fh:
                 fh.write(trace_csv(TraceRows(rows[:, j], ks), header=k0 == 0))
-        first = rows[:, :, _POTENTIAL].argmin(axis=0)
-        candidate = rows[first, np.arange(len(cell))]
-        better = candidate[:, _POTENTIAL] < self.best[cell, _POTENTIAL]
-        self.best[cell[better]] = candidate[better]
-        self.best_k[cell[better]] = k0 + first[better]
-        self.last[cell] = rows[-1]
-
-    def kept(self, i: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        return np.stack([self.best[i], self.last[i]]), np.array([self.best_k[i], rows - 1])
+        super().block(k0, cell, rows, gf, gg, guard)
 
     def discard(self) -> None:
         """Remove the files written so far."""
@@ -634,7 +627,7 @@ def _run_and_write(
     out.mkdir(parents=True, exist_ok=True)
     names = [name for name, _ in runs]
     paths = [out / f"{name}.csv" for name in names]
-    writer = _TraceWriter(paths) if granularity == "all" else None
+    writer = _TraceWriter(paths, problem.dim) if granularity == "all" else None
     for name, config in runs:
         for warning in _setup(problem.smoothness, config).warnings:
             print(f"warning: {name}: {warning}", file=sys.stderr)

@@ -10,10 +10,10 @@ over the trace is the certified near-stationary iterate.
 
 Each iteration computes what decides a run: ``f``, ``g``, ``lam``,
 ``degenerate``, ``d_sq``, ``grad_g_sq``, the decreases and the potential.
-The gradient-geometry columns are computed only for the rows a run keeps:
-a run that keeps every row buffers its rows with their gradients and fills
-the geometry of a block of iterations at once, then hands the block to a
-sink, which keeps it in memory or writes it out.
+A run buffers its rows with their gradients for a block of iterations
+and hands the block to a sink, which decides what the run keeps: every
+row, in memory or written out, or the best and the last row.  The
+gradient-geometry columns are filled only for the rows a sink keeps.
 """
 
 from __future__ import annotations
@@ -121,12 +121,11 @@ class TraceRecord:
 
     ``table`` holds the kept rows, one column per name in ``COLUMNS``,
     each also an attribute (``trace.d_sq``); ``k`` holds their iteration
-    indices.  A run that keeps ``"all"`` rows keeps every row; one that
-    keeps ``"best-last"`` keeps its minimal-potential row (the earliest on
-    ties) followed by its last row; one that streams its rows to a
-    :class:`RowSink` keeps what the sink returns.  ``len(trace)`` counts
-    the rows the run recorded, kept or not.  ``clamp_count`` is the number
-    of rows whose ``g_star``-based barrier level was clamped at zero
+    indices, as the :class:`RowSink` of the run returned them: every row
+    under ``keep="all"``, and under ``"best-last"`` the minimal-potential
+    row (the earliest on ties) followed by the last row.  ``len(trace)``
+    counts the rows the run recorded, kept or not.  ``clamp_count`` is the
+    number of rows whose ``g_star``-based barrier level was clamped at zero
     because ``g`` lay below ``g_star``; ``degenerate_steps`` counts the
     degenerate rows.
     """
@@ -233,8 +232,13 @@ def _direction(rule: Method, gf: Array, gg: Array, g_now: Array, guard: Array) -
     return dbgd_direction(gf, gg, barrier_value(rule, g_now, gg), guard)
 
 
-def _fill_geometry(row: Array, gf: Array, gg: Array, guard: Array) -> Array:
-    """Fill the geometry columns of ``row`` from its gradients; return ``row``."""
+def fill_geometry(rows: Array, gf: Array, gg: Array, guard: Array) -> Array:
+    """Fill the geometry columns of ``rows[iteration, run]`` from the rows'
+    gradients ``gf[iteration, run]`` and ``gg[iteration, run]`` and the
+    runs' guards ``guard[run]``; return ``rows``."""
+    b, n = rows.shape[:2]
+    row, gf, gg = (a.reshape(b * n, -1) for a in (rows, gf, gg))
+    guard = np.tile(guard, b)
     gf_sq = row_dot(gf, gf)
     gg_sq = row[:, _GRAD_G_SQ]
     par, perp = decompose_grad_f(gf, gg, guard)
@@ -245,21 +249,26 @@ def _fill_geometry(row: Array, gf: Array, gg: Array, guard: Array) -> Array:
     row[:, _F_PERP_SQ] = row_dot(perp, perp)
     row[:, _F_PAR_SQ] = row_dot(par, par)
     row[:, _COS_DEFINED] = defined
-    return row
+    return rows
 
 
 class RowSink(Protocol):
-    """Where a run that keeps every row puts its rows, block by block.
+    """Where a run puts its rows, block by block, and what its trace keeps.
 
-    ``block(k0, cell, rows)`` takes the rows of iterations ``k0,
-    k0 + 1, ...`` of the runs ``cell`` (indices of the batch's configs) as
-    ``rows[iteration, run, column]``, every column filled; the array is
-    reused after the call.  A run's blocks come in iteration order, and a
-    block holds no row after the run ended.  ``kept(i, rows)`` returns the
-    ``(table, k)`` of the trace of run ``i``, which recorded ``rows`` rows.
+    ``block(k0, cell, rows, gf, gg, guard)`` takes the rows of iterations
+    ``k0, k0 + 1, ...`` of the runs ``cell`` (indices of the batch's
+    configs) as ``rows[iteration, run, column]``, with the gradients
+    ``gf``/``gg[iteration, run]`` of each row and the runs' guards
+    ``guard[run]``.  Every column but the geometry ones is filled; the sink
+    fills those of the rows it keeps with :func:`fill_geometry`.  The
+    arrays are reused after the call.  A run's blocks come in iteration
+    order, and a block holds no row after the run ended.  ``kept(i,
+    rows)`` returns the ``(table, k)`` of the trace of run ``i``, which
+    recorded ``rows`` rows.
     """
 
-    def block(self, k0: int, cell: Array, rows: Array) -> None: ...
+    def block(self, k0: int, cell: Array, rows: Array, gf: Array, gg: Array,
+              guard: Array) -> None: ...
 
     def kept(self, i: int, rows: int) -> tuple[Array, Array]: ...
 
@@ -270,27 +279,47 @@ class _Table:
     def __init__(self, iterations: int, cells: int):
         self.table = np.empty((iterations, cells, len(COLUMNS)))
 
-    def block(self, k0: int, cell: Array, rows: Array) -> None:
-        self.table[k0:k0 + len(rows), cell] = rows
+    def block(self, k0: int, cell: Array, rows: Array, gf: Array, gg: Array,
+              guard: Array) -> None:
+        self.table[k0:k0 + len(rows), cell] = fill_geometry(rows, gf, gg, guard)
 
     def kept(self, i: int, rows: int) -> tuple[Array, Array]:
         return self.table[:rows, i], np.arange(rows)
 
 
-#: Bytes of the gradient rows a run that keeps every row buffers, in
-#: blocks of at most ``_BLOCK_ITERATIONS`` iterations, before it fills
-#: their geometry columns.
+class _BestLast:
+    """The :class:`RowSink` of ``keep="best-last"``: each run's first
+    minimal-potential row ``rows[0]`` and its last row ``rows[1]``, with
+    their gradients, whose geometry is filled when the trace is taken."""
+
+    def __init__(self, cells: int, dim: int):
+        self.rows = np.full((2, cells, len(COLUMNS)), np.inf)
+        self.gf, self.gg = np.empty((2, 2, cells, dim))
+        self.best_k = np.zeros(cells, dtype=int)
+        self.guard = np.empty(cells)
+
+    def block(self, k0: int, cell: Array, rows: Array, gf: Array, gg: Array,
+              guard: Array) -> None:
+        first = rows[:, :, _POTENTIAL].argmin(axis=0)
+        runs = np.arange(len(cell))
+        better = rows[first, runs, _POTENTIAL] < self.rows[0, cell, _POTENTIAL]
+        first, runs = first[better], runs[better]
+        for mine, theirs in ((self.rows, rows), (self.gf, gf), (self.gg, gg)):
+            mine[0, cell[better]] = theirs[first, runs]
+            mine[1, cell] = theirs[-1]
+        self.best_k[cell[better]] = k0 + first
+        self.guard[cell] = guard
+
+    def kept(self, i: int, rows: int) -> tuple[Array, Array]:
+        table = fill_geometry(self.rows[:, [i]], self.gf[:, [i]], self.gg[:, [i]],
+                              self.guard[[i]])
+        return table[:, 0], np.array([self.best_k[i], rows - 1])
+
+
+#: Bytes of the gradient rows a run buffers, in blocks of at most
+#: ``_BLOCK_ITERATIONS`` iterations, before it hands them to its sink.
 _BLOCK_BYTES = 1 << 20
 _BLOCK_ITERATIONS = 256
-
-
-def _flush(sink: RowSink, k0: int, cell: Array, rows: Array, gf: Array, gg: Array,
-           guard: Array) -> None:
-    """Fill the geometry of buffered ``rows[iteration, run]`` and hand them to ``sink``."""
-    b, n = rows.shape[:2]
-    _fill_geometry(rows.reshape(b * n, -1), gf.reshape(b * n, -1), gg.reshape(b * n, -1),
-                   np.tile(guard, b))
-    sink.block(k0, cell, rows)
 
 
 def _diverged(iteration: int, what: str, cell: Array, *values: Array) -> None:
@@ -329,11 +358,11 @@ def run(problem: ProblemSpec, config, x0: Array, keep: Union[str, RowSink] = "al
     ``config`` is one :class:`SolverConfig`, which runs as a batch of one
     and returns its :class:`TraceRecord`, or a sequence of them, which run
     as one batch and return a :class:`BatchTrace`.  ``x0`` is one start
-    point for every run, or one row per run.  ``keep`` is ``"all"`` (every
-    row), ``"best-last"`` (the minimal-potential and last rows, so that
-    memory does not grow with the budget) or a :class:`RowSink`, which
-    receives every row as it is computed, in blocks of up to 256
-    iterations, and decides what each trace keeps.
+    point for every run, or one row per run.  Every row goes, in blocks of
+    up to 256 iterations, to a :class:`RowSink`, which decides what each
+    trace keeps: ``keep`` is that sink, ``"all"`` (every row, in memory)
+    or ``"best-last"`` (the minimal-potential and last rows, so that memory
+    does not grow with the budget).
 
     A batch advances all its runs as one ``(runs, dim)`` array, each run
     with its own method, step, budget and stop state; a run's trace is bit
@@ -355,8 +384,6 @@ def run(problem: ProblemSpec, config, x0: Array, keep: Union[str, RowSink] = "al
 def _run_batch(
     problem: ProblemSpec, configs: list[SolverConfig], x0: Array, keep: Union[str, RowSink]
 ) -> BatchTrace:
-    if isinstance(keep, str) and keep not in ("all", "best-last"):
-        raise ValueError(f"unknown keep {keep!r}")
     if not configs:
         raise ValueError("a batch needs at least one config")
     cells, dim = len(configs), problem.dim
@@ -366,6 +393,17 @@ def _run_batch(
     if not np.all(np.isfinite(x0)):
         raise ConfigurationError("x0 must be finite")
     setups = [_setup(problem.smoothness, config) for config in configs]
+    budget_max = max(config.iterations for config in configs)
+    if not isinstance(keep, str):
+        sink = keep
+    elif keep == "all":
+        sink = _Table(budget_max, cells)
+    elif keep == "best-last":
+        sink = _BestLast(cells, dim)
+    else:
+        raise ValueError(f"unknown keep {keep!r}")
+    # two gradients of 8-byte floats per run and iteration
+    block = max(1, min(_BLOCK_ITERATIONS, budget_max, _BLOCK_BYTES // (16 * cells * dim)))
 
     # Rows of a kind sit together; active row j runs configs[cell[j]].
     cell = np.array(sorted(range(cells), key=lambda i: _KINDS.index(type(configs[i].method))))
@@ -385,23 +423,12 @@ def _run_batch(
     if not (np.isfinite(f_now).all() and np.isfinite(g_now).all()):
         _diverged(0, "objective value", cell, f_now, g_now)
 
-    budget_max = max(config.iterations for config in configs)
-    if keep == "best-last":
-        sink = None
-    else:
-        sink = _Table(budget_max, cells) if keep == "all" else keep
-        # two gradients of 8-byte floats per run and iteration
-        block = max(1, min(_BLOCK_ITERATIONS, budget_max, _BLOCK_BYTES // (16 * cells * dim)))
-    best = best_k = None
     out = {
         "rows": np.zeros(cells, dtype=int),
         "stopped": np.zeros(cells, dtype=bool),
         "final_x": np.empty((cells, dim)),
         "clamps": np.zeros(cells, dtype=int),
         "degenerate": np.zeros(cells, dtype=int),
-        "best": np.empty((cells, len(COLUMNS))),
-        "best_k": np.zeros(cells, dtype=int),
-        "last": np.empty((cells, len(COLUMNS))),
     }
 
     k = 0
@@ -415,14 +442,13 @@ def _run_batch(
         horizon = int(budget.min())
         stopping = bool(np.isfinite(eps_f).any())
         clamping = bool(np.isfinite(clamp_ref).any())
-        if sink is not None:
-            buffered = 0
-            block_rows = np.empty((block, n, len(COLUMNS)))
-            block_gf, block_gg = np.empty((2, block, n, dim))
+        buffered = 0
+        block_rows = np.empty((block, n, len(COLUMNS)))
+        block_gf, block_gg = np.empty((2, block, n, dim))
         while True:
             gf = problem.eval_grad_f(x)
             gg = problem.eval_grad_g(x)
-            row = np.empty((n, len(COLUMNS))) if sink is None else block_rows[buffered]
+            row = block_rows[buffered]
             d = np.empty_like(gf)
             for rows, rule in groups:
                 res = _direction(rule, gf[rows], gg[rows], g_now[rows], guard[rows])
@@ -444,22 +470,11 @@ def _run_batch(
             row[:, _POTENTIAL] = 0.5 * d_sq + pot_coef * gg_sq
             if not (np.isfinite(gf).all() and np.isfinite(row[:, _NEW]).all()):
                 _diverged_row(k, cell, gf, row, f_next, g_next)
-            if sink is not None:
-                block_gf[buffered], block_gg[buffered] = gf, gg
-                buffered += 1
-                if buffered == block:
-                    _flush(sink, k + 1 - block, cell, block_rows, block_gf, block_gg, guard)
-                    buffered = 0
-            elif k == 0:
-                best, best_k = row.copy(), np.zeros(n, dtype=int)
-                best_gf, best_gg = gf.copy(), gg.copy()
-            else:
-                better = row[:, _POTENTIAL] < best[:, _POTENTIAL]
-                if better.any():
-                    best[better] = row[better]
-                    best_gf[better] = gf[better]
-                    best_gg[better] = gg[better]
-                    best_k[better] = k
+            block_gf[buffered], block_gg[buffered] = gf, gg
+            buffered += 1
+            if buffered == block:
+                sink.block(k + 1 - block, cell, block_rows, block_gf, block_gg, guard)
+                buffered = 0
             if clamping:
                 clamps += g_now < clamp_ref
             degenerate += row[:, _DEGENERATE] != 0.0
@@ -473,33 +488,22 @@ def _run_batch(
                     break
 
         # Retire the runs that ended; the others go on in a smaller batch.
-        if sink is not None and buffered:
-            _flush(sink, k - buffered, cell, block_rows[:buffered], block_gf[:buffered],
-                   block_gg[:buffered], guard)
+        if buffered:
+            sink.block(k - buffered, cell, block_rows[:buffered], block_gf[:buffered],
+                       block_gg[:buffered], guard)
         ended = cell[done]
         out["rows"][ended] = k
         out["stopped"][ended] = stopped[done]
         out["final_x"][ended] = x[done]
         out["clamps"][ended] = clamps[done]
         out["degenerate"][ended] = degenerate[done]
-        if best is not None:
-            out["best"][ended] = _fill_geometry(best[done], best_gf[done], best_gg[done], guard[done])
-            out["last"][ended] = _fill_geometry(row[done], gf[done], gg[done], guard[done])
-            out["best_k"][ended] = best_k[done]
-            best, best_k = best[~done], best_k[~done]
-            best_gf, best_gg = best_gf[~done], best_gg[~done]
         go_on = ~done
         cell, x, f_now, g_now = cell[go_on], x[go_on], f_now[go_on], g_now[go_on]
         per_row = {name: value[go_on] for name, value in per_row.items()}
 
     traces = []
     for i, (config, setup) in enumerate(zip(configs, setups)):
-        rows = int(out["rows"][i])
-        if sink is not None:
-            kept, index = sink.kept(i, rows)
-        else:
-            kept = np.stack([out["best"][i], out["last"][i]])
-            index = np.array([out["best_k"][i], rows - 1])
+        kept, index = sink.kept(i, int(out["rows"][i]))
         traces.append(TraceRecord(
             table=kept,
             k=index,

@@ -111,9 +111,9 @@ class BlockLog(solver._Table):
         super().__init__(iterations, cells)
         self.blocks = []
 
-    def block(self, k0, cell, rows):
+    def block(self, k0, cell, rows, gf, gg, guard):
         self.blocks.append((k0, len(rows), cell.tolist()))
-        super().block(k0, cell, rows)
+        super().block(k0, cell, rows, gf, gg, guard)
 
 
 def test_block_boundaries_change_no_bit():
@@ -194,7 +194,7 @@ def test_geometry_columns_are_computed_only_for_kept_rows(monkeypatch):
     # config 1 stops early, the others retire together at the budget
     assert retirements == 2
     assert count("best-last", 2000) == (short, retirements)
-    assert 0 < short <= 2 * retirements  # the best and the last row of each retirement
+    assert short == len(starts)  # one fill of the best and the last row of each run
     # every row is kept, its geometry filled once per block of rows: a block
     # ends where config 1 stops, at the budget and after 256 iterations
     stop = len(run(problem, replace(mixed_configs()[1], iterations=2000), starts[1]))
@@ -204,13 +204,15 @@ def test_geometry_columns_are_computed_only_for_kept_rows(monkeypatch):
 
 def test_deferred_geometry_reproduces_an_undefined_cosine(tmp_path):
     # at the toy's bilevel optimum both gradients vanish: every row has an
-    # undefined cosine and a zero potential, so the best row is row 0
+    # undefined cosine and a zero potential, so the best row is row 0, also
+    # when the first run's 300 rows span two blocks of 256 iterations
     optimum = [-np.pi / 20.0, -1.0]
     eta = 1e-3
-    configs = [SolverConfig(GradNormSquared(1.0), eta, 50), SolverConfig(Penalty(10.0), eta, 30)]
+    configs = [SolverConfig(GradNormSquared(1.0), eta, 300), SolverConfig(Penalty(10.0), eta, 30)]
     full = run(toy_problem(), configs, np.array(optimum)).traces
     kept = run(toy_problem(), configs, np.array(optimum), keep="best-last").traces
     for i, (a, b) in enumerate(zip(full, kept)):
+        assert int(np.argmin(a.potential)) == 0, i
         assert bits(np.stack([a.table[0], a.table[-1]])) == bits(b.table), i
         assert list(b.k) == [0, len(a) - 1], i
         assert np.isnan(b.cos_theta).all() and not b.cos_defined.any(), i
@@ -229,6 +231,26 @@ def test_deferred_geometry_reproduces_an_undefined_cosine(tmp_path):
     # 300 rows span two blocks of a streamed trace: the tie goes to row 0
     assert summaries["final"] == summaries["all"]
     assert b",NA," in summaries["all"]
+
+
+def test_an_unknown_keep_is_rejected_before_any_oracle_call():
+    calls = []
+    base = quadratic_sanity_problem(3)
+
+    def counted(oracle):
+        def call(*args):
+            calls.append(oracle.__name__)
+            return oracle(*args)
+        return call
+
+    problem = replace(base, **{name: counted(getattr(base, name))
+                               for name in ("f", "g", "grad_f", "grad_g")})
+    config = mixed_configs()[0]
+    with pytest.raises(ValueError, match="bestlast"):
+        run(problem, config, mixed_starts(1)[0], keep="bestlast")
+    assert calls == []
+    run(problem, replace(config, iterations=1), mixed_starts(1)[0], keep="best-last")
+    assert calls  # the counters see the oracles the engine calls
 
 
 def test_single_config_runs_as_a_batch_of_one():
@@ -301,8 +323,9 @@ def _small_matfac_grid(tmp_path, trace: str) -> dict:
 
 def test_memory_of_final_traces_does_not_grow_with_the_budget(tmp_path):
     doc = _small_matfac_grid(tmp_path, "final")
-    # tracemalloc slows the run tenfold, hence budgets of 200 and 2,000
-    short = _traced_peak(doc, 200, tmp_path / "short")
+    # tracemalloc slows the run tenfold, hence budgets of 300 and 2,000; both
+    # fill a block of 256 iterations, the most a run buffers
+    short = _traced_peak(doc, 300, tmp_path / "short")
     long = _traced_peak(doc, 2000, tmp_path / "long")
     # keeping every row would add 1800 rows * 4 runs * 14 columns * 8 B = 806 kB
     assert long <= short + 4096, (short, long)
