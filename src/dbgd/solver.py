@@ -289,11 +289,11 @@ class _Table:
 
 class _BestLast:
     """The :class:`RowSink` of ``keep="best-last"``: each run's first
-    minimal-potential row ``rows[0]`` and its last row ``rows[1]``, with
+    minimal-potential row ``table[0]`` and its last row ``table[1]``, with
     their gradients, whose geometry is filled when the trace is taken."""
 
     def __init__(self, cells: int, dim: int):
-        self.rows = np.full((2, cells, len(COLUMNS)), np.inf)
+        self.table = np.full((2, cells, len(COLUMNS)), np.inf)
         self.gf, self.gg = np.empty((2, 2, cells, dim))
         self.best_k = np.zeros(cells, dtype=int)
         self.guard = np.empty(cells)
@@ -302,16 +302,16 @@ class _BestLast:
               guard: Array) -> None:
         first = rows[:, :, _POTENTIAL].argmin(axis=0)
         runs = np.arange(len(cell))
-        better = rows[first, runs, _POTENTIAL] < self.rows[0, cell, _POTENTIAL]
+        better = rows[first, runs, _POTENTIAL] < self.table[0, cell, _POTENTIAL]
         first, runs = first[better], runs[better]
-        for mine, theirs in ((self.rows, rows), (self.gf, gf), (self.gg, gg)):
+        for mine, theirs in ((self.table, rows), (self.gf, gf), (self.gg, gg)):
             mine[0, cell[better]] = theirs[first, runs]
             mine[1, cell] = theirs[-1]
         self.best_k[cell[better]] = k0 + first
         self.guard[cell] = guard
 
     def kept(self, i: int, rows: int) -> tuple[Array, Array]:
-        table = fill_geometry(self.rows[:, [i]], self.gf[:, [i]], self.gg[:, [i]],
+        table = fill_geometry(self.table[:, [i]], self.gf[:, [i]], self.gg[:, [i]],
                               self.guard[[i]])
         return table[:, 0], np.array([self.best_k[i], rows - 1])
 
