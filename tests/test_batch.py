@@ -239,7 +239,7 @@ def test_an_unknown_keep_is_rejected_before_any_oracle_call():
 
     def counted(oracle):
         def call(*args):
-            calls.append(oracle.__name__)
+            calls.append(None)
             return oracle(*args)
         return call
 
@@ -327,7 +327,7 @@ def test_memory_of_final_traces_does_not_grow_with_the_budget(tmp_path):
     # fill a block of 256 iterations, the most a run buffers
     short = _traced_peak(doc, 300, tmp_path / "short")
     long = _traced_peak(doc, 2000, tmp_path / "long")
-    # keeping every row would add 1800 rows * 4 runs * 14 columns * 8 B = 806 kB
+    # keeping every row would add 1700 rows * 4 runs * 14 columns * 8 B = 762 kB
     assert long <= short + 4096, (short, long)
 
 
