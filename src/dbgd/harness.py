@@ -283,6 +283,18 @@ _PROBLEM = _tagged("name", {
 })
 
 
+@dataclasses.dataclass(frozen=True)
+class Schedule:
+    """The dbgd rule ``scheduled``: grad-norm-squared, with the ``beta`` and
+    constant step :func:`scheduled_step` gives at ``p >= 0`` for the run's budget."""
+
+    p: float
+
+    def __post_init__(self):
+        if not (self.p >= 0.0):
+            raise ValueError("p must be nonnegative")
+
+
 class MethodEntry(NamedTuple):
     """A config-buildable method.
 
@@ -294,7 +306,7 @@ class MethodEntry(NamedTuple):
 
     prefix: str
     fields: tuple[str, ...]
-    build: Callable[..., Method]
+    build: Callable[..., Method | Schedule]
     needs_g_star: bool = False
 
 
@@ -318,6 +330,7 @@ METHODS = {
         lambda g_star, eta: LowerLinearization(g_star, eta),
         needs_g_star=True,
     ),
+    ("dbgd", "scheduled"): MethodEntry("dbgd-sched", ("p",), lambda g_star, p: Schedule(p)),
     ("penalty", None): MethodEntry("penalty", ("lambda",), lambda g_star, lam: Penalty(lam)),
     ("bloop", None): MethodEntry("bloop", ("beta",), lambda g_star, beta: BloopOrthogonal(beta)),
 }
@@ -346,10 +359,7 @@ def _method_entry(block: Any, where: str) -> MethodEntry:
     return entry
 
 
-_STEP = _tagged("mode", {
-    "constant": Object({"eta": _POSITIVE}, name="constant step mode"),
-    "scheduled": Object({"p": _NONNEGATIVE}, name="scheduled step mode"),
-})
+_STEP = _tagged("mode", {"constant": Object({"eta": _POSITIVE}, name="constant step mode")})
 
 DEFAULT_CLASSIFY = {
     "case1_lambda_max": 0.1,
@@ -358,7 +368,6 @@ DEFAULT_CLASSIFY = {
     "case2_lambda_min": 10.0,
 }
 
-_RUN = {"iterations": _POSITIVE_INT, "step": _STEP}
 _OUTPUT = Object({"directory": _STRING}, {"trace": Leaf(str, ("all", "final", "none"))})
 
 #: The check of a config document, by its kind.
@@ -366,7 +375,8 @@ _CONFIG = _tagged("kind", {
     "experiment": Object({
         "problem": _PROBLEM,
         "methods": Array(_method_entry),
-        "run": Object({"x0": _X0, **_RUN}, {
+        "run": Object({"x0": _X0, "iterations": _POSITIVE_INT}, {
+            "step": _STEP,
             "guard": _POSITIVE,
             "penalty_step_scaling": Leaf(bool),
             "stop_tolerances": Array(_NONNEGATIVE, 2, exact=True),
@@ -383,7 +393,8 @@ _CONFIG = _tagged("kind", {
     "casestudy": Object({
         "problem": _PROBLEM,
         "method": _method_entry,
-        "run": Object({"initializations": Array(_VECTOR), **_RUN}, {"guard": _POSITIVE}),
+        "run": Object({"initializations": Array(_VECTOR), "iterations": _POSITIVE_INT},
+                      {"step": _STEP, "guard": _POSITIVE}),
         "output": _OUTPUT,
     }, {"classify": Object({}, dict.fromkeys(DEFAULT_CLASSIFY, _NUMBER))}),
 })
@@ -412,23 +423,17 @@ def validate_config(doc: Any) -> str:
     :func:`prepare_config`.
     """
     _CONFIG(doc, "$")
-    if "run" in doc and doc["run"]["step"]["mode"] == "scheduled":
-        if any(_method_key(block) != ("dbgd", DEFAULT_RULE) for block in _method_blocks(doc)):
-            raise ConfigurationError(
-                "scheduled step mode requires every method to be dbgd "
-                f"with the {DEFAULT_RULE} rule"
-            )
-        # a case study's grid is rejected as such by prepare_config
-        for i, block in enumerate(doc.get("methods", [])):
-            if len(_grid_values(block["beta"])) > 1:
-                raise _error(f"$.methods[{i}].beta", "the scheduled step mode sets beta "
-                             "from the budget, so a block takes one beta")
+    if "run" in doc:
+        constant = any(_method_key(block)[1] != "scheduled" for block in _method_blocks(doc))
+        if constant != ("step" in doc["run"]):
+            raise _error("$.run.step", "required by the methods without a schedule" if constant
+                         else "every method is scheduled, so a step does nothing")
     return doc["kind"]
 
 
 def prepare_config(
     doc: dict | str | Path, kind: Optional[str] = None
-) -> tuple[dict, ProblemSpec, list[tuple[str, Method]]]:
+) -> tuple[dict, ProblemSpec, list[tuple[str, Method | Schedule]]]:
     """Load and validate a config, build its problem and expand its methods.
 
     ``doc`` is a parsed document or a config file path; ``kind``, when
@@ -487,13 +492,15 @@ def _grid_values(value: Any) -> list[float]:
     return [float(value)]
 
 
-def expand_methods(blocks: list[dict], problem: ProblemSpec) -> list[tuple[str, Method]]:
+def expand_methods(
+    blocks: list[dict], problem: ProblemSpec
+) -> list[tuple[str, Method | Schedule]]:
     """Expand method blocks into named grid cells, preserving order.
 
     A value a method constructor rejects is a :class:`ConfigurationError`
     naming its block.
     """
-    cells: list[tuple[str, Method]] = []
+    cells: list[tuple[str, Method | Schedule]] = []
     for i, block in enumerate(blocks):
         where = f"methods[{i}]"
         entry = _method_entry(block, where)
@@ -516,15 +523,16 @@ def expand_methods(blocks: list[dict], problem: ProblemSpec) -> list[tuple[str, 
     return cells
 
 
-def _build_solver_config(run_block: dict, method: Method, problem: ProblemSpec) -> SolverConfig:
-    """The config of one run; a scheduled step resolves to its ``eta`` and
+def _build_solver_config(
+    run_block: dict, method: Method | Schedule, problem: ProblemSpec
+) -> SolverConfig:
+    """The config of one run; a :class:`Schedule` resolves to its ``eta`` and
     its grad-norm-squared ``beta`` for the block's budget."""
-    step = run_block["step"]
-    if step["mode"] == "scheduled":
-        eta, beta = scheduled_step(problem.smoothness, run_block["iterations"], step["p"])
+    if isinstance(method, Schedule):
+        eta, beta = scheduled_step(problem.smoothness, run_block["iterations"], method.p)
         method = GradNormSquared(beta)
     else:
-        eta = step["eta"]
+        eta = run_block["step"]["eta"]
     stop = run_block.get("stop_tolerances")
     options = {
         arg: run_block[key]
@@ -540,25 +548,14 @@ def _build_solver_config(run_block: dict, method: Method, problem: ProblemSpec) 
     )
 
 
-class TraceRows(NamedTuple):
-    """Trace rows: ``table`` as in :class:`TraceRecord`, ``k`` their iterations."""
-
-    table: np.ndarray
-    k: np.ndarray
-
-
-def trace_csv(trace: TraceRecord | TraceRows, granularity: str = "all", header: bool = True) -> str:
-    """Render the kept rows of a trace, or the last one under ``final``
-    granularity, as CSV text after the header when ``header``."""
-    if granularity == "all":
-        rows, ks = trace.table, trace.k
-    else:
-        rows, ks = trace.table[-1:], trace.k[-1:]
+def trace_csv(table: np.ndarray, k: np.ndarray, header: bool = True) -> str:
+    """Render trace rows (``table`` as in :class:`TraceRecord`, ``k`` their
+    iterations) as CSV text, after the header when ``header``."""
     templates = TRACE_CSV.templates  # the row loop is the hot path of trace output
     lines = []
-    for k, row in zip(ks.tolist(), rows.tolist()):
+    for ki, row in zip(k.tolist(), table.tolist()):
         cos_defined = row.pop(_COS_DEFINED)
-        lines.append(templates[cos_defined] % (k, *row))
+        lines.append(templates[cos_defined] % (ki, *row))
     return TRACE_CSV.text(lines, header=header)
 
 
@@ -583,7 +580,7 @@ class _TraceWriter(_BestLast):
             if k0 == 0:
                 self.opened.append(self.paths[i])
             with open(self.paths[i], "a" if k0 else "w") as fh:
-                fh.write(trace_csv(TraceRows(rows[:, j], ks), header=k0 == 0))
+                fh.write(trace_csv(rows[:, j], ks, header=k0 == 0))
         super().block(k0, cell, rows, gf, gg, guard)
 
     def discard(self) -> None:
@@ -644,7 +641,7 @@ def _run_and_write(
         raise
     if granularity == "final":
         for path, trace in zip(paths, batch.traces):
-            path.write_text(trace_csv(trace, "final"))
+            path.write_text(trace_csv(trace.table[-1:], trace.k[-1:]))
     return out, batch.traces
 
 

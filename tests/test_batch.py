@@ -295,6 +295,12 @@ def test_streamed_summary_equals_summary_of_full_traces(tmp_path):
         assert final == [full[0], full[-1]]
 
 
+def _warm_up(doc: dict, out) -> None:
+    """Run ``doc`` once untraced, so that the first traced run of a fresh
+    process counts no one-time allocations (lazy imports and caches)."""
+    run_experiment(doc, output_dir=out, iterations_override=300)
+
+
 def _traced_peak(doc: dict, iterations: int, out) -> int:
     tracemalloc.start()
     try:
@@ -325,6 +331,7 @@ def test_memory_of_final_traces_does_not_grow_with_the_budget(tmp_path):
     doc = _small_matfac_grid(tmp_path, "final")
     # tracemalloc slows the run tenfold, hence budgets of 300 and 2,000; both
     # fill a block of 256 iterations, the most a run buffers
+    _warm_up(doc, tmp_path / "warm-up")
     short = _traced_peak(doc, 300, tmp_path / "short")
     long = _traced_peak(doc, 2000, tmp_path / "long")
     # keeping every row would add 1700 rows * 4 runs * 14 columns * 8 B = 762 kB
@@ -335,6 +342,7 @@ def test_memory_of_every_row_traces_does_not_grow_with_the_budget(tmp_path):
     # the rows stream to the trace CSVs in blocks of 256 iterations; both
     # budgets fill a block whose iteration numbers are not cached small ints
     doc = _small_matfac_grid(tmp_path, "all")
+    _warm_up(doc, tmp_path / "warm-up")
     short = _traced_peak(doc, 600, tmp_path / "short")
     long = _traced_peak(doc, 2000, tmp_path / "long")
     # a table of every row would add 1400 rows * 4 runs * 14 columns * 8 B = 627 kB

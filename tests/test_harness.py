@@ -1,7 +1,6 @@
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 import typing
@@ -12,6 +11,7 @@ import pytest
 
 import dbgd
 import dbgd.cli as cli
+import dbgd.harness as harness
 from dbgd import (
     CapabilityError,
     ConfigurationError,
@@ -27,6 +27,8 @@ from dbgd.harness import (
     METHODS,
     SUMMARY_CSV,
     TRACE_CSV,
+    Schedule,
+    _build_solver_config,
     build_problem,
     expand_methods,
     load_config,
@@ -121,8 +123,17 @@ def mutated(base: str, path: tuple, value):
 
 EXP, RATES, CASE = "matfac.json", "rates-quadratic.json", "casestudy.json"
 
-# One invalid config per rule: the change of a bundled config and a word
-# the error message names.
+
+def scheduled_casestudy(p) -> dict:
+    """The bundled case study, its method scheduled at ``p`` and its step dropped."""
+    doc = json.loads(bundled(CASE).read_text())
+    doc["method"] = {"kind": "dbgd", "rule": "scheduled", "p": p}
+    del doc["run"]["step"]
+    return doc
+
+
+# One invalid config per rule, each an exit 2 from `dbgd validate`: the
+# change of a bundled config and a word the error message names.
 REJECTED_CONFIGS = [pytest.param(*case, id=id_) for id_, case in {
     # unknown and missing keys at every level
     "top-unknown": (EXP, ("plot",), True, "plot"),
@@ -143,10 +154,14 @@ REJECTED_CONFIGS = [pytest.param(*case, id=id_) for id_, case in {
     "step-unknown": (EXP, ("run", "step", "eta0"), 0.1, "eta0"),
     "step-missing-mode": (EXP, ("run", "step", "mode"), DROP, "mode"),
     "step-missing-eta": (EXP, ("run", "step", "eta"), DROP, "eta"),
-    "step-missing-p": (EXP, ("run", "step"), {"mode": "scheduled"}, "'p'"),
+    "step-mode-scheduled": (EXP, ("run", "step"), {"mode": "scheduled", "p": 1}, "step.mode"),
     "step-constant-p": (EXP, ("run", "step"), {"mode": "constant", "eta": 0.01, "p": 1}, "['p']"),
-    "step-scheduled-eta": (CASE, ("run", "step"), {"mode": "scheduled", "p": 1, "eta": 123},
-                           "['eta']"),
+    # a step is required exactly when some method takes a constant step
+    "step-missing": (EXP, ("run", "step"), DROP, "$.run.step: required"),
+    "step-of-scheduled-experiment": (EXP, ("methods",), [
+        {"kind": "dbgd", "rule": "scheduled", "p": [0, 1]}], "$.run.step: every method"),
+    "step-of-scheduled-casestudy": (CASE, ("method",), {
+        "kind": "dbgd", "rule": "scheduled", "p": 1}, "$.run.step: every method"),
     "output-unknown": (EXP, ("output", "format"), "csv", "format"),
     "output-missing": (EXP, ("output", "directory"), DROP, "directory"),
     "x0-seed-unknown": (EXP, ("run", "x0", "shift"), 1.0, "x0"),
@@ -178,7 +193,8 @@ REJECTED_CONFIGS = [pytest.param(*case, id=id_) for id_, case in {
     "casestudy-iterations-0": (CASE, ("run", "iterations"), 0, "iterations"),
     "eta-0": (EXP, ("run", "step", "eta"), 0, "eta"),
     "eta-negative": (CASE, ("run", "step", "eta"), -0.1, "eta"),
-    "step-p-negative": (EXP, ("run", "step"), {"mode": "scheduled", "p": -1}, "step.p"),
+    "scheduled-p-negative": (EXP, ("methods", 0), {"kind": "dbgd", "rule": "scheduled", "p": -1},
+                             "methods[0]: p must be nonnegative"),
     "rates-p-negative": (RATES, ("p", 0), -1, "$.p"),
     "guard-0": (EXP, ("run", "guard"), 0, "guard"),
     "casestudy-guard-0": (CASE, ("run", "guard"), 0.0, "guard"),
@@ -195,6 +211,7 @@ REJECTED_CONFIGS = [pytest.param(*case, id=id_) for id_, case in {
     "methods-empty": (EXP, ("methods",), [], "methods"),
     "initializations-empty": (CASE, ("run", "initializations"), [], "initializations"),
     "initialization-empty": (CASE, ("run", "initializations", 0), [], "initializations"),
+    "casestudy-p-grid": (CASE, (), scheduled_casestudy([0, 1]), "single method without grids"),
     "p-empty": (RATES, ("p",), [], "$.p"),
     "grid-empty": (EXP, ("methods", 1, "lambda"), [], "lambda"),
     "x0-empty": (RATES, ("x0",), [], "x0"),
@@ -258,14 +275,6 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="lambda"):
             validate_config(doc)
 
-    def test_scheduled_step_method_compatibility(self, tmp_path):
-        doc = minimal_experiment(tmp_path)
-        doc["run"]["step"] = {"mode": "scheduled", "p": 1.0}
-        with pytest.raises(ConfigurationError, match="scheduled"):
-            validate_config(doc)
-        doc["methods"] = [{"kind": "dbgd", "beta": 1.0}]
-        validate_config(doc)
-
     def test_constant_step_needs_eta(self, tmp_path):
         doc = minimal_experiment(tmp_path)
         doc["run"]["step"] = {"mode": "constant"}
@@ -285,9 +294,11 @@ class TestValidation:
             validate_config({"kind": "benchmark"})
 
     @pytest.mark.parametrize("base, path, value, word", REJECTED_CONFIGS)
-    def test_rejected_configs(self, base, path, value, word):
-        with pytest.raises(ConfigurationError, match=re.escape(word)):
-            validate_config(mutated(base, path, value))
+    def test_rejected_configs(self, tmp_path, capsys, base, path, value, word):
+        config = tmp_path / "rejected.json"
+        config.write_text(json.dumps(mutated(base, path, value)))
+        assert cli.main(["validate", str(config)]) == 2
+        assert word in capsys.readouterr().err
 
     def test_round_trip_is_lossless(self, tmp_path):
         doc = json.loads(bundled("toy.json").read_text())
@@ -340,10 +351,15 @@ class TestExpansion:
             assert (trace.method_label, trace.potential_kind) == (label, potential_kind), name
 
     def test_the_methods_table_builds_every_kind_of_the_method_union(self):
-        # the solver batches rows in the order of get_args(Method)
+        # the solver batches rows in the order of get_args(Method); a
+        # schedule resolves to a grad-norm-squared rule for its budget
         kinds = typing.get_args(Method)
+        problem = build_problem({"name": "toy"})
         built = [entry.build(0.0, *(0.5 for _ in entry.fields)) for entry in METHODS.values()]
-        assert {type(method) for method in built} == set(kinds)
+        assert {type(method) for method in built} == {*kinds, Schedule}
+        resolved = [_build_solver_config({"iterations": 10}, method, problem).method
+                    for method in built if isinstance(method, Schedule)]
+        assert [type(method) for method in resolved] == [GradNormSquared]
 
     def test_g_star_rules_reject_matfac(self):
         problem = build_problem(
@@ -511,7 +527,7 @@ class TestRunCasestudy:
 
 
 class TestScheduledResolution:
-    """A scheduled block runs as the constant step and grad-norm-squared
+    """A scheduled cell runs as the constant step and grad-norm-squared
     beta that ``scheduled_step`` gives for the budget of the run."""
 
     @staticmethod
@@ -522,23 +538,21 @@ class TestScheduledResolution:
     @staticmethod
     def scheduled_toy(tmp_path, iterations, p=1.0):
         doc = minimal_experiment(tmp_path, problem={"name": "toy"},
-                                 methods=[{"kind": "dbgd", "beta": 1.0}])
-        doc["run"] = {"x0": [-3.0, -1.0], "iterations": iterations,
-                      "step": {"mode": "scheduled", "p": p}}
+                                 methods=[{"kind": "dbgd", "rule": "scheduled", "p": p}])
+        doc["run"] = {"x0": [-3.0, -1.0], "iterations": iterations}
         path = tmp_path / "scheduled.json"
         path.write_text(json.dumps(doc))
         return doc, path
 
     def test_casestudy_traces_equal_library_runs(self, tmp_path):
-        doc = json.loads(bundled("casestudy.json").read_text())
-        doc["run"]["step"] = {"mode": "scheduled", "p": 1.0}
+        doc = scheduled_casestudy(1.0)
         doc["output"] = {"directory": str(tmp_path / "cs"), "trace": "all"}
         out = run_casestudy(doc)
         problem = build_problem(doc["problem"])
         for i, x0 in enumerate(doc["run"]["initializations"]):
             trace = self.library_trace(problem, doc["run"]["iterations"], 1.0, x0)
-            same = (out / f"init{i}.csv").read_text() == trace_csv(trace)  # no 2,000-line diff
-            assert same, f"init{i}.csv"
+            same = (out / f"init{i}.csv").read_text() == trace_csv(trace.table, trace.k)
+            assert same, f"init{i}.csv"  # no 2,000-line diff
 
     def test_the_iterations_override_resolves_the_schedule(self, tmp_path):
         doc, path = self.scheduled_toy(tmp_path, 50)
@@ -547,7 +561,47 @@ class TestScheduledResolution:
         assert scheduled_step(problem.smoothness, 7, 1.0) != scheduled_step(
             problem.smoothness, 50, 1.0)
         trace = self.library_trace(problem, 7, 1.0, doc["run"]["x0"])
-        assert (tmp_path / "out" / "dbgd_beta=1.csv").read_text() == trace_csv(trace)
+        csv = (tmp_path / "out" / "dbgd-sched_p=1.csv").read_text()
+        assert csv == trace_csv(trace.table, trace.k)
+
+    @pytest.mark.parametrize("override", [None, 7])
+    def test_each_cell_of_a_p_grid_runs_at_its_schedule(self, tmp_path, monkeypatch, override):
+        batches = []
+
+        def recorded(*args, **kwargs):
+            batches.append(run(*args, **kwargs))
+            return batches[-1]
+
+        monkeypatch.setattr(harness, "run", recorded)
+        grid = [0.0, 0.5, 1.0]
+        doc, path = self.scheduled_toy(tmp_path, 50, grid)
+        flags = [] if override is None else ["--iterations", str(override)]
+        assert cli.main(["run", str(path), *flags]) == 0
+        summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in summary] == [
+            "dbgd-sched_p=0", "dbgd-sched_p=0.5", "dbgd-sched_p=1"]
+        problem = build_problem(doc["problem"])
+        (batch,) = batches
+        for trace, p in zip(batch.traces, grid, strict=True):
+            eta, beta = scheduled_step(problem.smoothness, override or 50, p)
+            assert (trace.eta, trace.beta, len(trace)) == (eta, beta, override or 50), p
+
+    def test_a_mixed_grid_runs_each_block_as_it_runs_alone(self, tmp_path):
+        doc, _ = self.scheduled_toy(tmp_path, 300, [0.0, 1.0])
+        doc["methods"].append({"kind": "penalty", "lambda": 10})
+        doc["run"]["step"] = {"mode": "constant", "eta": 0.01}
+        mixed = run_experiment(doc, output_dir=tmp_path / "mixed")
+        alone = [
+            run_experiment({**doc, "methods": doc["methods"][:1],
+                            "run": {k: v for k, v in doc["run"].items() if k != "step"}},
+                           output_dir=tmp_path / "scheduled"),
+            run_experiment({**doc, "methods": doc["methods"][1:]}, output_dir=tmp_path / "penalty"),
+        ]
+        names = ["dbgd-sched_p=0.csv", "dbgd-sched_p=1.csv", "penalty_lambda=10.csv"]
+        assert sorted(p.name for p in mixed.iterdir()) == [*names, "summary.csv"]
+        for name in names:
+            single = alone[name.startswith("penalty")] / name
+            assert (mixed / name).read_bytes() == single.read_bytes(), name
 
     @pytest.mark.parametrize("iterations", [1, 2, 2000])
     def test_a_scheduled_run_never_warns_of_its_step(self, tmp_path, capsys, iterations):
@@ -652,20 +706,6 @@ class TestCli:
             assert cli.main([command, str(path)]) == 2, command
             assert "single method without grids" in capsys.readouterr().err, command
         assert not (tmp_path / "cs").exists()
-
-    def test_scheduled_step_rejects_a_beta_grid(self, tmp_path, capsys):
-        # the schedule sets beta, so each beta of a grid would run the same cell
-        doc = minimal_experiment(tmp_path, methods=[
-            {"kind": "dbgd", "beta": 0.5}, {"kind": "dbgd", "beta": [0.1, 1.0]}])
-        doc["run"]["step"] = {"mode": "scheduled", "p": 1.0}
-        path = tmp_path / "scheduled.json"
-        path.write_text(json.dumps(doc))
-        for command in ("validate", "run"):
-            assert cli.main([command, str(path)]) == 2, command
-            assert "config error: config field $.methods[1].beta: " in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-        doc["methods"][1]["beta"] = [1.0]
-        validate_config(doc)
 
     def test_divergence_exit_code(self, tmp_path, capsys):
         doc = {

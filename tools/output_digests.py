@@ -8,15 +8,16 @@ Runs ``dbgd run`` on ``toy.json``, ``matfac.json``, ``matfac-log.json`` and
 own subdirectory of ``DIR``, with the ``dbgd`` package of the checkout this
 script sits in.  It also writes six configs of its own under
 ``DIR/configs`` and runs them: one cell of every method kind on a
-3-dimensional quadratic (``g* = 0``) with every trace row, a
-scheduled-step dbgd run on the toy with final rows only, the bundled
-case study under the scheduled step with every trace row, a toy grid with
+3-dimensional quadratic (``g* = 0``) with every trace row, a ``p`` grid
+of the scheduled dbgd rule on the toy with final rows only, the bundled
+case study under the scheduled rule with every trace row, a toy grid with
 stop tolerances (its cells stop at unequal iterations) once with every
 trace row and once with final rows only, and ``matfac.json`` with every
 trace row at 700 iterations (a budget that is not a multiple of 256, on
 20 cells of dimension 100), so that every method the harness can build,
-both step modes of every config kind that has them, and runs that end
-early or late under either trace granularity are covered.  It then prints one
+the scheduled and the constant step of every config kind that has them,
+and runs that end early or late under either trace granularity are
+covered.  It then prints one
 ``sha256  relative/path`` line per file under ``DIR``, sorted by path, so
 that two checkouts write byte-identical outputs exactly when ``diff`` of
 their printouts is empty.  It writes nothing outside ``DIR``; the
@@ -93,13 +94,14 @@ GENERATED = {
     "scheduled.json": {
         "kind": "experiment",
         "problem": {"name": "toy"},
-        "methods": [{"kind": "dbgd", "beta": 1.0}],
-        "run": {"x0": [-3.0, -1.0], "iterations": 2000, "step": {"mode": "scheduled", "p": 1.0}},
+        "methods": [{"kind": "dbgd", "rule": "scheduled", "p": [0.0, 1.0]}],
+        "run": {"x0": [-3.0, -1.0], "iterations": 2000},
         "output": {"directory": "scheduled", "trace": "final"},
     },
     "scheduled-casestudy.json": {
         **_CASESTUDY,
-        "run": {**_CASESTUDY["run"], "step": {"mode": "scheduled", "p": 1.0}},
+        "method": {"kind": "dbgd", "rule": "scheduled", "p": 1.0},
+        "run": {key: value for key, value in _CASESTUDY["run"].items() if key != "step"},
         "output": {"directory": "scheduled-casestudy", "trace": "all"},
     },
     "stopping.json": {**_STOPPING, "output": {"directory": "stopping", "trace": "all"}},
