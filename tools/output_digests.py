@@ -6,18 +6,20 @@ Runs ``dbgd run`` on ``toy.json``, ``matfac.json``, ``matfac-log.json`` and
 ``matfac.json --iterations 100000``, ``dbgd casestudy`` on
 ``casestudy.json`` and ``dbgd rates`` on both rates configs, each into its
 own subdirectory of ``DIR``, with the ``dbgd`` package of the checkout this
-script sits in.  It also writes six configs of its own under
+script sits in.  It also writes seven configs of its own under
 ``DIR/configs`` and runs them: one cell of every method kind on a
-3-dimensional quadratic (``g* = 0``) with every trace row, a ``p`` grid
-of the scheduled dbgd rule on the toy with final rows only, the bundled
-case study under the scheduled rule with every trace row, a toy grid with
-stop tolerances (its cells stop at unequal iterations) once with every
-trace row and once with final rows only, and ``matfac.json`` with every
-trace row at 700 iterations (a budget that is not a multiple of 256, on
-20 cells of dimension 100), so that every method the harness can build,
-the scheduled and the constant step of every config kind that has them,
-and runs that end early or late under either trace granularity are
-covered.  It then prints one
+3-dimensional quadratic (``g* = 0``) with every trace row, once from a
+seeded start and once from the lower optimum ``x0 = 0`` (where ``grad_g``
+vanishes, so that a degenerate bloop row and an undefined cosine of every
+kind are written), a ``p`` grid of the scheduled dbgd rule on the toy
+with final rows only, the bundled case study under the scheduled rule
+with every trace row, a toy grid with stop tolerances (its cells stop at
+unequal iterations) once with every trace row and once with final rows
+only, and ``matfac.json`` with every trace row at 700 iterations (a
+budget that is not a multiple of 256, on 20 cells of dimension 100), so
+that every method the harness can build, the scheduled and the constant
+step of every config kind that has them, and runs that end early or late
+under either trace granularity are covered.  It then prints one
 ``sha256  relative/path`` line per file under ``DIR``, sorted by path, so
 that two checkouts write byte-identical outputs exactly when ``diff`` of
 their printouts is empty.  It writes nothing outside ``DIR``; the
@@ -49,6 +51,7 @@ RUNS = (
     ("rates-toy.json", ["rates", "rates-toy.json"]),
     ("rates-quadratic.json", ["rates", "rates-quadratic.json"]),
     ("kinds", ["run", "kinds.json"]),
+    ("optimum", ["run", "optimum.json"]),
     ("scheduled", ["run", "scheduled.json"]),
     ("scheduled-casestudy", ["casestudy", "scheduled-casestudy.json"]),
     ("stopping", ["run", "stopping.json"]),
@@ -76,20 +79,27 @@ _STOPPING = {
     },
 }
 
+#: One cell of every method kind on a 3-dimensional quadratic (``g* = 0``).
+_KINDS = {
+    "kind": "experiment",
+    "problem": {"name": "quadratic", "n": 3},
+    "methods": [
+        {"kind": "dbgd", "beta": 0.5},
+        {"kind": "dbgd", "rule": "dynamic-barrier-min", "alpha": 0.5, "beta": 0.5},
+        {"kind": "dbgd", "rule": "lower-linearization", "eta": 0.1},
+        {"kind": "bloop", "beta": 0.5},
+        {"kind": "penalty", "lambda": 10},
+    ],
+    "run": {"x0": {"seed": 2}, "iterations": 300, "step": {"mode": "constant", "eta": 0.1}},
+}
+
 #: Configs this script writes, by file name.
 GENERATED = {
-    "kinds.json": {
-        "kind": "experiment",
-        "problem": {"name": "quadratic", "n": 3},
-        "methods": [
-            {"kind": "dbgd", "beta": 0.5},
-            {"kind": "dbgd", "rule": "dynamic-barrier-min", "alpha": 0.5, "beta": 0.5},
-            {"kind": "dbgd", "rule": "lower-linearization", "eta": 0.1},
-            {"kind": "bloop", "beta": 0.5},
-            {"kind": "penalty", "lambda": 10},
-        ],
-        "run": {"x0": {"seed": 2}, "iterations": 300, "step": {"mode": "constant", "eta": 0.1}},
-        "output": {"directory": "kinds", "trace": "all"},
+    "kinds.json": {**_KINDS, "output": {"directory": "kinds", "trace": "all"}},
+    "optimum.json": {
+        **_KINDS,
+        "run": {**_KINDS["run"], "x0": [0.0, 0.0, 0.0]},
+        "output": {"directory": "optimum", "trace": "all"},
     },
     "scheduled.json": {
         "kind": "experiment",
