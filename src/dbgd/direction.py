@@ -16,8 +16,8 @@ solver used as a correctness oracle for the closed form.
 
 All operations are pure functions of their arguments and work row-wise:
 gradients are one vector ``(dim,)`` or a batch ``(rows, dim)``, and each
-per-row quantity (levels, multipliers, rule parameters, the guard) is a
-scalar or one value per row.  A rule whose fields hold one value per row
+per-row quantity (levels, multipliers, rule parameters) is a scalar or
+one value per row.  A rule whose fields hold one value per row
 drives a batch of runs of that rule at once.
 """
 
@@ -33,9 +33,11 @@ from .problems import row_dot
 
 Array = np.ndarray
 
-#: Degeneracy guard on ||grad_g||^2.  At or below this value the halfspace
-#: constraint is treated as vacuous (the barrier level is ~0 there as
-#: well) and the projection degenerates to the identity.
+#: The degeneracy guard on ||grad_g||^2, one rounding-level constant for
+#: the whole package (the directions, the gradient decomposition and the
+#: cosine).  At or below it the halfspace constraint is treated as vacuous
+#: (the barrier level is ~0 there as well), the projection degenerates to
+#: the identity and the cosine is undefined.
 DEFAULT_GUARD = 1e-24
 
 
@@ -162,7 +164,7 @@ class DirectionResult:
     ``lam`` is the constraint multiplier; it is nonnegative except for
     results of :func:`bloop_direction`, whose equality constraint yields a
     signed multiplier.  ``degenerate`` is set when ``||grad_g||^2`` fell at
-    or below the guard and the projection degenerated to the identity.
+    or below ``DEFAULT_GUARD`` and the projection degenerated to the identity.
     For a batch, ``d`` has one row per input row, and ``lam`` and
     ``degenerate`` are per-row arrays or a scalar shared by every row.
     """
@@ -172,28 +174,28 @@ class DirectionResult:
     degenerate: Any
 
 
-def lambda_closed_form(grad_f: Array, grad_g: Array, phi, guard=DEFAULT_GUARD):
+def lambda_closed_form(grad_f: Array, grad_g: Array, phi):
     """Closed-form multiplier of the halfspace projection, per row.
 
     Returns ``(max((phi - grad_f.grad_g) / ||grad_g||^2, 0), False)``, or
-    ``(0, True)`` where ``||grad_g||^2 <= guard``.
+    ``(0, True)`` where ``||grad_g||^2 <= DEFAULT_GUARD``.
     """
     if np.any(np.asarray(phi) < 0.0):
         raise ValueError(f"phi must be nonnegative, got {phi}")
     gg = row_dot(grad_g, grad_g)
-    degenerate = gg <= guard
+    degenerate = gg <= DEFAULT_GUARD
     lam = np.maximum((phi - row_dot(grad_f, grad_g)) / _safe(gg, degenerate), 0.0)
     return np.where(degenerate, 0.0, lam)[()], degenerate
 
 
-def dbgd_direction(grad_f: Array, grad_g: Array, phi, guard=DEFAULT_GUARD) -> DirectionResult:
+def dbgd_direction(grad_f: Array, grad_g: Array, phi) -> DirectionResult:
     """Euclidean projection of ``grad_f`` onto ``{d : grad_g . d >= phi}``."""
-    lam, degenerate = lambda_closed_form(grad_f, grad_g, phi, guard)
+    lam, degenerate = lambda_closed_form(grad_f, grad_g, phi)
     d = grad_f + _per_row(lam) * grad_g
     return DirectionResult(d=d, lam=lam, degenerate=degenerate)
 
 
-def bloop_direction(grad_f: Array, grad_g: Array, beta, guard=DEFAULT_GUARD) -> DirectionResult:
+def bloop_direction(grad_f: Array, grad_g: Array, beta) -> DirectionResult:
     """Orthogonal-projection direction.
 
     ``d = beta * grad_g + [grad_f - (grad_f.grad_g / ||grad_g||^2) grad_g]``,
@@ -201,11 +203,11 @@ def bloop_direction(grad_f: Array, grad_g: Array, beta, guard=DEFAULT_GUARD) -> 
     ``grad_g . d = beta * ||grad_g||^2``.  The stored multiplier is the
     signed equality multiplier ``beta - grad_f.grad_g / ||grad_g||^2`` and
     may be negative, unlike the multiplier of :func:`dbgd_direction`.
-    Below the guard the direction falls back to ``grad_f`` (with
-    multiplier 0).
+    At or below ``DEFAULT_GUARD`` the direction falls back to ``grad_f``
+    (with multiplier 0).
     """
     gg = row_dot(grad_g, grad_g)
-    degenerate = gg <= guard
+    degenerate = gg <= DEFAULT_GUARD
     lam = np.where(degenerate, 0.0, beta - row_dot(grad_f, grad_g) / _safe(gg, degenerate))[()]
     d = np.where(_per_row(degenerate), grad_f, grad_f + _per_row(lam) * grad_g)
     return DirectionResult(d=d, lam=lam, degenerate=degenerate)

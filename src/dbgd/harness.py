@@ -377,7 +377,6 @@ _CONFIG = _tagged("kind", {
         "methods": Array(_method_entry),
         "run": Object({"x0": _X0, "iterations": _POSITIVE_INT}, {
             "step": _STEP,
-            "guard": _POSITIVE,
             "penalty_step_scaling": Leaf(bool),
             "stop_tolerances": Array(_NONNEGATIVE, 2, exact=True),
         }),
@@ -394,7 +393,7 @@ _CONFIG = _tagged("kind", {
         "problem": _PROBLEM,
         "method": _method_entry,
         "run": Object({"initializations": Array(_VECTOR), "iterations": _POSITIVE_INT},
-                      {"step": _STEP, "guard": _POSITIVE}),
+                      {"step": _STEP}),
         "output": _OUTPUT,
     }, {"classify": Object({}, dict.fromkeys(DEFAULT_CLASSIFY, _NUMBER))}),
 })
@@ -534,17 +533,12 @@ def _build_solver_config(
     else:
         eta = run_block["step"]["eta"]
     stop = run_block.get("stop_tolerances")
-    options = {
-        arg: run_block[key]
-        for key, arg in (("guard", "guard"), ("penalty_step_scaling", "scale_penalty_step"))
-        if key in run_block
-    }
     return SolverConfig(
         method=method,
         eta=eta,
         iterations=run_block["iterations"],
+        scale_penalty_step=run_block.get("penalty_step_scaling", True),
         stop_tolerances=tuple(stop) if stop is not None else None,
-        **options,
     )
 
 
@@ -573,15 +567,15 @@ class _TraceWriter(_BestLast):
         self.opened: list[Path] = []
 
     def block(self, k0: int, cell: np.ndarray, rows: np.ndarray, gf: np.ndarray,
-              gg: np.ndarray, guard: np.ndarray) -> None:
-        fill_geometry(rows, gf, gg, guard)
+              gg: np.ndarray) -> None:
+        fill_geometry(rows, gf, gg)
         ks = np.arange(k0, k0 + len(rows))
         for j, i in enumerate(cell.tolist()):
             if k0 == 0:
                 self.opened.append(self.paths[i])
             with open(self.paths[i], "a" if k0 else "w") as fh:
                 fh.write(trace_csv(rows[:, j], ks, header=k0 == 0))
-        super().block(k0, cell, rows, gf, gg, guard)
+        super().block(k0, cell, rows, gf, gg)
 
     def discard(self) -> None:
         """Remove the files written so far."""

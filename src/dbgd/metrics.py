@@ -27,28 +27,24 @@ from .problems import ProblemSpec, row_dot
 Array = np.ndarray
 
 
-def decompose_grad_f(
-    grad_f: Array, grad_g: Array, guard: float = DEFAULT_GUARD
-) -> tuple[Array, Array]:
+def decompose_grad_f(grad_f: Array, grad_g: Array) -> tuple[Array, Array]:
     """Split ``grad_f`` into components parallel and orthogonal to ``grad_g``.
 
-    Works row-wise on batches.  Below the guard on ``||grad_g||^2`` the
+    Works row-wise on batches.  Where ``||grad_g||^2 <= DEFAULT_GUARD`` the
     parallel component is zero and the orthogonal component is all of
     ``grad_f``.
     """
     gg = row_dot(grad_g, grad_g)
-    degenerate = gg <= guard
+    degenerate = gg <= DEFAULT_GUARD
     coef = np.where(degenerate, 0.0, row_dot(grad_f, grad_g) / np.where(degenerate, 1.0, gg))
     par = coef[..., None] * grad_g
     return par, grad_f - par
 
 
-def optimal_multiplier(
-    grad_f: Array, grad_g: Array, guard: float = DEFAULT_GUARD
-) -> float:
+def optimal_multiplier(grad_f: Array, grad_g: Array) -> float:
     """Nonnegative multiplier minimizing ``||grad_f + lam * grad_g||``: the
     halfspace projection's multiplier at level 0."""
-    return float(lambda_closed_form(grad_f, grad_g, 0.0, guard)[0])
+    return float(lambda_closed_form(grad_f, grad_g, 0.0)[0])
 
 
 @dataclass(frozen=True)
@@ -75,10 +71,7 @@ class StationarityReport:
 
 
 def stationarity_report(
-    problem: ProblemSpec,
-    x: Array,
-    lam: Optional[float] = None,
-    guard: float = DEFAULT_GUARD,
+    problem: ProblemSpec, x: Array, lam: Optional[float] = None
 ) -> StationarityReport:
     """Evaluate all first-order residuals at ``x`` from fresh gradients.
 
@@ -92,7 +85,7 @@ def stationarity_report(
         raise EvaluationError(f"non-finite gradient at x = {x!r}")
 
     if lam is None:
-        lam_val = optimal_multiplier(gf, gg, guard)
+        lam_val = optimal_multiplier(gf, gg)
         source = "optimal"
     else:
         if not (lam >= 0.0):
@@ -101,10 +94,10 @@ def stationarity_report(
         source = "given"
 
     d = gf + lam_val * gg
-    par, perp = decompose_grad_f(gf, gg, guard)
+    par, perp = decompose_grad_f(gf, gg)
     gf_sq = float(gf @ gf)
     gg_sq = float(gg @ gg)
-    defined = gf_sq > guard and gg_sq > guard
+    defined = gf_sq > DEFAULT_GUARD and gg_sq > DEFAULT_GUARD
     if defined:
         cos = float(gf @ gg) / np.sqrt(gf_sq * gg_sq)
         cos = min(1.0, max(-1.0, cos))

@@ -65,12 +65,11 @@ def scheduled_step(
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Method, step size, budget, guard, penalty step scaling and stop rule of one run."""
+    """Method, step size, budget, penalty step scaling and stop rule of one run."""
 
     method: Method
     eta: float
     iterations: int
-    guard: float = DEFAULT_GUARD
     scale_penalty_step: bool = True
     stop_tolerances: Optional[tuple[float, float]] = None
 
@@ -79,8 +78,6 @@ class SolverConfig:
             raise ValueError("eta must be strictly positive")
         if self.iterations < 1:
             raise ValueError("iterations must be a positive integer")
-        if not (self.guard > 0.0):
-            raise ValueError("guard must be strictly positive")
         if self.stop_tolerances is not None:
             ef, eg = self.stop_tolerances
             if not (ef >= 0.0 and eg >= 0.0):
@@ -224,25 +221,24 @@ def _groups(configs: list[SolverConfig], cell: Array) -> list[tuple[slice, Metho
     return groups
 
 
-def _direction(rule: Method, gf: Array, gg: Array, g_now: Array, guard: Array) -> DirectionResult:
+def _direction(rule: Method, gf: Array, gg: Array, g_now: Array) -> DirectionResult:
     if isinstance(rule, Penalty):
         return penalty_direction(gf, gg, rule.lam)
     if isinstance(rule, BloopOrthogonal):
-        return bloop_direction(gf, gg, rule.beta, guard)
-    return dbgd_direction(gf, gg, barrier_value(rule, g_now, gg), guard)
+        return bloop_direction(gf, gg, rule.beta)
+    return dbgd_direction(gf, gg, barrier_value(rule, g_now, gg))
 
 
-def fill_geometry(rows: Array, gf: Array, gg: Array, guard: Array) -> Array:
+def fill_geometry(rows: Array, gf: Array, gg: Array) -> Array:
     """Fill the geometry columns of ``rows[iteration, run]`` from the rows'
-    gradients ``gf[iteration, run]`` and ``gg[iteration, run]`` and the
-    runs' guards ``guard[run]``; return ``rows``."""
+    gradients ``gf[iteration, run]`` and ``gg[iteration, run]``; return
+    ``rows``."""
     b, n = rows.shape[:2]
     row, gf, gg = (a.reshape(b * n, -1) for a in (rows, gf, gg))
-    guard = np.tile(guard, b)
     gf_sq = row_dot(gf, gf)
     gg_sq = row[:, _GRAD_G_SQ]
-    par, perp = decompose_grad_f(gf, gg, guard)
-    defined = (gf_sq > guard) & (gg_sq > guard)
+    par, perp = decompose_grad_f(gf, gg)
+    defined = (gf_sq > DEFAULT_GUARD) & (gg_sq > DEFAULT_GUARD)
     cos = row_dot(gf, gg) / np.sqrt(np.where(defined, gf_sq * gg_sq, 1.0))
     row[:, _GRAD_F_SQ] = gf_sq
     row[:, _COS] = np.where(defined, np.minimum(1.0, np.maximum(-1.0, cos)), np.nan)
@@ -255,20 +251,18 @@ def fill_geometry(rows: Array, gf: Array, gg: Array, guard: Array) -> Array:
 class RowSink(Protocol):
     """Where a run puts its rows, block by block, and what its trace keeps.
 
-    ``block(k0, cell, rows, gf, gg, guard)`` takes the rows of iterations
+    ``block(k0, cell, rows, gf, gg)`` takes the rows of iterations
     ``k0, k0 + 1, ...`` of the runs ``cell`` (indices of the batch's
     configs) as ``rows[iteration, run, column]``, with the gradients
-    ``gf``/``gg[iteration, run]`` of each row and the runs' guards
-    ``guard[run]``.  Every column but the geometry ones is filled; the sink
-    fills those of the rows it keeps with :func:`fill_geometry`.  The
-    arrays are reused after the call.  A run's blocks come in iteration
-    order, and a block holds no row after the run ended.  ``kept(i,
-    rows)`` returns the ``(table, k)`` of the trace of run ``i``, which
-    recorded ``rows`` rows.
+    ``gf``/``gg[iteration, run]`` of each row.  Every column but the
+    geometry ones is filled; the sink fills those of the rows it keeps
+    with :func:`fill_geometry`.  The arrays are reused after the call.  A
+    run's blocks come in iteration order, and a block holds no row after
+    the run ended.  ``kept(i, rows)`` returns the ``(table, k)`` of the
+    trace of run ``i``, which recorded ``rows`` rows.
     """
 
-    def block(self, k0: int, cell: Array, rows: Array, gf: Array, gg: Array,
-              guard: Array) -> None: ...
+    def block(self, k0: int, cell: Array, rows: Array, gf: Array, gg: Array) -> None: ...
 
     def kept(self, i: int, rows: int) -> tuple[Array, Array]: ...
 
@@ -279,9 +273,8 @@ class _Table:
     def __init__(self, iterations: int, cells: int):
         self.table = np.empty((iterations, cells, len(COLUMNS)))
 
-    def block(self, k0: int, cell: Array, rows: Array, gf: Array, gg: Array,
-              guard: Array) -> None:
-        self.table[k0:k0 + len(rows), cell] = fill_geometry(rows, gf, gg, guard)
+    def block(self, k0: int, cell: Array, rows: Array, gf: Array, gg: Array) -> None:
+        self.table[k0:k0 + len(rows), cell] = fill_geometry(rows, gf, gg)
 
     def kept(self, i: int, rows: int) -> tuple[Array, Array]:
         return self.table[:rows, i], np.arange(rows)
@@ -296,10 +289,8 @@ class _BestLast:
         self.table = np.full((2, cells, len(COLUMNS)), np.inf)
         self.gf, self.gg = np.empty((2, 2, cells, dim))
         self.best_k = np.zeros(cells, dtype=int)
-        self.guard = np.empty(cells)
 
-    def block(self, k0: int, cell: Array, rows: Array, gf: Array, gg: Array,
-              guard: Array) -> None:
+    def block(self, k0: int, cell: Array, rows: Array, gf: Array, gg: Array) -> None:
         first = rows[:, :, _POTENTIAL].argmin(axis=0)
         runs = np.arange(len(cell))
         better = rows[first, runs, _POTENTIAL] < self.table[0, cell, _POTENTIAL]
@@ -308,11 +299,9 @@ class _BestLast:
             mine[0, cell[better]] = theirs[first, runs]
             mine[1, cell] = theirs[-1]
         self.best_k[cell[better]] = k0 + first
-        self.guard[cell] = guard
 
     def kept(self, i: int, rows: int) -> tuple[Array, Array]:
-        table = fill_geometry(self.table[:, [i]], self.gf[:, [i]], self.gg[:, [i]],
-                              self.guard[[i]])
+        table = fill_geometry(self.table[:, [i]], self.gf[:, [i]], self.gg[:, [i]])
         return table[:, 0], np.array([self.best_k[i], rows - 1])
 
 
@@ -410,7 +399,6 @@ def _run_batch(
     per_row = {
         "eta": np.array([setups[i].eta for i in cell])[:, None],
         "pot_coef": np.array([setups[i].pot_coef for i in cell]),
-        "guard": np.array([configs[i].guard for i in cell]),
         "budget": np.array([configs[i].iterations for i in cell]),
         "tolerance": np.array([configs[i].stop_tolerances or (-np.inf, -np.inf) for i in cell]),
         "clamp_ref": np.array([getattr(configs[i].method, "g_star", -np.inf) for i in cell]),
@@ -435,7 +423,7 @@ def _run_batch(
     while cell.size:
         n = cell.size
         groups = _groups(configs, cell)
-        eta, pot_coef, guard = per_row["eta"], per_row["pot_coef"], per_row["guard"]
+        eta, pot_coef = per_row["eta"], per_row["pot_coef"]
         budget, clamp_ref = per_row["budget"], per_row["clamp_ref"]
         eps_f, eps_g = per_row["tolerance"].T
         clamps, degenerate = per_row["clamps"], per_row["degenerate"]
@@ -451,7 +439,7 @@ def _run_batch(
             row = block_rows[buffered]
             d = np.empty_like(gf)
             for rows, rule in groups:
-                res = _direction(rule, gf[rows], gg[rows], g_now[rows], guard[rows])
+                res = _direction(rule, gf[rows], gg[rows], g_now[rows])
                 d[rows] = res.d
                 row[rows, _LAM] = res.lam
                 row[rows, _DEGENERATE] = res.degenerate
@@ -473,7 +461,7 @@ def _run_batch(
             block_gf[buffered], block_gg[buffered] = gf, gg
             buffered += 1
             if buffered == block:
-                sink.block(k + 1 - block, cell, block_rows, block_gf, block_gg, guard)
+                sink.block(k + 1 - block, cell, block_rows, block_gf, block_gg)
                 buffered = 0
             if clamping:
                 clamps += g_now < clamp_ref
@@ -490,7 +478,7 @@ def _run_batch(
         # Retire the runs that ended; the others go on in a smaller batch.
         if buffered:
             sink.block(k - buffered, cell, block_rows[:buffered], block_gf[:buffered],
-                       block_gg[:buffered], guard)
+                       block_gg[:buffered])
         ended = cell[done]
         out["rows"][ended] = k
         out["stopped"][ended] = stopped[done]

@@ -278,7 +278,7 @@ def test_criterion_06_rejects_fixed_multiplier_direction(tmp_path, monkeypatch):
     # penalty direction
     monkeypatch.setattr(
         "dbgd.solver.dbgd_direction",
-        lambda gf, gg, phi, guard: penalty_direction(gf, gg, 1.0),
+        lambda gf, gg, phi: penalty_direction(gf, gg, 1.0),
     )
     out = run_experiment(bundled("toy.json"), output_dir=tmp_path / "toy")
     failures = toy_reproduction_failures(certified_rows(out), "dbgd_beta=1")

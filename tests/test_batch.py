@@ -52,7 +52,7 @@ def mixed_configs() -> list[SolverConfig]:
         SolverConfig(LowerLinearization(g_star=0.05, eta=0.1), eta, 300),
         SolverConfig(BloopOrthogonal(0.5), eta, 300),
         SolverConfig(Penalty(2.0), eta, 300),
-        SolverConfig(Penalty(10.0), eta, 300, scale_penalty_step=False, guard=1e-20),
+        SolverConfig(Penalty(10.0), eta, 300, scale_penalty_step=False),
         scheduled(problem, 50, 1.0),
         scheduled(problem, 400, 1.0),
         scheduled(problem, 120, 0.0),
@@ -111,31 +111,34 @@ class BlockLog(solver._Table):
         super().__init__(iterations, cells)
         self.blocks = []
 
-    def block(self, k0, cell, rows, gf, gg, guard):
+    def block(self, k0, cell, rows, gf, gg):
         self.blocks.append((k0, len(rows), cell.tolist()))
-        super().block(k0, cell, rows, gf, gg, guard)
+        super().block(k0, cell, rows, gf, gg)
 
 
 def test_block_boundaries_change_no_bit():
     # runs that end just before, at and just after a 256-iteration block,
     # one that stops early in the middle of the second block, and a long
-    # one; the first run's guard leaves its cosines undefined
+    # one; the first run starts at the lower optimum x0 = 0, where grad_g
+    # vanishes and the cosine of its first row is undefined
     problem = quadratic_sanity_problem(3)
     configs = [
-        SolverConfig(Penalty(2.0), 0.1, 255, guard=10.0),
+        SolverConfig(Penalty(2.0), 0.1, 255),
         SolverConfig(GradNormSquared(0.5), 0.1, 256),
         SolverConfig(BloopOrthogonal(0.5), 0.1, 257),
         SolverConfig(GradNormSquared(0.5), 0.1, 700, stop_tolerances=(1e-14, 1e-16)),
         SolverConfig(DynamicBarrierMin(1.0, 0.25, 0.0), 0.1, 700),
     ]
     starts = mixed_starts(len(configs))
+    starts[0] = 0.0
     log = BlockLog(700, len(configs))
     batch = run(problem, configs, starts, keep=log)
     lengths = [len(trace) for trace in batch.traces]
     assert lengths[:3] == [255, 256, 257] and 256 < lengths[3] < 512
     for i, (config, x0) in enumerate(zip(configs, starts)):
         assert_same_run(batch.traces[i], run(problem, config, x0, keep="all"), f"config {i}")
-    assert not batch.traces[0].cos_defined.any() and batch.traces[1].cos_defined.all()
+    first = batch.traces[0].cos_defined
+    assert not first[0] and first[1:].all() and batch.traces[1].cos_defined.all()
 
     # each run's blocks cover its rows in order; a block ends at every
     # retirement and after 256 iterations

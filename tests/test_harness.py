@@ -196,8 +196,6 @@ REJECTED_CONFIGS = [pytest.param(*case, id=id_) for id_, case in {
     "scheduled-p-negative": (EXP, ("methods", 0), {"kind": "dbgd", "rule": "scheduled", "p": -1},
                              "methods[0]: p must be nonnegative"),
     "rates-p-negative": (RATES, ("p", 0), -1, "$.p"),
-    "guard-0": (EXP, ("run", "guard"), 0, "guard"),
-    "casestudy-guard-0": (CASE, ("run", "guard"), 0.0, "guard"),
     "slope-tolerance-0": (RATES, ("slope_tolerance",), 0, "slope_tolerance"),
     "noise-std-negative": (EXP, ("problem", "noise_std"), -1, "noise_std"),
     "alpha-0": (EXP, ("problem", "alpha"), 0, "alpha"),
@@ -658,7 +656,6 @@ class TestCli:
         (EXP, ("problem", "n"), 3.0, "$.problem.n"),
         (EXP, ("problem", "seed"), 0.0, "$.problem.seed"),
         (RATES, ("k_grid", 0), 100.0, "$.k_grid[0]"),
-        (EXP, ("run", "guard"), math.nan, "$.run.guard"),
         (EXP, ("run", "stop_tolerances"), [math.nan, math.nan], "$.run.stop_tolerances[0]"),
         (EXP, ("run", "step", "eta"), math.inf, "$.run.step.eta"),
         (RATES, ("slope_tolerance",), math.inf, "$.slope_tolerance"),
@@ -667,7 +664,7 @@ class TestCli:
         (EXP, ("run", "x0", "seed"), -1, "$.run.x0.seed"),
         (RATES, ("x0",), {"seed": -3}, "$.x0.seed"),
     ], ids=["iterations-5.0", "x0-seed-1.0", "n-3.0", "problem-seed-0.0", "k-grid-100.0",
-            "guard-nan", "stop-tolerances-nan", "eta-infinity", "slope-tolerance-infinity",
+            "stop-tolerances-nan", "eta-infinity", "slope-tolerance-infinity",
             "slope-tolerance-nan", "kind-list", "x0-seed-negative", "rates-x0-seed-negative"])
     def test_non_integers_non_finite_numbers_and_odd_kinds_are_config_errors(
         self, tmp_path, capsys, base, path, value, where
@@ -706,6 +703,18 @@ class TestCli:
             assert cli.main([command, str(path)]) == 2, command
             assert "single method without grids" in capsys.readouterr().err, command
         assert not (tmp_path / "cs").exists()
+
+    def test_a_run_guard_is_an_unknown_field(self, tmp_path, capsys):
+        # the degeneracy guard is one package constant, not a run setting
+        for base, command in ((EXP, "run"), (CASE, "casestudy")):
+            doc = mutated(base, ("run", "guard"), 1e-24)
+            doc["output"]["directory"] = str(tmp_path / "out")
+            path = tmp_path / "guard.json"
+            path.write_text(json.dumps(doc))
+            for argv in (["validate", str(path)], [command, str(path)]):
+                assert cli.main(argv) == 2, argv
+                assert "$.run: unknown fields ['guard']" in capsys.readouterr().err, argv
+        assert not (tmp_path / "out").exists()
 
     def test_divergence_exit_code(self, tmp_path, capsys):
         doc = {
