@@ -186,11 +186,13 @@ class Object(NamedTuple):
 
 class Array(NamedTuple):
     """A JSON array of ``length`` or more (``exact``: exactly ``length``)
-    values, each checked by ``item``."""
+    values, each checked by ``item``; ``distinct``: ``length`` or more of
+    them distinct."""
 
     item: Check
     length: int = 1
     exact: bool = False
+    distinct: bool = False
 
     def __call__(self, value: Any, where: str) -> None:
         if not isinstance(value, list):
@@ -199,6 +201,8 @@ class Array(NamedTuple):
             raise _error(where, f"expected {self.length}{'' if self.exact else ' or more'} items")
         for i, item in enumerate(value):
             self.item(item, f"{where}[{i}]")
+        if self.distinct and len(set(value)) < self.length:
+            raise _error(where, f"expected {self.length} or more distinct items")
 
 
 def _tag(block: Any, where: str, key: str, leaf: Leaf) -> Any:
@@ -386,7 +390,7 @@ _CONFIG = _tagged("kind", {
         "problem": _PROBLEM,
         "x0": _X0,
         "p": Array(_NONNEGATIVE),
-        "k_grid": Array(_POSITIVE_INT, 3),
+        "k_grid": Array(_POSITIVE_INT, 3, distinct=True),
         "output": Object({"file": _STRING}),
     }, {"slope_tolerance": _POSITIVE}),
     "casestudy": Object({

@@ -311,10 +311,12 @@ def rate_fit(
     """Run the scheduled method across budgets and fit the decay slope.
 
     Every ``(p, K)`` pair runs in one batch, keeping only each run's best
-    and last rows; returns one fit per exponent of ``ps``, in order.
+    and last rows; returns one fit per exponent of ``ps``, in order.  A
+    line through fewer than 3 distinct budgets fits nothing, so ``k_grid``
+    must hold at least 3.
     """
-    if len(k_grid) < 3:
-        raise ValueError("k_grid must contain at least 3 budgets")
+    if len(set(k_grid)) < 3:
+        raise ValueError("k_grid must contain at least 3 distinct budgets")
     configs = []
     for p in ps:
         for k in k_grid:

@@ -202,6 +202,7 @@ REJECTED_CONFIGS = [pytest.param(*case, id=id_) for id_, case in {
     "n-0": (RATES, ("problem", "n"), 0, "problem.n"),
     "box-radius-0": (RATES, ("problem", "box_radius"), 0, "box_radius"),
     "k-grid-two-budgets": (RATES, ("k_grid",), [100, 1000], "k_grid"),
+    "k-grid-repeated": (RATES, ("k_grid",), [100, 1000, 100], "distinct"),
     "k-grid-budget-0": (RATES, ("k_grid", 0), 0, "k_grid"),
     "stop-tolerances-one": (EXP, ("run", "stop_tolerances"), [1e-6], "stop_tolerances"),
     "stop-tolerances-three": (EXP, ("run", "stop_tolerances"), [1e-6, 1e-8, 0], "stop_tolerances"),
@@ -755,6 +756,20 @@ class TestCli:
         assert proc.returncode == 2
         assert "config error: rates: minimal potential 0.0 at K = 100 is not positive" in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "rates.json").exists()
+
+    def test_rates_of_repeated_budgets_is_a_config_error(self, tmp_path):
+        # a slope fitted through one budget repeated would pass for a rate
+        doc = mutated(RATES, ("k_grid",), [100, 100, 100])
+        doc["output"]["file"] = str(tmp_path / "rates.json")
+        path = tmp_path / "repeated.json"
+        path.write_text(json.dumps(doc))
+        for command in ("validate", "rates"):
+            proc = run_cli([command, str(path)])
+            assert proc.returncode == 2, command
+            assert ("config error: config field $.k_grid: expected 3 or more distinct items"
+                    in proc.stderr), command
+            assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr, command
         assert not (tmp_path / "rates.json").exists()
 
     def test_run_warnings_go_to_stderr_named_by_cell(self, tmp_path, capsys):

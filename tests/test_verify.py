@@ -263,6 +263,13 @@ class TestRateFit:
         with pytest.raises(ValueError):
             rate_fit(problem, np.ones(3), [0.0], [100, 1000])
 
+    def test_repeated_budgets_are_rejected(self):
+        # a line through one point repeated has no slope
+        problem = quadratic_sanity_problem(3)
+        for k_grid in ([100, 100, 100], [100, 1000, 100]):
+            with pytest.raises(ValueError, match="3 distinct budgets"):
+                rate_fit(problem, np.ones(3), [0.0], k_grid)
+
 
 def test_certificate_radius_shrinks_with_multiplier():
     profile = SmoothnessProfile(2.0, 1220.0, grad_f_bound=13.0)
