@@ -587,6 +587,17 @@ class _TraceWriter(_BestLast):
             path.unlink(missing_ok=True)
 
 
+def _output_directory(path: str | Path) -> Path:
+    """Create the directory ``path`` and its parents; one of them naming a
+    file is a :class:`ConfigurationError`."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigurationError(f"output directory {path} is not a directory") from exc
+    return path
+
+
 def _values(trace: TraceRecord, row: int, columns: tuple[str, ...]) -> list:
     """The trace ``columns`` (``k`` or names of ``COLUMNS``) of kept row ``row``."""
     return [trace.k[row] if name == "k" else trace.table[row, COLUMNS.index(name)]
@@ -618,8 +629,7 @@ def _run_and_write(
     diverging run, as ``{noun} {name}``, and leaves no trace CSV.
     """
     granularity = doc["output"].get("trace", "all")
-    out = Path(output_dir if output_dir is not None else doc["output"]["directory"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_directory(output_dir if output_dir is not None else doc["output"]["directory"])
     names = [name for name, _ in runs]
     paths = [out / f"{name}.csv" for name in names]
     writer = _TraceWriter(paths, problem.dim) if granularity == "all" else None
@@ -675,9 +685,13 @@ def run_rates(
     """Fit minimal-potential decay slopes for every configured exponent.
 
     A run whose minimal potential is not positive (one that starts at a
-    stationary point) leaves no slope to fit: a :class:`ConfigurationError`.
+    stationary point) leaves no slope to fit: a :class:`ConfigurationError`,
+    as is an output file that names a directory (checked before the runs).
     """
     doc, problem, _ = prepare_config(doc, "rates")
+    path = Path(output_file if output_file is not None else doc["output"]["file"])
+    if path.is_dir():
+        raise ConfigurationError(f"output file {path} is a directory")
     x0 = resolve_x0(doc["x0"], problem.dim)
     tolerance = doc.get("slope_tolerance", 0.3)
     try:
@@ -692,8 +706,7 @@ def run_rates(
             for p, fit in zip(doc["p"], fits)
         ],
     }
-    path = Path(output_file if output_file is not None else doc["output"]["file"])
-    path.parent.mkdir(parents=True, exist_ok=True)
+    _output_directory(path.parent)
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return path
 

@@ -772,6 +772,37 @@ class TestCli:
             assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr, command
         assert not (tmp_path / "rates.json").exists()
 
+    @pytest.mark.parametrize("command, base, key, flag", [
+        ("run", EXP, "directory", False),
+        ("run", EXP, "directory", True),
+        ("casestudy", CASE, "directory", False),
+        ("rates", RATES, "file", False),
+        ("rates", RATES, "file", True),
+    ], ids=["run-directory-is-a-file", "run-output-flag-is-a-file",
+            "casestudy-directory-is-a-file", "rates-file-is-a-directory",
+            "rates-output-flag-is-a-directory"])
+    def test_an_output_path_of_the_wrong_type_is_a_config_error(
+        self, tmp_path, command, base, key, flag
+    ):
+        # a directory where a file goes, or a file where a directory goes
+        taken = tmp_path / "taken"
+        if key == "file":
+            taken.mkdir()
+            noun = f"output file {taken} is a directory"
+        else:
+            taken.write_text("keep me\n")
+            noun = f"output directory {taken} is not a directory"
+        doc = mutated(base, ("output", key), str(tmp_path / "fine" if flag else taken))
+        if base == EXP:
+            doc["run"]["iterations"] = 5
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli([command, str(path), *(["--output", str(taken)] if flag else [])])
+        assert proc.returncode == 2
+        assert f"config error: {noun}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert taken.is_dir() if key == "file" else taken.read_text() == "keep me\n"
+
     def test_run_warnings_go_to_stderr_named_by_cell(self, tmp_path, capsys):
         # eta = 1e-2 exceeds 1/(L_f+L_g) = 8.2e-4 on the toy problem; the
         # warning applies to barrier cells only
