@@ -196,6 +196,9 @@ REJECTED_CONFIGS = [pytest.param(*case, id=id_) for id_, case in {
     "scheduled-p-negative": (EXP, ("methods", 0), {"kind": "dbgd", "rule": "scheduled", "p": -1},
                              "methods[0]: p must be nonnegative"),
     "rates-p-negative": (RATES, ("p", 0), -1, "$.p"),
+    # the degeneracy guard is a package constant, so a run.guard is an unknown field
+    "guard-0": (EXP, ("run", "guard"), 0, "unknown fields ['guard']"),
+    "casestudy-guard-0": (CASE, ("run", "guard"), 0.0, "unknown fields ['guard']"),
     "slope-tolerance-0": (RATES, ("slope_tolerance",), 0, "slope_tolerance"),
     "noise-std-negative": (EXP, ("problem", "noise_std"), -1, "noise_std"),
     "alpha-0": (EXP, ("problem", "alpha"), 0, "alpha"),
@@ -657,6 +660,7 @@ class TestCli:
         (EXP, ("problem", "n"), 3.0, "$.problem.n"),
         (EXP, ("problem", "seed"), 0.0, "$.problem.seed"),
         (RATES, ("k_grid", 0), 100.0, "$.k_grid[0]"),
+        (EXP, ("run", "guard"), math.nan, "$.run"),
         (EXP, ("run", "stop_tolerances"), [math.nan, math.nan], "$.run.stop_tolerances[0]"),
         (EXP, ("run", "step", "eta"), math.inf, "$.run.step.eta"),
         (RATES, ("slope_tolerance",), math.inf, "$.slope_tolerance"),
@@ -665,7 +669,7 @@ class TestCli:
         (EXP, ("run", "x0", "seed"), -1, "$.run.x0.seed"),
         (RATES, ("x0",), {"seed": -3}, "$.x0.seed"),
     ], ids=["iterations-5.0", "x0-seed-1.0", "n-3.0", "problem-seed-0.0", "k-grid-100.0",
-            "stop-tolerances-nan", "eta-infinity", "slope-tolerance-infinity",
+            "guard-nan", "stop-tolerances-nan", "eta-infinity", "slope-tolerance-infinity",
             "slope-tolerance-nan", "kind-list", "x0-seed-negative", "rates-x0-seed-negative"])
     def test_non_integers_non_finite_numbers_and_odd_kinds_are_config_errors(
         self, tmp_path, capsys, base, path, value, where
