@@ -6,8 +6,10 @@ Runs ``dbgd run`` on ``toy.json``, ``matfac.json``, ``matfac-log.json`` and
 ``matfac.json --iterations 100000``, ``dbgd casestudy`` on
 ``casestudy.json`` and ``dbgd rates`` on both rates configs, each into its
 own subdirectory of ``DIR``, with the ``dbgd`` package of the checkout this
-script sits in.  It also writes seven configs of its own under
-``DIR/configs`` and runs them: one cell of every method kind on a
+script sits in.  It also writes nine configs of its own under
+``DIR/configs`` and runs them: ``toy.json`` with no trace CSV
+(``trace: none``), the bundled case study with final rows only
+(``trace: final``), one cell of every method kind on a
 3-dimensional quadratic (``g* = 0``) with every trace row, once from a
 seeded start and once from the lower optimum ``x0 = 0`` (where ``grad_g``
 vanishes, so that a degenerate bloop row and an undefined cosine of every
@@ -19,7 +21,7 @@ only, and ``matfac.json`` with every trace row at 700 iterations (a
 budget that is not a multiple of 256, on 20 cells of dimension 100), so
 that every method the harness can build, the scheduled and the constant
 step of every config kind that has them, and runs that end early or late
-under either trace granularity are covered.  It then prints one
+under every trace granularity are covered.  It then prints one
 ``sha256  relative/path`` line per file under ``DIR``, sorted by path, so
 that two checkouts write byte-identical outputs exactly when ``diff`` of
 their printouts is empty.  It writes nothing outside ``DIR``; the
@@ -50,6 +52,8 @@ RUNS = (
     ("casestudy", ["casestudy", "casestudy.json"]),
     ("rates-toy.json", ["rates", "rates-toy.json"]),
     ("rates-quadratic.json", ["rates", "rates-quadratic.json"]),
+    ("toy-none", ["run", "toy-none.json"]),
+    ("casestudy-final", ["casestudy", "casestudy-final.json"]),
     ("kinds", ["run", "kinds.json"]),
     ("optimum", ["run", "optimum.json"]),
     ("scheduled", ["run", "scheduled.json"]),
@@ -60,6 +64,7 @@ RUNS = (
 )
 
 _CASESTUDY = json.loads((CONFIGS / "casestudy.json").read_text())
+_TOY = json.loads((CONFIGS / "toy.json").read_text())
 _MATFAC = json.loads((CONFIGS / "matfac.json").read_text())
 
 #: A toy grid with stop tolerances: its cells stop at unequal iterations.
@@ -95,6 +100,10 @@ _KINDS = {
 
 #: Configs this script writes, by file name.
 GENERATED = {
+    "toy-none.json": {**_TOY, "output": {"directory": "toy-none", "trace": "none"}},
+    "casestudy-final.json": {
+        **_CASESTUDY, "output": {"directory": "casestudy-final", "trace": "final"},
+    },
     "kinds.json": {**_KINDS, "output": {"directory": "kinds", "trace": "all"}},
     "optimum.json": {
         **_KINDS,
