@@ -402,8 +402,6 @@ def _run_batch(
         "budget": np.array([configs[i].iterations for i in cell]),
         "tolerance": np.array([configs[i].stop_tolerances or (-np.inf, -np.inf) for i in cell]),
         "clamp_ref": np.array([getattr(configs[i].method, "g_star", -np.inf) for i in cell]),
-        "clamps": np.zeros(cells, dtype=int),
-        "degenerate": np.zeros(cells, dtype=int),
     }
     x = np.broadcast_to(x0, (cells, dim))[cell]
     f_now = problem.eval_f(x)
@@ -419,6 +417,13 @@ def _run_batch(
         "degenerate": np.zeros(cells, dtype=int),
     }
 
+    def flush(buffered: int) -> None:
+        """End a block of ``buffered`` iterations: count it, then hand it to the sink."""
+        rows = block_rows[:buffered]
+        out["clamps"][cell] += (rows[:, :, _G] < clamp_ref).sum(axis=0)
+        out["degenerate"][cell] += (rows[:, :, _DEGENERATE] != 0.0).sum(axis=0)
+        sink.block(k - buffered, cell, rows, block_gf[:buffered], block_gg[:buffered])
+
     k = 0
     while cell.size:
         n = cell.size
@@ -426,10 +431,8 @@ def _run_batch(
         eta, pot_coef = per_row["eta"], per_row["pot_coef"]
         budget, clamp_ref = per_row["budget"], per_row["clamp_ref"]
         eps_f, eps_g = per_row["tolerance"].T
-        clamps, degenerate = per_row["clamps"], per_row["degenerate"]
         horizon = int(budget.min())
         stopping = bool(np.isfinite(eps_f).any())
-        clamping = bool(np.isfinite(clamp_ref).any())
         buffered = 0
         block_rows = np.empty((block, n, len(COLUMNS)))
         block_gf, block_gg = np.empty((2, block, n, dim))
@@ -460,15 +463,12 @@ def _run_batch(
                 _diverged_row(k, cell, gf, row, f_next, g_next)
             block_gf[buffered], block_gg[buffered] = gf, gg
             buffered += 1
-            if buffered == block:
-                sink.block(k + 1 - block, cell, block_rows, block_gf, block_gg)
-                buffered = 0
-            if clamping:
-                clamps += g_now < clamp_ref
-            degenerate += row[:, _DEGENERATE] != 0.0
 
             x, f_now, g_now = x_next, f_next, g_next
             k += 1
+            if buffered == block:
+                flush(buffered)
+                buffered = 0
             if k == horizon or stopping:
                 stopped = (d_sq <= eps_f) & (gg_sq <= eps_g)
                 done = stopped | (budget == k)
@@ -477,14 +477,11 @@ def _run_batch(
 
         # Retire the runs that ended; the others go on in a smaller batch.
         if buffered:
-            sink.block(k - buffered, cell, block_rows[:buffered], block_gf[:buffered],
-                       block_gg[:buffered])
+            flush(buffered)
         ended = cell[done]
         out["rows"][ended] = k
         out["stopped"][ended] = stopped[done]
         out["final_x"][ended] = x[done]
-        out["clamps"][ended] = clamps[done]
-        out["degenerate"][ended] = degenerate[done]
         go_on = ~done
         cell, x, f_now, g_now = cell[go_on], x[go_on], f_now[go_on], g_now[go_on]
         per_row = {name: value[go_on] for name, value in per_row.items()}

@@ -150,6 +150,30 @@ def test_block_boundaries_change_no_bit():
     assert ends == [255, 256, 257, lengths[3], lengths[3] + 256, 700]
 
 
+def test_clamp_and_degenerate_counts_are_read_off_the_rows():
+    # runs of up to 400 iterations, some stopping early or retiring in the
+    # middle of a block; run 4 starts at the lower optimum x0 = 0, where
+    # grad_g vanishes and its first step is degenerate
+    problem = quadratic_sanity_problem(3)
+    configs = mixed_configs()
+    starts = mixed_starts(len(configs))
+    starts[4] = 0.0
+    full = run(problem, configs, starts, keep="all").traces
+    for i, (config, trace) in enumerate(zip(configs, full)):
+        g_star = getattr(config.method, "g_star", None)
+        clamps = 0 if g_star is None else int((trace.g < g_star).sum())
+        assert trace.clamp_count == clamps, i
+        assert trace.degenerate_steps == int(trace.degenerate.sum()), i
+    counts = [(trace.clamp_count, trace.degenerate_steps) for trace in full]
+    assert all(sum(column) > 0 for column in zip(*counts))
+
+    log = BlockLog(max(config.iterations for config in configs), len(configs))
+    for keep in ("best-last", log):
+        kept = run(problem, configs, starts, keep=keep).traces
+        assert [(trace.clamp_count, trace.degenerate_steps) for trace in kept] == counts, keep
+    assert any((k0 + size) % 256 for k0, size, _ in log.blocks)
+
+
 @pytest.mark.parametrize("n,cells,block", [(3000, 1, 21), (40000, 2, 1)])
 def test_blocks_hold_at_most_a_megabyte_of_gradients(n, cells, block):
     problem = quadratic_sanity_problem(n)
