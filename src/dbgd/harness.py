@@ -575,9 +575,9 @@ class _TraceWriter(_BestLast):
         fill_geometry(rows, gf, gg)
         ks = np.arange(k0, k0 + len(rows))
         for j, i in enumerate(cell.tolist()):
-            if k0 == 0:
-                self.opened.append(self.paths[i])
             with open(self.paths[i], "a" if k0 else "w") as fh:
+                if k0 == 0:
+                    self.opened.append(self.paths[i])
                 fh.write(trace_csv(rows[:, j], ks, header=k0 == 0))
         super().block(k0, cell, rows, gf, gg)
 
@@ -595,6 +595,14 @@ def _output_directory(path: str | Path) -> Path:
         path.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError) as exc:
         raise ConfigurationError(f"output directory {path} is not a directory") from exc
+    return path
+
+
+def _output_file(path: Path) -> Path:
+    """``path``, where a file is to be written; a directory there is a
+    :class:`ConfigurationError`."""
+    if path.is_dir():
+        raise ConfigurationError(f"output file {path} is a directory")
     return path
 
 
@@ -620,18 +628,22 @@ def _run_and_write(
     runs: list[tuple[str, SolverConfig]],
     x0: np.ndarray,
     noun: str,
+    table: str,
 ) -> tuple[Path, tuple[TraceRecord, ...]]:
     """Run a config's named runs as one batch and write each run's trace CSV.
 
-    Returns the output directory (``output_dir``, else the config's) and
-    the traces, which hold each run's best and last rows.  Run warnings go
-    to standard error before the batch runs; a divergence names the first
-    diverging run, as ``{noun} {name}``, and leaves no trace CSV.
+    Returns the path of the file ``table`` in the output directory
+    (``output_dir``, else the config's), which the caller writes, and the
+    traces, which hold each run's best and last rows.  Every output path
+    is checked before the batch runs.  Run warnings go to standard error
+    before the batch runs; a divergence names the first diverging run, as
+    ``{noun} {name}``, and leaves no trace CSV.
     """
     granularity = doc["output"].get("trace", "all")
     out = _output_directory(output_dir if output_dir is not None else doc["output"]["directory"])
     names = [name for name, _ in runs]
-    paths = [out / f"{name}.csv" for name in names]
+    paths = [_output_file(out / f"{name}.csv") for name in names if granularity != "none"]
+    table_path = _output_file(out / table)
     writer = _TraceWriter(paths, problem.dim) if granularity == "all" else None
     for name, config in runs:
         for warning in _setup(problem.smoothness, config).warnings:
@@ -650,7 +662,7 @@ def _run_and_write(
     if granularity == "final":
         for path, trace in zip(paths, batch.traces):
             path.write_text(trace_csv(trace.table[-1:], trace.k[-1:]))
-    return out, batch.traces
+    return table_path, batch.traces
 
 
 def run_experiment(
@@ -673,10 +685,10 @@ def run_experiment(
         run_block["iterations"] = iterations_override
     x0 = resolve_x0(run_block["x0"], problem.dim)
     runs = [(name, _build_solver_config(run_block, method, problem)) for name, method in cells]
-    out, traces = _run_and_write(doc, output_dir, problem, runs, x0, "cell")
+    table, traces = _run_and_write(doc, output_dir, problem, runs, x0, "cell", "summary.csv")
     rows = [_summary_row(name, trace) for (name, _), trace in zip(runs, traces)]
-    (out / "summary.csv").write_text(SUMMARY_CSV.text(rows))
-    return out
+    table.write_text(SUMMARY_CSV.text(rows))
+    return table.parent
 
 
 def run_rates(
@@ -686,13 +698,14 @@ def run_rates(
 
     A run whose minimal potential is not positive (one that starts at a
     stationary point) leaves no slope to fit: a :class:`ConfigurationError`,
-    as is an output file that names a directory (checked before the runs).
+    as is an output file that names a directory or a parent that names a
+    file (both checked before the runs).
     """
     doc, problem, _ = prepare_config(doc, "rates")
     path = Path(output_file if output_file is not None else doc["output"]["file"])
-    if path.is_dir():
-        raise ConfigurationError(f"output file {path} is a directory")
     x0 = resolve_x0(doc["x0"], problem.dim)
+    _output_directory(path.parent)
+    _output_file(path)
     tolerance = doc.get("slope_tolerance", 0.3)
     try:
         fits = rate_fit(problem, x0, doc["p"], list(doc["k_grid"]), tolerance)
@@ -706,7 +719,6 @@ def run_rates(
             for p, fit in zip(doc["p"], fits)
         ],
     }
-    _output_directory(path.parent)
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return path
 
@@ -745,7 +757,8 @@ def run_casestudy(
     x0 = np.array([resolve_x0(init, problem.dim) for init in inits])
     config = _build_solver_config(doc["run"], method, problem)
     runs = [(f"init{i}", config) for i in range(len(inits))]
-    out, traces = _run_and_write(doc, output_dir, problem, runs, x0, "initialization")
+    table, traces = _run_and_write(doc, output_dir, problem, runs, x0, "initialization",
+                                   "cases.csv")
     labels = [classify_terminal(trace, thresholds) for trace in traces]
     if all(label == "unclassified" for label in labels):
         print(
@@ -757,5 +770,5 @@ def run_casestudy(
         CASES_CSV.row([i, label, *_values(trace, -1, _CASES_FINAL)], trace.cos_defined[-1])
         for i, (label, trace) in enumerate(zip(labels, traces))
     ]
-    (out / "cases.csv").write_text(CASES_CSV.text(rows))
-    return out
+    table.write_text(CASES_CSV.text(rows))
+    return table.parent

@@ -776,36 +776,62 @@ class TestCli:
             assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr, command
         assert not (tmp_path / "rates.json").exists()
 
-    @pytest.mark.parametrize("command, base, key, flag", [
-        ("run", EXP, "directory", False),
-        ("run", EXP, "directory", True),
-        ("casestudy", CASE, "directory", False),
-        ("rates", RATES, "file", False),
-        ("rates", RATES, "file", True),
+    @pytest.mark.parametrize("command, flag, output, taken, trace", [
+        ("run", False, "taken", "taken", None),
+        ("run", True, "taken", "taken", None),
+        ("casestudy", False, "taken", "taken", None),
+        ("rates", False, "taken.json", "taken.json", None),
+        ("rates", True, "taken.json", "taken.json", None),
+        ("run", False, "out", "out/penalty_lambda=1000.csv", "all"),
+        ("run", False, "out", "out/penalty_lambda=1000.csv", "final"),
+        ("run", False, "out", "out/summary.csv", None),
+        ("casestudy", False, "out", "out/cases.csv", None),
+        ("rates", False, "taken/rates.json", "taken", None),
     ], ids=["run-directory-is-a-file", "run-output-flag-is-a-file",
             "casestudy-directory-is-a-file", "rates-file-is-a-directory",
-            "rates-output-flag-is-a-directory"])
+            "rates-output-flag-is-a-directory", "run-trace-csv-is-a-directory",
+            "run-final-trace-csv-is-a-directory", "run-summary-is-a-directory",
+            "casestudy-cases-is-a-directory", "rates-parent-is-a-file"])
     def test_an_output_path_of_the_wrong_type_is_a_config_error(
-        self, tmp_path, command, base, key, flag
+        self, tmp_path, monkeypatch, capsys, command, flag, output, taken, trace
     ):
-        # a directory where a file goes, or a file where a directory goes
-        taken = tmp_path / "taken"
-        if key == "file":
-            taken.mkdir()
+        # a directory where a file goes (a `taken` with a suffix), or a file
+        # where a directory goes; every output path is checked before the
+        # first run, so nothing is written
+        output, taken = tmp_path / output, tmp_path / taken
+        if taken.suffix:
+            taken.mkdir(parents=True)
             noun = f"output file {taken} is a directory"
         else:
             taken.write_text("keep me\n")
             noun = f"output directory {taken} is not a directory"
-        doc = mutated(base, ("output", key), str(tmp_path / "fine" if flag else taken))
+        base, key = {"run": (EXP, "directory"), "casestudy": (CASE, "directory"),
+                     "rates": (RATES, "file")}[command]
+        doc = mutated(base, ("output", key), str(tmp_path / "fine" if flag else output))
+        if trace is not None:
+            doc["output"]["trace"] = trace
         if base == EXP:
             doc["run"]["iterations"] = 5
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc))
-        proc = run_cli([command, str(path), *(["--output", str(taken)] if flag else [])])
-        assert proc.returncode == 2
-        assert f"config error: {noun}" in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert taken.is_dir() if key == "file" else taken.read_text() == "keep me\n"
+        args = [command, str(path), *(["--output", str(output)] if flag else [])]
+        if taken == output.parent:
+            # in-process, so that a parent checked only after the fits shows
+            def rate_fit(*_):
+                raise AssertionError("rate_fit ran before the output path was checked")
+
+            monkeypatch.setattr(harness, "rate_fit", rate_fit)
+            assert cli.main(args) == 2
+            stderr = capsys.readouterr().err
+        else:
+            proc = run_cli(args)
+            assert proc.returncode == 2
+            stderr = proc.stderr
+        assert f"config error: {noun}" in stderr
+        assert "Traceback" not in stderr
+        written = {p for p in tmp_path.rglob("*") if p.is_file()}
+        assert written == {path} | ({taken} if taken.is_file() else set())
+        assert taken.is_dir() if taken.suffix else taken.read_text() == "keep me\n"
 
     def test_run_warnings_go_to_stderr_named_by_cell(self, tmp_path, capsys):
         # eta = 1e-2 exceeds 1/(L_f+L_g) = 8.2e-4 on the toy problem; the
