@@ -2,30 +2,32 @@
 
 Usage: ``python3 tools/output_digests.py DIR``
 
-Runs ``dbgd run`` on ``toy.json``, ``matfac.json``, ``matfac-log.json`` and
-``matfac.json --iterations 100000``, ``dbgd casestudy`` on
-``casestudy.json`` and ``dbgd rates`` on both rates configs, each into its
-own subdirectory of ``DIR``, with the ``dbgd`` package of the checkout this
-script sits in.  It also writes nine configs of its own under
-``DIR/configs`` and runs them: ``toy.json`` with no trace CSV
-(``trace: none``), the bundled case study with final rows only
-(``trace: final``), one cell of every method kind on a
-3-dimensional quadratic (``g* = 0``) with every trace row, once from a
-seeded start and once from the lower optimum ``x0 = 0`` (where ``grad_g``
-vanishes, so that a degenerate bloop row and an undefined cosine of every
-kind are written), a ``p`` grid of the scheduled dbgd rule on the toy
-with final rows only, the bundled case study under the scheduled rule
-with every trace row, a toy grid with stop tolerances (its cells stop at
-unequal iterations) once with every trace row and once with final rows
-only, and ``matfac.json`` with every trace row at 700 iterations (a
-budget that is not a multiple of 256, on 20 cells of dimension 100), so
-that every method the harness can build, the scheduled and the constant
-step of every config kind that has them, and runs that end early or late
-under every trace granularity are covered.  It then prints one
-``sha256  relative/path`` line per file under ``DIR``, sorted by path, so
-that two checkouts write byte-identical outputs exactly when ``diff`` of
-their printouts is empty.  It writes nothing outside ``DIR``; the
-command's own messages go to standard error.
+Runs ``dbgd run`` on ``toy.json``, ``matfac.json``, ``matfac-log.json``
+and ``matfac.json --iterations 100000``, ``dbgd casestudy`` on
+``casestudy.json`` and ``dbgd rates`` on both rates configs, each into
+its own subdirectory of ``DIR``, with the ``dbgd`` package of the
+checkout this script sits in. It also writes ten configs of its own
+under ``DIR/configs`` and runs them: ``toy.json`` with no trace CSV
+(``trace: none``), the bundled case study with final rows only (``trace:
+final``), one cell of every method kind on a 3-dimensional quadratic
+(``g* = 0``) with every trace row, once from a seeded start and once
+from the lower optimum ``x0 = 0`` (where ``grad_g`` vanishes, so that a
+degenerate bloop row and an undefined cosine of every kind are written),
+the seeded quadratic cells again with ``penalty_step_scaling: false``, a
+``p`` grid of the scheduled dbgd rule on the toy with final rows only,
+the bundled case study under the scheduled rule with every trace row, a
+toy grid with stop tolerances (its cells stop at unequal iterations)
+once with every trace row and once with final rows only, and
+``matfac.json`` with every trace row at 700 iterations (a budget that is
+not a multiple of 256, on 20 cells of dimension 100), so that every
+method the harness can build, the scheduled and the constant step of
+every config kind that has them, the scaled and the unscaled penalty
+step, and runs that end early or late under every trace granularity are
+covered. It then prints one ``sha256 relative/path`` line per file under
+``DIR``, sorted by path, so that two checkouts write byte-identical
+outputs exactly when ``diff`` of their printouts is empty. It writes
+nothing outside ``DIR``; the command's own messages go to standard
+error.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ RUNS = (
     ("casestudy-final", ["casestudy", "casestudy-final.json"]),
     ("kinds", ["run", "kinds.json"]),
     ("optimum", ["run", "optimum.json"]),
+    ("kinds-unscaled", ["run", "kinds-unscaled.json"]),
     ("scheduled", ["run", "scheduled.json"]),
     ("scheduled-casestudy", ["casestudy", "scheduled-casestudy.json"]),
     ("stopping", ["run", "stopping.json"]),
@@ -109,6 +112,11 @@ GENERATED = {
         **_KINDS,
         "run": {**_KINDS["run"], "x0": [0.0, 0.0, 0.0]},
         "output": {"directory": "optimum", "trace": "all"},
+    },
+    "kinds-unscaled.json": {
+        **_KINDS,
+        "run": {**_KINDS["run"], "penalty_step_scaling": False},
+        "output": {"directory": "kinds-unscaled", "trace": "all"},
     },
     "scheduled.json": {
         "kind": "experiment",
