@@ -530,18 +530,20 @@ def _build_solver_config(
     run_block: dict, method: Method | Schedule, problem: ProblemSpec
 ) -> SolverConfig:
     """The config of one run; a :class:`Schedule` resolves to its ``eta`` and
-    its grad-norm-squared ``beta`` for the block's budget."""
+    its grad-norm-squared ``beta`` for the block's budget, and a penalty step
+    is ``eta / (1 + lambda)`` unless ``penalty_step_scaling`` is false."""
     if isinstance(method, Schedule):
         eta, beta = scheduled_step(problem.smoothness, run_block["iterations"], method.p)
         method = GradNormSquared(beta)
     else:
         eta = run_block["step"]["eta"]
+    if isinstance(method, Penalty) and run_block.get("penalty_step_scaling", True):
+        eta = eta / (1.0 + method.lam)
     stop = run_block.get("stop_tolerances")
     return SolverConfig(
         method=method,
         eta=eta,
         iterations=run_block["iterations"],
-        scale_penalty_step=run_block.get("penalty_step_scaling", True),
         stop_tolerances=tuple(stop) if stop is not None else None,
     )
 

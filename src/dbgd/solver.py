@@ -65,12 +65,11 @@ def scheduled_step(
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Method, step size, budget, penalty step scaling and stop rule of one run."""
+    """Method, step size, budget and stop rule of one run."""
 
     method: Method
     eta: float
     iterations: int
-    scale_penalty_step: bool = True
     stop_tolerances: Optional[tuple[float, float]] = None
 
     def __post_init__(self):
@@ -182,7 +181,6 @@ _KINDS = get_args(Method)
 class _Setup(NamedTuple):
     """What a config resolves to before its run starts."""
 
-    eta: float  # after penalty step scaling
     beta: Optional[float]
     pot_coef: float
     warnings: list[str]
@@ -196,11 +194,9 @@ def _setup(profile: SmoothnessProfile, config: SolverConfig) -> _Setup:
             f"constant step {eta} exceeds 1/(L_f+L_g) = {1.0 / profile.lip_total}; "
             "descent guarantees may fail"
         )
-    if isinstance(rule, Penalty) and config.scale_penalty_step:
-        eta = eta / (1.0 + rule.lam)
     beta = getattr(rule, "beta", None)
     pot_coef = 0.0 if beta is None else beta / (profile.lip_grad_g * eta)
-    return _Setup(eta, beta, pot_coef, warnings)
+    return _Setup(beta, pot_coef, warnings)
 
 
 def _stacked(rules: list[Method]) -> Method:
@@ -397,7 +393,7 @@ def _run_batch(
     # Rows of a kind sit together; active row j runs configs[cell[j]].
     cell = np.array(sorted(range(cells), key=lambda i: _KINDS.index(type(configs[i].method))))
     per_row = {
-        "eta": np.array([setups[i].eta for i in cell])[:, None],
+        "eta": np.array([configs[i].eta for i in cell])[:, None],
         "pot_coef": np.array([setups[i].pot_coef for i in cell]),
         "budget": np.array([configs[i].iterations for i in cell]),
         "tolerance": np.array([configs[i].stop_tolerances or (-np.inf, -np.inf) for i in cell]),
@@ -492,7 +488,7 @@ def _run_batch(
         traces.append(TraceRecord(
             table=kept,
             k=index,
-            eta=setup.eta,
+            eta=config.eta,
             beta=setup.beta,
             potential_kind="direction-only" if setup.beta is None else "full",
             method_label=config.method.label,

@@ -51,8 +51,8 @@ def mixed_configs() -> list[SolverConfig]:
         SolverConfig(DynamicBarrierMin(1.0, 0.25, 0.0), eta, 300),
         SolverConfig(LowerLinearization(g_star=0.05, eta=0.1), eta, 300),
         SolverConfig(BloopOrthogonal(0.5), eta, 300),
-        SolverConfig(Penalty(2.0), eta, 300),
-        SolverConfig(Penalty(10.0), eta, 300, scale_penalty_step=False),
+        SolverConfig(Penalty(2.0), eta / (1.0 + 2.0), 300),
+        SolverConfig(Penalty(10.0), eta, 300),
         scheduled(problem, 50, 1.0),
         scheduled(problem, 400, 1.0),
         scheduled(problem, 120, 0.0),
@@ -123,7 +123,7 @@ def test_block_boundaries_change_no_bit():
     # vanishes and the cosine of its first row is undefined
     problem = quadratic_sanity_problem(3)
     configs = [
-        SolverConfig(Penalty(2.0), 0.1, 255),
+        SolverConfig(Penalty(2.0), 0.1 / (1.0 + 2.0), 255),
         SolverConfig(GradNormSquared(0.5), 0.1, 256),
         SolverConfig(BloopOrthogonal(0.5), 0.1, 257),
         SolverConfig(GradNormSquared(0.5), 0.1, 700, stop_tolerances=(1e-14, 1e-16)),
@@ -235,7 +235,10 @@ def test_deferred_geometry_reproduces_an_undefined_cosine(tmp_path):
     # when the first run's 300 rows span two blocks of 256 iterations
     optimum = [-np.pi / 20.0, -1.0]
     eta = 1e-3
-    configs = [SolverConfig(GradNormSquared(1.0), eta, 300), SolverConfig(Penalty(10.0), eta, 30)]
+    configs = [
+        SolverConfig(GradNormSquared(1.0), eta, 300),
+        SolverConfig(Penalty(10.0), eta / (1.0 + 10.0), 30),
+    ]
     full = run(toy_problem(), configs, np.array(optimum)).traces
     kept = run(toy_problem(), configs, np.array(optimum), keep="best-last").traces
     for i, (a, b) in enumerate(zip(full, kept)):
@@ -419,8 +422,8 @@ def test_a_run_that_ended_never_diverges():
     # overflows after 159 steps: within a budget of 100 it must finish cleanly,
     # however long the rest of its batch runs on
     problem = quadratic_sanity_problem(3)
-    unstable = SolverConfig(Penalty(100.0), 0.1, 100, scale_penalty_step=False)
-    stable = SolverConfig(Penalty(1.0), 0.1, 1000, scale_penalty_step=False)
+    unstable = SolverConfig(Penalty(100.0), 0.1, 100)
+    stable = SolverConfig(Penalty(1.0), 0.1, 1000)
     batch = run(problem, [unstable, stable], np.full(3, 0.3), keep="best-last")
     assert [len(trace) for trace in batch.traces] == [100, 1000]
     with pytest.raises(DivergenceError) as err:
@@ -434,9 +437,9 @@ def test_a_run_that_overflows_in_its_last_row_diverges(keep):
     # d_sq and potential overflow; one more iteration overflows f
     runs = [
         (quadratic_sanity_problem(3), np.full(3, 0.3),
-         SolverConfig(Penalty(100.0), 0.1, 160, scale_penalty_step=False)),
+         SolverConfig(Penalty(100.0), 0.1, 160)),
         (toy_problem(), np.array([-3.0, -1.0]),
-         SolverConfig(Penalty(1000.0), 0.01, 118, scale_penalty_step=False)),
+         SolverConfig(Penalty(1000.0), 0.01, 118)),
     ]
     for problem, x0, config in runs:
         with pytest.raises(DivergenceError) as err:
@@ -455,7 +458,10 @@ def test_divergence_names_the_first_non_finite_quantity():
         return np.where(x[..., :1] < 0.25, np.nan, base.grad_f(x))
 
     problem = replace(base, grad_f=grad_f)
-    configs = [SolverConfig(Penalty(1.0), 0.1, 50), SolverConfig(GradNormSquared(0.5), 0.1, 50)]
+    configs = [
+        SolverConfig(Penalty(1.0), 0.1 / (1.0 + 1.0), 50),
+        SolverConfig(GradNormSquared(0.5), 0.1, 50),
+    ]
     starts = np.array([[0.9, 0.3, 0.3], [0.3, 0.3, 0.3]])
     with pytest.raises(DivergenceError) as err:
         run(problem, configs, starts)

@@ -17,6 +17,7 @@ from dbgd import (
     ConfigurationError,
     GradNormSquared,
     Method,
+    Penalty,
     SolverConfig,
     run,
     scheduled_step,
@@ -616,6 +617,26 @@ class TestScheduledResolution:
         assert trace.warnings == []
         if iterations == 1:
             assert trace.eta == 1.0 / problem.smoothness.lip_total
+
+
+class TestPenaltyStepScaling:
+    """A penalty cell runs at ``eta / (1 + lambda)``, or at ``eta`` when the
+    config sets ``penalty_step_scaling`` to false."""
+
+    @pytest.mark.parametrize("scaling", [True, None, False], ids=["true", "absent", "false"])
+    def test_each_cell_equals_a_library_run_at_its_step(self, tmp_path, scaling):
+        doc = minimal_experiment(tmp_path, methods=[{"kind": "penalty", "lambda": [1, 10]}])
+        doc["run"]["step"]["eta"] = 0.1
+        if scaling is not None:
+            doc["run"]["penalty_step_scaling"] = scaling
+        out = run_experiment(doc)
+        problem = build_problem(doc["problem"])
+        for lam in (1.0, 10.0):
+            eta = 0.1 if scaling is False else 0.1 / (1.0 + lam)
+            config = SolverConfig(Penalty(lam), eta, doc["run"]["iterations"])
+            trace = run(problem, config, np.array(doc["run"]["x0"]))
+            csv = (out / f"penalty_lambda={lam:g}.csv").read_text()
+            assert csv == trace_csv(trace.table, trace.k), lam
 
 
 class TestCli:

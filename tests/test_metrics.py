@@ -123,17 +123,19 @@ def test_optimal_multiplier_closed_form():
     assert optimal_multiplier(gf, np.zeros(2)) == 0.0
 
 
-@pytest.mark.parametrize("method", [GradNormSquared(1.0), Penalty(10.0)],
-                         ids=["dbgd", "penalty"])
-def test_trace_rows_equal_the_report_at_their_iterate(method):
+@pytest.mark.parametrize("method, eta", [
+    (GradNormSquared(1.0), 1e-2),
+    (Penalty(10.0), 1e-2 / (1.0 + 10.0)),
+], ids=["dbgd", "penalty"])
+def test_trace_rows_equal_the_report_at_their_iterate(method, eta):
     # The solver's trace and stationarity_report compute the paper's
     # residuals in two places; row k must be the report at x_k, bit for bit.
     problem = toy_problem()
     x0 = np.array([-3.0, -1.0])
-    config = SolverConfig(method, 1e-2, 400)
+    config = SolverConfig(method, eta, 400)
     trace = run(problem, config, x0)
     # x_k is the final point of a k-iteration run
-    shorter = [SolverConfig(method, 1e-2, k) for k in range(1, len(trace))]
+    shorter = [SolverConfig(method, eta, k) for k in range(1, len(trace))]
     points = [x0] + [t.final_x for t in run(problem, shorter, x0).traces]
     undefined = 0
     for k, x_k in enumerate(points):

@@ -5,7 +5,9 @@ from dbgd import (
     BloopOrthogonal,
     ConfigurationError,
     DivergenceError,
+    DynamicBarrierMin,
     GradNormSquared,
+    LowerLinearization,
     Penalty,
     SmoothnessProfile,
     SolverConfig,
@@ -47,7 +49,6 @@ class TestRun:
             method=Penalty(0.0),
             eta=0.5,
             iterations=300,
-            scale_penalty_step=False,
         )
         trace = run(problem, config, np.zeros(4))
         assert np.allclose(trace.final_x, np.ones(4), atol=1e-12)
@@ -122,8 +123,7 @@ class TestRun:
         config = SolverConfig(
             method=Penalty(1000.0),
             eta=1e-2,
-            iterations=200,
-            scale_penalty_step=False,  # deliberately unstable
+            iterations=200,  # deliberately unstable
         )
         with pytest.raises(DivergenceError) as err:
             run(problem, config, np.array([-3.0, -1.0]))
@@ -149,29 +149,29 @@ class TestRun:
         trace = run(problem, config, 0.1 * np.ones(4))
         assert any("exceeds" in w for w in trace.warnings)
 
-    def test_penalty_step_scaling(self):
+    @pytest.mark.parametrize("method", [
+        GradNormSquared(0.5),
+        DynamicBarrierMin(1.0, 0.25, 0.0),
+        LowerLinearization(g_star=0.0, eta=0.1),
+        BloopOrthogonal(0.5),
+        Penalty(4.0),
+    ], ids=lambda method: method.label)
+    def test_a_run_steps_at_its_config_eta(self, method):
+        # the library scales no step: x_1 = x_0 - eta * d_0 at the config's eta
         problem = quadratic_sanity_problem(2)
-        base = SolverConfig(method=Penalty(4.0), eta=0.5, iterations=1)
-        scaled = run(problem, base, np.ones(2))
-        assert scaled.eta == pytest.approx(0.1)
-        unscaled = run(
-            problem,
-            SolverConfig(
-                method=Penalty(4.0),
-                eta=0.5,
-                iterations=1,
-                scale_penalty_step=False,
-            ),
-            np.ones(2),
-        )
-        assert unscaled.eta == 0.5
+        config = SolverConfig(method=method, eta=0.5, iterations=1)
+        x0 = np.ones(2)
+        trace = run(problem, config, x0)
+        assert trace.eta == config.eta
+        step_sq = float(np.sum((trace.final_x - x0) ** 2))
+        assert step_sq == pytest.approx(config.eta**2 * trace.d_sq[0], rel=1e-12)
 
     def test_potential_labels(self):
         problem = quadratic_sanity_problem(3)
         x0 = 0.2 * np.ones(3)
         pen = run(
             problem,
-            SolverConfig(method=Penalty(1.0), eta=0.1, iterations=3),
+            SolverConfig(method=Penalty(1.0), eta=0.1 / (1.0 + 1.0), iterations=3),
             x0,
         )
         assert pen.potential_kind == "direction-only"

@@ -37,7 +37,7 @@ def test_barrier_method_dominates_penalties_at_small_step():
             problem,
             SolverConfig(
                 method=Penalty(lam),
-                eta=1e-3,
+                eta=1e-3 / (1.0 + lam),
                 iterations=iterations,
             ),
             x0,
@@ -57,7 +57,7 @@ def test_penalty_plateau_scales_inversely_with_multiplier():
         trace = run(
             problem,
             SolverConfig(
-                method=Penalty(lam), eta=1e-2, iterations=1000
+                method=Penalty(lam), eta=1e-2 / (1.0 + lam), iterations=1000
             ),
             x0,
         )

@@ -161,7 +161,7 @@ class TestInequalityAudit:
     def test_mode_mismatch_is_config_error(self):
         problem = quadratic_sanity_problem(3)
         config = SolverConfig(
-            method=Penalty(1.0), eta=0.1, iterations=5
+            method=Penalty(1.0), eta=0.1 / (1.0 + 1.0), iterations=5
         )
         trace = run(problem, config, 0.1 * np.ones(3))
         with pytest.raises(ConfigurationError):
