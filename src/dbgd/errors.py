@@ -16,12 +16,13 @@ class ConfigurationError(DbgdError):
 class CapabilityError(DbgdError):
     """An operation requires a problem capability that is absent.
 
-    ``missing`` names the absent field (``"g_star"`` or ``"hvp_g"``).
+    ``missing`` names the absent field: ``"g_star"`` or ``"hvp_g"`` of a
+    problem, or ``"grad_f_bound"`` of a smoothness profile.
     """
 
-    def __init__(self, missing: str, message: str | None = None):
+    def __init__(self, missing: str):
         self.missing = missing
-        super().__init__(message or f"problem lacks required capability: {missing}")
+        super().__init__(f"problem lacks required capability: {missing}")
 
 
 class DivergenceError(DbgdError):

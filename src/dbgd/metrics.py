@@ -164,14 +164,13 @@ def hessian_least_squares(
     problem: ProblemSpec,
     x: Array,
     ls_tol: float = 1e-10,
-    max_iter: Optional[int] = None,
 ) -> tuple[Array, float]:
     """Minimize ``||grad_f(x) + hess_g(x) w||^2`` over ``w``.
 
     Conjugate gradient on the normal equations, using only Hessian-vector
     products.  Iterates until the residual gradient norm falls below
-    ``ls_tol * (1 + initial norm)``.  Returns ``(w, minimal squared
-    residual)``.
+    ``ls_tol * (1 + initial norm)``, for at most ``10 * dim + 50``
+    iterations.  Returns ``(w, minimal squared residual)``.
     """
     x = np.asarray(x, dtype=float)
     if not problem.has_hvp:
@@ -187,8 +186,7 @@ def hessian_least_squares(
     p = r.copy()
     rs = float(r @ r)
     tol = ls_tol * (1.0 + np.sqrt(float(rhs @ rhs)))
-    limit = max_iter if max_iter is not None else 10 * problem.dim + 50
-    for _ in range(limit):
+    for _ in range(10 * problem.dim + 50):
         if np.sqrt(rs) <= tol:
             break
         ap = normal_op(p)

@@ -11,7 +11,7 @@ minimal potential across budgets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -113,13 +113,7 @@ class AuditReport:
 
     @property
     def violations(self) -> dict[str, int]:
-        return {
-            "upper_descent": int(np.count_nonzero(~self.upper_descent)),
-            "lower_descent": int(np.count_nonzero(~self.lower_descent)),
-            "multiplier_bound": int(np.count_nonzero(~self.multiplier_bound)),
-            "direction_bound": int(np.count_nonzero(~self.direction_bound)),
-            "potential_bound": int(np.count_nonzero(~self.potential_bound)),
-        }
+        return {f.name: int(np.count_nonzero(~getattr(self, f.name))) for f in fields(self)}
 
     @property
     def total_violations(self) -> int:
