@@ -122,8 +122,8 @@ class TestRun:
         problem = toy_problem()
         config = SolverConfig(
             method=Penalty(1000.0),
-            eta=1e-2,
-            iterations=200,  # deliberately unstable
+            eta=1e-2,  # deliberately unstable
+            iterations=200,
         )
         with pytest.raises(DivergenceError) as err:
             run(problem, config, np.array([-3.0, -1.0]))
