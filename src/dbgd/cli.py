@@ -9,7 +9,7 @@ Subcommands::
     dbgd gradcheck <problem> [--seed S] [--points N] [...problem params]
 
 Exit codes: 0 success, 1 check failed, 2 configuration error,
-3 divergence, 4 missing problem capability.
+3 divergence.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .errors import CapabilityError, ConfigurationError, DbgdError, DivergenceError
+from .errors import ConfigurationError, DbgdError, DivergenceError
 from .harness import (
     PROBLEM_FIELDS,
     PROBLEMS,
@@ -115,6 +115,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             if args.points < 1:
                 raise ConfigurationError(f"--points must be at least 1, got {args.points}")
+            if args.seed < 0:
+                raise ConfigurationError(f"--seed must be nonnegative, got {args.seed}")
             problem = _gradcheck_problem(args)
             worst = finite_diff_sweep(problem, points=args.points, seed=args.seed)
             status = "ok" if worst <= GRADCHECK_TOLERANCE else "FAIL"
@@ -130,9 +132,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return 3
-    except CapabilityError as exc:
-        print(f"capability error: {exc}", file=sys.stderr)
-        return 4
     except DbgdError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

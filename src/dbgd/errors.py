@@ -16,8 +16,8 @@ class ConfigurationError(DbgdError):
 class CapabilityError(DbgdError):
     """An operation requires a problem capability that is absent.
 
-    ``missing`` names the absent field: ``"g_star"`` or ``"hvp_g"`` of a
-    problem, or ``"grad_f_bound"`` of a smoothness profile.
+    ``missing`` names the absent field, such as ``"grad_f_bound"`` of a
+    smoothness profile.
     """
 
     def __init__(self, missing: str):

@@ -7,10 +7,8 @@ A candidate ``x`` is judged through two families of residuals:
   upper gradient into components parallel and orthogonal to the lower
   gradient;
 * relaxed KKT conditions of the constrained reformulation
-  ``min f s.t. g <= g*`` (scaled, unscaled, and infeasible-stationary
-  variants) and of the gradient-based reformulation
-  ``min f s.t. grad_g = 0``, whose residual is a Hessian-vector least
-  squares problem.
+  ``min f s.t. g <= g*``, in an unscaled and an infeasible-stationary
+  variant.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .direction import DEFAULT_GUARD, lambda_closed_form
-from .errors import CapabilityError, EvaluationError
+from .errors import EvaluationError
 from .problems import ProblemSpec, row_dot
 
 Array = np.ndarray
@@ -118,14 +116,6 @@ def stationarity_report(
     )
 
 
-def scaled_kkt_ok(
-    g_gap: float, d_norm: float, lam: float, eps_p: float, eps_d: float
-) -> bool:
-    """Scaled conditions: primal gap within ``eps_p`` and dual residual
-    within ``eps_d * (1 + lam)``."""
-    return lam >= 0.0 and g_gap <= eps_p and d_norm <= eps_d * (1.0 + lam)
-
-
 def unscaled_kkt_ok(g_gap: float, d_norm: float, eps_p: float, eps_d: float) -> bool:
     """Unscaled conditions: dual residual within ``eps_d`` independently of
     the multiplier."""
@@ -138,110 +128,3 @@ def infeasible_stationary_ok(
     """Infeasible stationarity: the gap stays at least ``0.99 eps_p`` while
     the constraint gradient is within ``eps_d``."""
     return g_gap >= 0.99 * eps_p and grad_g_norm <= eps_d
-
-
-@dataclass(frozen=True)
-class KKTReport:
-    """Relaxed KKT residuals at a candidate point.
-
-    ``grad_reform_eps_p`` is ``min_w ||grad_f + hess_g w||^2``, the primal
-    residual of the gradient-based reformulation; ``grad_reform_eps_d`` is
-    ``||grad_g||^2``; ``w_norm`` is the norm of the minimizing auxiliary
-    vector.
-    """
-
-    eps_p: float
-    eps_d: float
-    scaled_ok: bool
-    unscaled_ok: bool
-    infeasible_stationary_ok: bool
-    grad_reform_eps_p: float
-    grad_reform_eps_d: float
-    w_norm: float
-
-
-def hessian_least_squares(
-    problem: ProblemSpec,
-    x: Array,
-    ls_tol: float = 1e-10,
-) -> tuple[Array, float]:
-    """Minimize ``||grad_f(x) + hess_g(x) w||^2`` over ``w``.
-
-    Conjugate gradient on the normal equations, using only Hessian-vector
-    products.  Iterates until the residual gradient norm falls below
-    ``ls_tol * (1 + initial norm)``, for at most ``10 * dim + 50``
-    iterations.  Returns ``(w, minimal squared residual)``.
-    """
-    x = np.asarray(x, dtype=float)
-    if not problem.has_hvp:
-        raise CapabilityError("hvp_g")
-    b = problem.eval_grad_f(x)
-
-    def normal_op(v: Array) -> Array:
-        return problem.eval_hvp_g(x, problem.eval_hvp_g(x, v))
-
-    rhs = -problem.eval_hvp_g(x, b)
-    w = np.zeros_like(b)
-    r = rhs.copy()
-    p = r.copy()
-    rs = float(r @ r)
-    tol = ls_tol * (1.0 + np.sqrt(float(rhs @ rhs)))
-    for _ in range(10 * problem.dim + 50):
-        if np.sqrt(rs) <= tol:
-            break
-        ap = normal_op(p)
-        denom = float(p @ ap)
-        if denom <= 0.0:
-            break  # numerically null direction; current w is optimal on the explored subspace
-        step = rs / denom
-        w = w + step * p
-        r = r - step * ap
-        rs_new = float(r @ r)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    residual = b + problem.eval_hvp_g(x, w)
-    return w, float(residual @ residual)
-
-
-def kkt_report(
-    problem: ProblemSpec,
-    x: Array,
-    lam: float,
-    eps_p: float,
-    eps_d: float,
-    ls_tol: float = 1e-10,
-) -> KKTReport:
-    """Evaluate every relaxed KKT condition at ``x``.
-
-    Requires a declared lower optimum (for the primal gap) and a
-    Hessian-vector product (for the gradient-based reformulation
-    residual); a missing capability raises :class:`CapabilityError` naming
-    the field.
-    """
-    if not problem.has_g_star:
-        raise CapabilityError("g_star")
-    if not problem.has_hvp:
-        raise CapabilityError("hvp_g")
-    if not (lam >= 0.0):
-        raise ValueError("lam must be nonnegative")
-
-    x = np.asarray(x, dtype=float)
-    gf = problem.eval_grad_f(x)
-    gg = problem.eval_grad_g(x)
-    if not (np.all(np.isfinite(gf)) and np.all(np.isfinite(gg))):
-        raise EvaluationError(f"non-finite gradient at x = {x!r}")
-    g_gap = problem.eval_g(x) - problem.g_star
-    d_norm = float(np.linalg.norm(gf + lam * gg))
-    gg_norm = float(np.linalg.norm(gg))
-
-    w, reform_eps_p = hessian_least_squares(problem, x, ls_tol)
-    return KKTReport(
-        eps_p=eps_p,
-        eps_d=eps_d,
-        scaled_ok=scaled_kkt_ok(g_gap, d_norm, lam, eps_p, eps_d),
-        unscaled_ok=unscaled_kkt_ok(g_gap, d_norm, eps_p, eps_d),
-        infeasible_stationary_ok=infeasible_stationary_ok(g_gap, gg_norm, eps_p, eps_d),
-        grad_reform_eps_p=reform_eps_p,
-        grad_reform_eps_d=gg_norm**2,
-        w_norm=float(np.linalg.norm(w)),
-    )

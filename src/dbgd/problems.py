@@ -3,9 +3,9 @@
 A problem couples an upper objective ``f`` with a lower objective ``g``
 over a shared variable ``x`` in R^n; the feasible set of the bilevel
 problem is the set of global minimizers of ``g``.  Instances bundle value
-and gradient evaluators, an optional Hessian-vector product for ``g``, an
-optional known lower optimum ``g*``, and smoothness constants consumed by
-step-size schedules and inequality monitors.
+and gradient evaluators, an optional known lower optimum ``g*``, and
+smoothness constants consumed by step-size schedules and inequality
+monitors.
 
 Matrix-valued problems store their variable flattened in row-major order,
 so every solver sees a plain vector interface.  Every oracle takes a
@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import CapabilityError, LowerOptimumError
+from .errors import LowerOptimumError
 
 Array = np.ndarray
 
@@ -86,8 +86,8 @@ class ProblemSpec:
 
     Evaluators must be re-entrant, and each result must depend on its
     inputs only; an evaluator may keep a memo of its last input (the
-    matrix-factorization ``g``, ``grad_g`` and ``hvp_g`` share the residual
-    of their last point).  A constructed instance is immutable and safe to
+    matrix-factorization ``g`` and ``grad_g`` share the residual of their
+    last point).  A constructed instance is immutable and safe to
     share across concurrent runs.
 
     Parameters
@@ -103,8 +103,6 @@ class ProblemSpec:
         ``(dim,)``, one value per row for a batch ``(..., dim)``.
     grad_f, grad_g : callable
         Analytic gradients, ``x -> ndarray`` of the shape of ``x``.
-    hvp_g : callable, optional
-        Hessian-vector product of ``g``: ``(x, v) -> ndarray``.
     g_star : float, optional
         Known minimum value of ``g``.  When present, every ``eval_g`` call
         checks ``g(x) >= g_star`` on every row and raises
@@ -121,7 +119,6 @@ class ProblemSpec:
     g: Callable[[Array], float]
     grad_f: Callable[[Array], Array]
     grad_g: Callable[[Array], Array]
-    hvp_g: Optional[Callable[[Array, Array], Array]] = None
     g_star: Optional[float] = None
     sample: Optional[Callable[[np.random.Generator], Array]] = None
 
@@ -132,10 +129,6 @@ class ProblemSpec:
     @property
     def has_g_star(self) -> bool:
         return self.g_star is not None
-
-    @property
-    def has_hvp(self) -> bool:
-        return self.hvp_g is not None
 
     def eval_f(self, x: Array):
         return _as_value(self.f(x))
@@ -153,11 +146,6 @@ class ProblemSpec:
 
     def eval_grad_g(self, x: Array) -> Array:
         return np.asarray(self.grad_g(x), dtype=float)
-
-    def eval_hvp_g(self, x: Array, v: Array) -> Array:
-        if self.hvp_g is None:
-            raise CapabilityError("hvp_g")
-        return np.asarray(self.hvp_g(x, v), dtype=float)
 
     def sample_point(self, gen: np.random.Generator) -> Array:
         if self.sample is not None:
@@ -204,17 +192,6 @@ def toy_problem() -> ProblemSpec:
         out[..., 1] = 2.0 * e
         return out
 
-    def hvp_g(x: Array, v: Array) -> Array:
-        s = np.sin(10.0 * x[..., 0])
-        c = np.cos(10.0 * x[..., 0])
-        e = x[..., 1] - s
-        h11 = 200.0 * s * e + 200.0 * c * c
-        h12 = -20.0 * c
-        out = np.empty(np.broadcast_shapes(x.shape, v.shape))
-        out[..., 0] = h11 * v[..., 0] + h12 * v[..., 1]
-        out[..., 1] = h12 * v[..., 0] + 2.0 * v[..., 1]
-        return out
-
     def sample(gen: np.random.Generator) -> Array:
         return gen.uniform(-4.0, 4.0, size=2)
 
@@ -231,7 +208,6 @@ def toy_problem() -> ProblemSpec:
         g=g,
         grad_f=grad_f,
         grad_g=grad_g,
-        hvp_g=hvp_g,
         g_star=0.0,
         sample=sample,
     )
@@ -267,9 +243,6 @@ def quadratic_sanity_problem(n: int, box_radius: float = 2.0) -> ProblemSpec:
     def grad_g(x: Array) -> Array:
         return np.array(x, dtype=float, copy=True)
 
-    def hvp_g(x: Array, v: Array) -> Array:
-        return np.array(v, dtype=float, copy=True)
-
     def sample(gen: np.random.Generator) -> Array:
         return gen.uniform(-box_radius, box_radius, size=n)
 
@@ -286,7 +259,6 @@ def quadratic_sanity_problem(n: int, box_radius: float = 2.0) -> ProblemSpec:
         g=g,
         grad_f=grad_f,
         grad_g=grad_g,
-        hvp_g=hvp_g,
         g_star=0.0,
         sample=sample,
     )
@@ -393,11 +365,6 @@ def matrix_factorization_problem(
         out *= 4.0
         return out.reshape(x.shape)
 
-    def hvp_g(x: Array, w_flat: Array) -> Array:
-        v, w = factor(x), factor(w_flat)
-        out = (w @ v.swapaxes(-1, -2) + v @ w.swapaxes(-1, -2)) @ v + residual(x) @ w
-        return (4.0 * out).reshape(*out.shape[:-2], n * r)
-
     def sample(gen: np.random.Generator) -> Array:
         return 0.3 * gen.standard_normal(n * r)
 
@@ -414,7 +381,6 @@ def matrix_factorization_problem(
         g=g,
         grad_f=grad_f,
         grad_g=grad_g,
-        hvp_g=hvp_g,
         g_star=None,
         sample=sample,
     )

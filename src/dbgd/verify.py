@@ -338,19 +338,3 @@ def rate_fit(
             slope_tolerance=slope_tolerance,
         ))
     return fits
-
-
-def dense_hessian(problem: ProblemSpec, x: Array) -> Array:
-    """Materialize the lower Hessian column by column via its products.
-
-    Dense direct oracle for the iterative least-squares residual; intended
-    for small dimensions.
-    """
-    x = np.asarray(x, dtype=float)
-    n = problem.dim
-    h = np.empty((n, n))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        h[:, i] = problem.eval_hvp_g(x, e)
-    return h

@@ -13,7 +13,6 @@ import dbgd
 import dbgd.cli as cli
 import dbgd.harness as harness
 from dbgd import (
-    CapabilityError,
     ConfigurationError,
     GradNormSquared,
     Method,
@@ -719,6 +718,12 @@ class TestCli:
         assert "config error: --points must be at least 1" in captured.err
         assert "ok" not in captured.out
 
+    def test_gradcheck_of_a_negative_seed_is_a_config_error(self, capsys):
+        assert cli.main(["gradcheck", "toy", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "config error: --seed must be nonnegative, got -1" in captured.err
+        assert "ok" not in captured.out
+
     def test_gridded_casestudy_is_rejected_by_validate_and_casestudy(self, tmp_path, capsys):
         doc = json.loads(bundled("casestudy.json").read_text())
         doc["method"]["beta"] = [0.5, 1.0]
@@ -760,14 +765,6 @@ class TestCli:
         assert cli.main(["run", str(path)]) == 3
         err = capsys.readouterr().err
         assert "divergence" in err and "penalty_lambda=1000" in err
-
-    def test_capability_exit_code(self, monkeypatch, capsys):
-        def boom(*args, **kwargs):
-            raise CapabilityError("g_star")
-
-        monkeypatch.setattr(cli, "run_experiment", boom)
-        assert cli.main(["run", "whatever.json"]) == 4
-        assert "capability" in capsys.readouterr().err
 
     def test_rates_from_a_stationary_point_is_a_config_error(self, tmp_path):
         # every potential is 0 at the bilevel optimum, so no slope can be fitted

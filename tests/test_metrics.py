@@ -6,21 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbgd import (
-    CapabilityError,
     GradNormSquared,
     Penalty,
     SolverConfig,
     decompose_grad_f,
-    dense_hessian,
-    hessian_least_squares,
     infeasible_stationary_ok,
-    kkt_report,
-    matrix_factorization_problem,
     optimal_multiplier,
     quadratic_sanity_problem,
     rng,
     run,
-    scaled_kkt_ok,
     stationarity_report,
     toy_problem,
     unscaled_kkt_ok,
@@ -149,100 +143,12 @@ def test_trace_rows_equal_the_report_at_their_iterate(method, eta):
         assert undefined > 0
 
 
-def _shared_minimum_problem(n):
-    # f and g are the same quadratic bowl: x = 0 minimizes both
-    from dbgd import ProblemSpec, SmoothnessProfile
-
-    return ProblemSpec(
-        name="shared",
-        dim=n,
-        smoothness=SmoothnessProfile(1.0, 1.0, grad_f_bound=10.0),
-        f=lambda x: 0.5 * float(x @ x),
-        g=lambda x: 0.5 * float(x @ x),
-        grad_f=lambda x: np.array(x, dtype=float, copy=True),
-        grad_g=lambda x: np.array(x, dtype=float, copy=True),
-        hvp_g=lambda x, v: np.array(v, dtype=float, copy=True),
-        g_star=0.0,
-    )
-
-
-class TestKktReport:
-    def test_exact_joint_minimum_passes_everything(self):
-        problem = _shared_minimum_problem(3)
-        rep = kkt_report(problem, np.zeros(3), lam=0.0, eps_p=1e-9, eps_d=1e-9)
-        assert rep.scaled_ok and rep.unscaled_ok
-        assert rep.grad_reform_eps_p == 0.0
-        assert rep.grad_reform_eps_d == 0.0
-        assert rep.w_norm == 0.0
-
-    def test_hessian_least_squares_closed_form(self):
-        problem = quadratic_sanity_problem(4)
-        rep = kkt_report(problem, np.zeros(4), lam=1.0, eps_p=1.0, eps_d=1.0)
-        assert rep.grad_reform_eps_p <= 1e-12
-        assert rep.w_norm == pytest.approx(2.0, rel=1e-8)  # w = ones, n = 4
-
-    def test_infeasible_stationary_path(self):
-        problem = quadratic_sanity_problem(4)
-        x = 0.05 * np.ones(4)  # g - g* = 0.005, ||grad_g|| = 0.1
-        rep = kkt_report(problem, x, lam=1e6, eps_p=1e-3, eps_d=0.2)
-        assert rep.infeasible_stationary_ok
-        assert not rep.unscaled_ok
-
-    def test_missing_capabilities(self):
-        matfac = matrix_factorization_problem(4, 2, 1.0)
-        with pytest.raises(CapabilityError) as err:
-            kkt_report(matfac, np.zeros(8), 0.0, 1.0, 1.0)
-        assert err.value.missing == "g_star"
-
-    def test_unscaled_implies_scaled(self):
-        problem = quadratic_sanity_problem(3)
-        gen = rng(8)
-        for _ in range(40):
-            x = 0.5 * gen.standard_normal(3)
-            lam = abs(gen.standard_normal())
-            rep = kkt_report(problem, x, lam=lam, eps_p=0.5, eps_d=0.5)
-            if rep.unscaled_ok:
-                assert rep.scaled_ok
-
-
-def test_dichotomy_grid():
-    # any report satisfying the stationarity pair at (eps_d^2, eps_d^2)
-    # lands in the infeasible-stationary or the unscaled branch
-    for eps_d in (1e-3, 1e-2, 0.1, 1.0):
-        for eps_p in (1e-3, 1e-2, 0.1, 1.0):
-            gaps = [0.0, 1e-6, 0.5 * eps_p, 0.99 * eps_p, 0.999 * eps_p, eps_p, 2.0 * eps_p, 10.0]
-            for g_gap in gaps:
-                for d_norm in (0.0, 0.5 * eps_d, eps_d):
-                    for gg_norm in (0.0, 0.5 * eps_d, eps_d):
-                        assert infeasible_stationary_ok(
-                            g_gap, gg_norm, eps_p, eps_d
-                        ) or unscaled_kkt_ok(g_gap, d_norm, eps_p, eps_d)
-
-
-def test_scaled_is_weaker_than_unscaled_scalars():
-    for lam in (0.0, 0.5, 10.0):
-        for g_gap in (0.0, 0.5, 1.0):
-            for d_norm in (0.0, 0.5, 1.0):
-                if unscaled_kkt_ok(g_gap, d_norm, 1.0, 1.0):
-                    assert scaled_kkt_ok(g_gap, d_norm, lam, 1.0, 1.0)
-
-
-@pytest.mark.parametrize(
-    "factory",
-    [
-        lambda: toy_problem(),
-        lambda: quadratic_sanity_problem(7),
-        lambda: matrix_factorization_problem(10, 10, 1.0, seed=5),
-    ],
-)
-def test_iterative_least_squares_matches_dense_oracle(factory):
-    problem = factory()
-    gen = rng(13)
-    for _ in range(3):
-        x = problem.sample_point(gen)
-        _, eps_iter = hessian_least_squares(problem, x, ls_tol=1e-12)
-        h = dense_hessian(problem, x)
-        b = problem.eval_grad_f(x)
-        w_dense, *_ = np.linalg.lstsq(h, -b, rcond=None)
-        eps_dense = float(np.sum((h @ w_dense + b) ** 2))
-        assert eps_iter == pytest.approx(eps_dense, abs=1e-6 * (1.0 + eps_dense))
+def test_each_relaxed_kkt_condition_rejects_what_it_must():
+    # criterion 09 checks only that one of the two holds; each must also fail
+    eps_p, eps_d = 1e-3, 0.2
+    assert unscaled_kkt_ok(0.0, 0.1, eps_p, eps_d)
+    assert not unscaled_kkt_ok(0.005, 0.1, eps_p, eps_d)  # gap above eps_p
+    assert not unscaled_kkt_ok(0.0, 0.3, eps_p, eps_d)  # residual above eps_d
+    assert infeasible_stationary_ok(0.005, 0.1, eps_p, eps_d)
+    assert not infeasible_stationary_ok(0.5 * eps_p, 0.1, eps_p, eps_d)  # nearly feasible
+    assert not infeasible_stationary_ok(0.005, 0.3, eps_p, eps_d)  # lower gradient too large

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from dbgd import (
-    CapabilityError,
     DbgdError,
     LowerOptimumError,
     ProblemSpec,
@@ -122,11 +121,11 @@ class TestMatrixFactorization:
         assert np.allclose(grad, expect, rtol=1e-14)
 
     def test_the_residual_memo_follows_the_values_of_a_point(self):
-        # g, grad_g and hvp_g share the residual of their last point; a point
+        # g and grad_g share the residual of their last point; a point
         # changed in place (the same array object) must get a fresh one
         p = matrix_factorization_problem(4, 2, 1.0, seed=5)
         gen = rng(6)
-        x, w = gen.standard_normal(8), gen.standard_normal(8)
+        x = gen.standard_normal(8)
 
         def fresh(oracle, *args):
             return getattr(matrix_factorization_problem(4, 2, 1.0, seed=5), oracle)(*args)
@@ -134,7 +133,6 @@ class TestMatrixFactorization:
         for step in range(3):
             assert p.eval_g(x) == p.eval_g(x) == fresh("eval_g", x.copy()), step
             assert p.eval_grad_g(x).tobytes() == fresh("eval_grad_g", x.copy()).tobytes(), step
-            assert p.eval_hvp_g(x, w).tobytes() == fresh("eval_hvp_g", x.copy(), w).tobytes()
             x *= 1.5
         batch = np.stack([x, 2.0 * x])
         assert p.eval_g(batch).tobytes() == fresh("eval_g", batch.copy()).tobytes()
@@ -147,32 +145,16 @@ def test_gradients_match_finite_differences(name, factory):
 
 
 @pytest.mark.parametrize("name,factory", ALL_PROBLEMS)
-def test_hessian_vector_product_is_symmetric(name, factory):
-    p = factory()
-    gen = rng(9)
-    for _ in range(10):
-        x = p.sample_point(gen)
-        u = gen.standard_normal(p.dim)
-        v = gen.standard_normal(p.dim)
-        left = float(v @ p.eval_hvp_g(x, u))
-        right = float(u @ p.eval_hvp_g(x, v))
-        assert left == pytest.approx(right, rel=1e-8, abs=1e-10)
-
-
-@pytest.mark.parametrize("name,factory", ALL_PROBLEMS)
 def test_batched_oracles_equal_single_point_oracles(name, factory):
     # the solver advances runs as rows of one batch; each row's values must
     # be bit for bit those of the point alone
     p = factory()
     gen = rng(11)
     x = np.array([p.sample_point(gen) for _ in range(5)])
-    v = gen.standard_normal(x.shape)
     for oracle in ("eval_f", "eval_g", "eval_grad_f", "eval_grad_g"):
         batch = getattr(p, oracle)(x)
         alone = np.array([getattr(p, oracle)(row) for row in x])
         assert batch.shape == alone.shape and batch.tobytes() == alone.tobytes(), oracle
-    alone = np.array([p.eval_hvp_g(row, w) for row, w in zip(x, v)])
-    assert p.eval_hvp_g(x, v).tobytes() == alone.tobytes()
     assert isinstance(p.eval_f(x[0]), float) and isinstance(p.eval_g(x[0]), float)
 
 
@@ -228,21 +210,6 @@ def test_g_star_check_survives_optimized_mode():
 def _child_env() -> dict:
     paths = [str(Path(__file__).parent), *(p for p in sys.path if p)]
     return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
-
-
-def test_missing_hvp_raises_capability_error():
-    p = ProblemSpec(
-        name="plain",
-        dim=1,
-        smoothness=SmoothnessProfile(1.0, 1.0),
-        f=lambda x: 0.0,
-        g=lambda x: 0.0,
-        grad_f=lambda x: np.zeros(1),
-        grad_g=lambda x: np.zeros(1),
-    )
-    with pytest.raises(CapabilityError) as err:
-        p.eval_hvp_g(np.zeros(1), np.zeros(1))
-    assert err.value.missing == "hvp_g"
 
 
 def test_smoothness_profile_validation():
