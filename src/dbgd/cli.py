@@ -6,7 +6,7 @@ Subcommands::
     dbgd rates <config> [--output FILE]
     dbgd casestudy <config> [--output DIR]
     dbgd validate <config>
-    dbgd gradcheck <problem> [--seed S] [--points N] [...problem params]
+    dbgd gradcheck <config> [--seed S] [--points N]
 
 Exit codes: 0 success, 1 check failed, 2 configuration error,
 3 divergence.
@@ -19,28 +19,10 @@ import sys
 from typing import Optional, Sequence
 
 from .errors import ConfigurationError, DbgdError, DivergenceError
-from .harness import (
-    PROBLEM_FIELDS,
-    PROBLEMS,
-    build_problem,
-    prepare_config,
-    run_casestudy,
-    run_experiment,
-    run_rates,
-)
+from .harness import prepare_config, run_casestudy, run_experiment, run_rates
 from .verify import finite_diff_sweep
 
 GRADCHECK_TOLERANCE = 1e-5
-
-#: Problem names ``dbgd gradcheck`` accepts, each with its table name.
-GRADCHECK_PROBLEMS = {
-    **{name: name for name in PROBLEMS},
-    **{entry.alias: name for name, entry in PROBLEMS.items() if entry.alias},
-}
-
-#: Problem fields ``dbgd gradcheck`` takes as flags, each with the value it
-#: passes when the flag is absent (None: the constructor's default).
-GRADCHECK_FLAGS = {"n": 10, "r": 10, "alpha": 1.0, "variant": None}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -74,23 +56,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("config", help="config file of any kind")
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient audit")
-    p_grad.add_argument("problem", choices=list(GRADCHECK_PROBLEMS), help="built-in problem")
+    p_grad.add_argument("config", help="config file of any kind; its problem is audited")
     p_grad.add_argument("--seed", type=int, default=0)
     p_grad.add_argument("--points", type=int, default=100)
-    for name, default in GRADCHECK_FLAGS.items():
-        leaf = PROBLEM_FIELDS[name]
-        p_grad.add_argument(f"--{name}", type=leaf.type, choices=leaf.choices, default=default)
     return parser
-
-
-def _gradcheck_problem(args: argparse.Namespace):
-    name = GRADCHECK_PROBLEMS[args.problem]
-    entry = PROBLEMS[name]
-    block = {"name": name}
-    for flag in GRADCHECK_FLAGS:
-        if (flag in entry.required or flag in entry.optional) and getattr(args, flag) is not None:
-            block[flag] = getattr(args, flag)
-    return build_problem(block)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -117,7 +86,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 raise ConfigurationError(f"--points must be at least 1, got {args.points}")
             if args.seed < 0:
                 raise ConfigurationError(f"--seed must be nonnegative, got {args.seed}")
-            problem = _gradcheck_problem(args)
+            _, problem, _ = prepare_config(args.config)
             worst = finite_diff_sweep(problem, points=args.points, seed=args.seed)
             status = "ok" if worst <= GRADCHECK_TOLERANCE else "FAIL"
             print(

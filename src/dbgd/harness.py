@@ -245,16 +245,13 @@ class ProblemEntry(NamedTuple):
     """A config-buildable problem: its constructor and its config fields.
 
     Field names are the constructor's keyword arguments and map to the
-    :class:`Leaf` checks of their values, whose ``type`` and ``choices``
-    ``dbgd gradcheck`` gives its flags; an optional field left out of a
-    config takes the constructor's default.  ``alias`` is a second name
-    ``dbgd gradcheck`` accepts.
+    :class:`Leaf` checks of their values; an optional field left out of a
+    config takes the constructor's default.
     """
 
     build: Callable[..., ProblemSpec]
     required: dict[str, Leaf]
     optional: dict[str, Leaf] = {}
-    alias: Optional[str] = None
 
 
 #: Every problem a config can name.
@@ -271,15 +268,7 @@ PROBLEMS = {
             "noise_std": _NONNEGATIVE,
             "seed": Leaf(int),
         },
-        alias="matfac",
     ),
-}
-
-#: Check of every problem field, over all problems.
-PROBLEM_FIELDS = {
-    name: leaf
-    for entry in PROBLEMS.values()
-    for name, leaf in {**entry.required, **entry.optional}.items()
 }
 _PROBLEM = _tagged("name", {
     name: Object(entry.required, entry.optional, f"problem {name!r}")

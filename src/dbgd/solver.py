@@ -75,10 +75,16 @@ class SolverConfig:
     def __post_init__(self):
         if not (self.eta > 0.0):
             raise ValueError("eta must be strictly positive")
-        if self.iterations < 1:
-            raise ValueError("iterations must be a positive integer")
+        if (isinstance(self.iterations, bool) or not isinstance(self.iterations, (int, np.integer))
+                or self.iterations < 1):
+            raise ValueError(f"iterations must be a positive integer, got {self.iterations!r}")
         if self.stop_tolerances is not None:
-            ef, eg = self.stop_tolerances
+            try:
+                ef, eg = self.stop_tolerances
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"stop_tolerances must be a pair (eps_f, eps_g), got {self.stop_tolerances!r}"
+                ) from None
             if not (ef >= 0.0 and eg >= 0.0):
                 raise ValueError("stop tolerances must be nonnegative")
 

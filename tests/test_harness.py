@@ -638,20 +638,39 @@ class TestPenaltyStepScaling:
             assert csv == trace_csv(trace.table, trace.k), lam
 
 
-class TestCli:
-    def test_validate_and_gradcheck(self, capsys):
-        assert cli.main(["validate", str(bundled("toy.json"))]) == 0
-        assert "experiment" in capsys.readouterr().out
-        for problem in cli.GRADCHECK_PROBLEMS:  # every choice the parser offers
-            assert cli.main(["gradcheck", problem, "--points", "5"]) == 0, problem
-            assert "ok" in capsys.readouterr().out, problem
+BUNDLED_CONFIGS = sorted(path.name for path in bundled(".").glob("*.json"))
 
-    def test_gradcheck_matfac_params(self, capsys):
-        code = cli.main([
-            "gradcheck", "matfac", "--n", "4", "--r", "2",
-            "--variant", "log-smooth", "--points", "3",
-        ])
-        assert code == 0
+
+class TestCli:
+    @pytest.mark.parametrize("name", BUNDLED_CONFIGS)
+    def test_every_bundled_config_validates_and_gradchecks(self, capsys, name):
+        doc = json.loads(bundled(name).read_text())
+        assert cli.main(["validate", str(bundled(name))]) == 0
+        assert f"valid {doc['kind']} config" in capsys.readouterr().out
+        assert cli.main(["gradcheck", str(bundled(name)), "--points", "5"]) == 0
+        assert capsys.readouterr().out.endswith("over 5 points (ok)\n")
+
+    def test_gradcheck_audits_the_problem_a_config_names(self, tmp_path, capsys):
+        config = tmp_path / "matfac.json"
+        config.write_text(json.dumps(mutated(EXP, ("problem",), {
+            "name": "matrix-factorization", "n": 4, "r": 2, "alpha": 1.0,
+            "variant": "log-smooth"})))
+        assert cli.main(["gradcheck", str(config), "--points", "3"]) == 0
+        assert capsys.readouterr().out.startswith("matfac-log-smooth: ")
+
+    def test_gradcheck_of_an_unknown_problem_field_is_a_config_error(self, tmp_path, capsys):
+        config = tmp_path / "toy.json"
+        config.write_text(json.dumps(mutated("toy.json", ("problem", "alpha"), 3)))
+        assert cli.main(["gradcheck", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert ("config error: config field $.problem: unknown fields ['alpha'] "
+                "for problem 'toy'") in captured.err
+        assert captured.out == ""
+
+    def test_gradcheck_of_a_problem_name_is_a_config_error(self):
+        proc = run_cli(["gradcheck", "toy"])
+        assert proc.returncode == 2
+        assert proc.stderr == "config error: config file not found: toy\n"
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -713,13 +732,13 @@ class TestCli:
 
     @pytest.mark.parametrize("points", ["0", "-3"])
     def test_gradcheck_of_no_point_is_a_config_error(self, capsys, points):
-        assert cli.main(["gradcheck", "toy", "--points", points]) == 2
+        assert cli.main(["gradcheck", str(bundled("toy.json")), "--points", points]) == 2
         captured = capsys.readouterr()
         assert "config error: --points must be at least 1" in captured.err
         assert "ok" not in captured.out
 
     def test_gradcheck_of_a_negative_seed_is_a_config_error(self, capsys):
-        assert cli.main(["gradcheck", "toy", "--seed", "-1"]) == 2
+        assert cli.main(["gradcheck", str(bundled("toy.json")), "--seed", "-1"]) == 2
         captured = capsys.readouterr()
         assert "config error: --seed must be nonnegative, got -1" in captured.err
         assert "ok" not in captured.out

@@ -221,6 +221,13 @@ def test_solver_config_validation():
         SolverConfig(method=Penalty(0.0), eta=0.1, iterations=0)
     with pytest.raises(ValueError):
         SolverConfig(method=Penalty(0.0), eta=0.0, iterations=1)
+    for budget in (2.5, 3.0, True):  # a budget a run would fail on with a TypeError
+        with pytest.raises(ValueError, match="iterations must be a positive integer"):
+            SolverConfig(GradNormSquared(0.5), 1e-3, budget)
+    for tolerances in ((1e-3,), (1e-3, 1e-3, 1e-3), 1e-3):
+        with pytest.raises(ValueError, match="stop_tolerances must be a pair"):
+            SolverConfig(GradNormSquared(0.5), 1e-3, 10, stop_tolerances=tolerances)
+    assert SolverConfig(GradNormSquared(0.5), 1e-3, np.int64(10)).iterations == 10
     with pytest.raises(ValueError):
         scheduled_step(SmoothnessProfile(1.0, 1.0), 10, -1.0)
     with pytest.raises(ValueError):
