@@ -10,9 +10,11 @@ where ``phi >= 0`` is a barrier level computed from the current iterate.
 Its solution is ``d = grad_f + lam * grad_g`` with a closed-form
 multiplier.  This module provides the methods, each the rule that picks
 the multiplier (the barrier rules and the fixed penalty), the closed-form
-solution, the orthogonal-projection (equality-constrained) variant, the
-fixed-multiplier penalty direction, and an independent dual-bisection
-solver used as a correctness oracle for the closed form.
+solution, the split of the upper gradient into components parallel and
+orthogonal to the lower gradient, the orthogonal-projection
+(equality-constrained) variant, the fixed-multiplier penalty direction,
+and an independent dual-bisection solver used as a correctness oracle
+for the closed form.
 
 All operations are pure functions of their arguments and work row-wise:
 gradients are one vector ``(dim,)`` or a batch ``(rows, dim)``, and each
@@ -193,6 +195,20 @@ def dbgd_direction(grad_f: Array, grad_g: Array, phi) -> DirectionResult:
     lam, degenerate = lambda_closed_form(grad_f, grad_g, phi)
     d = grad_f + _per_row(lam) * grad_g
     return DirectionResult(d=d, lam=lam, degenerate=degenerate)
+
+
+def decompose_grad_f(grad_f: Array, grad_g: Array) -> tuple[Array, Array]:
+    """Split ``grad_f`` into components parallel and orthogonal to ``grad_g``.
+
+    Works row-wise on batches.  Where ``||grad_g||^2 <= DEFAULT_GUARD`` the
+    parallel component is zero and the orthogonal component is all of
+    ``grad_f``.
+    """
+    gg = row_dot(grad_g, grad_g)
+    degenerate = gg <= DEFAULT_GUARD
+    coef = np.where(degenerate, 0.0, row_dot(grad_f, grad_g) / _safe(gg, degenerate))
+    par = coef[..., None] * grad_g
+    return par, grad_f - par
 
 
 def bloop_direction(grad_f: Array, grad_g: Array, beta) -> DirectionResult:

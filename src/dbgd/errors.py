@@ -13,18 +13,6 @@ class ConfigurationError(DbgdError):
     """A config file, solver setup, or rule/problem pairing is invalid."""
 
 
-class CapabilityError(DbgdError):
-    """An operation requires a problem capability that is absent.
-
-    ``missing`` names the absent field, such as ``"grad_f_bound"`` of a
-    smoothness profile.
-    """
-
-    def __init__(self, missing: str):
-        self.missing = missing
-        super().__init__(f"problem lacks required capability: {missing}")
-
-
 class DivergenceError(DbgdError):
     """A solver run produced a non-finite quantity.
 

@@ -33,13 +33,20 @@ from .direction import (
     barrier_value,
     bloop_direction,
     dbgd_direction,
+    decompose_grad_f,
     penalty_direction,
 )
 from .errors import ConfigurationError, DivergenceError
-from .metrics import decompose_grad_f
 from .problems import ProblemSpec, SmoothnessProfile, row_dot
 
 Array = np.ndarray
+
+
+def _check_budget(iterations) -> None:
+    """Reject a budget that is not a positive integer (a ``bool`` is not one)."""
+    if (isinstance(iterations, bool) or not isinstance(iterations, (int, np.integer))
+            or iterations < 1):
+        raise ValueError(f"iterations must be a positive integer, got {iterations!r}")
 
 
 def scheduled_step(
@@ -53,8 +60,7 @@ def scheduled_step(
     grad-norm-squared rule with this ``beta`` and constant step ``eta``.
     Larger ``p >= 0`` trades lower-level accuracy for upper-level accuracy.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be a positive integer")
+    _check_budget(iterations)
     if not (p >= 0.0):
         raise ValueError("p must be nonnegative")
     k = float(iterations)
@@ -73,11 +79,9 @@ class SolverConfig:
     stop_tolerances: Optional[tuple[float, float]] = None
 
     def __post_init__(self):
-        if not (self.eta > 0.0):
-            raise ValueError("eta must be strictly positive")
-        if (isinstance(self.iterations, bool) or not isinstance(self.iterations, (int, np.integer))
-                or self.iterations < 1):
-            raise ValueError(f"iterations must be a positive integer, got {self.iterations!r}")
+        if isinstance(self.eta, bool) or not (self.eta > 0.0):
+            raise ValueError(f"eta must be a strictly positive number, got {self.eta!r}")
+        _check_budget(self.iterations)
         if self.stop_tolerances is not None:
             try:
                 ef, eg = self.stop_tolerances

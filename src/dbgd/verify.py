@@ -1,8 +1,15 @@
-"""Independent oracles and property monitors.
+"""Certificates at candidate points, independent oracles and property monitors.
 
-Everything here checks an implemented quantity against a route that does
-not share code with it: analytic gradients against central differences,
-the closed-form projection against descent inequalities evaluated on
+A candidate ``x`` is judged by its first-order residuals: the pair
+``(||grad_f + lam * grad_g||^2, ||grad_g||^2)`` for a nonnegative
+multiplier ``lam`` with the split of the upper gradient along the lower
+one, and the relaxed KKT conditions of the reformulation
+``min f s.t. g <= g*`` in an unscaled and an infeasible-stationary
+variant.
+
+The rest checks an implemented quantity against a route that does not
+share code with it: analytic gradients against central differences, the
+closed-form projection against descent inequalities evaluated on
 recorded traces, candidate points against sampled local-improvement
 certificates, and scheduled runs against the expected decay of the
 minimal potential across budgets.
@@ -12,11 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import Optional
 
 import numpy as np
 
-from .direction import GradNormSquared
-from .errors import CapabilityError, ConfigurationError, EvaluationError
+from .direction import DEFAULT_GUARD, GradNormSquared, decompose_grad_f, lambda_closed_form
+from .errors import ConfigurationError, EvaluationError
 from .problems import ProblemSpec, SmoothnessProfile, rng
 from .solver import SolverConfig, TraceRecord, run, scheduled_step
 
@@ -140,7 +148,9 @@ def inequality_audit(
             f"got {trace.method_label!r}"
         )
     if profile.grad_f_bound is None:
-        raise CapabilityError("grad_f_bound")
+        raise ConfigurationError(
+            "inequality audit needs a smoothness profile with grad_f_bound, got None"
+        )
 
     lf, lg, gf_bound = profile.lip_grad_f, profile.lip_grad_g, profile.grad_f_bound
     eta, beta = trace.eta, trace.beta
@@ -176,6 +186,91 @@ def inequality_audit(
 
 
 @dataclass(frozen=True)
+class StationarityReport:
+    """First-order residuals at a candidate point.
+
+    ``lam`` is the multiplier used for ``d_sq = ||grad_f + lam grad_g||^2``;
+    ``lambda_source`` records whether it was supplied by the caller
+    (``"given"``, typically the solver's multiplier at that iterate) or
+    chosen to minimize the residual (``"optimal"``).  ``cos_theta`` is NaN
+    with ``cos_defined = False`` when either gradient vanished.
+    ``primal_gap`` is ``g(x) - g*`` when the lower optimum is known.
+    """
+
+    grad_g_sq: float
+    lam: float
+    d_sq: float
+    f_par_sq: float
+    f_perp_sq: float
+    cos_theta: float
+    cos_defined: bool
+    primal_gap: Optional[float]
+    lambda_source: str
+
+
+def stationarity_report(
+    problem: ProblemSpec, x: Array, lam: Optional[float] = None
+) -> StationarityReport:
+    """Evaluate all first-order residuals at ``x`` from fresh gradients.
+
+    Pass ``lam=None`` to use the residual-minimizing multiplier instead of
+    a caller-supplied one; the report labels which was used.
+    """
+    x = np.asarray(x, dtype=float)
+    gf = problem.eval_grad_f(x)
+    gg = problem.eval_grad_g(x)
+    if not (np.all(np.isfinite(gf)) and np.all(np.isfinite(gg))):
+        raise EvaluationError(f"non-finite gradient at x = {x!r}")
+
+    if lam is None:
+        lam_val = float(lambda_closed_form(gf, gg, 0.0)[0])
+        source = "optimal"
+    else:
+        if not (lam >= 0.0):
+            raise ValueError("lam must be nonnegative")
+        lam_val = float(lam)
+        source = "given"
+
+    d = gf + lam_val * gg
+    par, perp = decompose_grad_f(gf, gg)
+    gf_sq = float(gf @ gf)
+    gg_sq = float(gg @ gg)
+    defined = gf_sq > DEFAULT_GUARD and gg_sq > DEFAULT_GUARD
+    if defined:
+        cos = float(gf @ gg) / np.sqrt(gf_sq * gg_sq)
+        cos = min(1.0, max(-1.0, cos))
+    else:
+        cos = np.nan
+
+    gap = problem.eval_g(x) - problem.g_star if problem.has_g_star else None
+    return StationarityReport(
+        grad_g_sq=gg_sq,
+        lam=lam_val,
+        d_sq=float(d @ d),
+        f_par_sq=float(par @ par),
+        f_perp_sq=float(perp @ perp),
+        cos_theta=cos,
+        cos_defined=defined,
+        primal_gap=gap,
+        lambda_source=source,
+    )
+
+
+def unscaled_kkt_ok(g_gap: float, d_norm: float, eps_p: float, eps_d: float) -> bool:
+    """Unscaled conditions: dual residual within ``eps_d`` independently of
+    the multiplier."""
+    return g_gap <= eps_p and d_norm <= eps_d
+
+
+def infeasible_stationary_ok(
+    g_gap: float, grad_g_norm: float, eps_p: float, eps_d: float
+) -> bool:
+    """Infeasible stationarity: the gap stays at least ``0.99 eps_p`` while
+    the constraint gradient is within ``eps_d``."""
+    return g_gap >= 0.99 * eps_p and grad_g_norm <= eps_d
+
+
+@dataclass(frozen=True)
 class CertificateResult:
     """Outcome of a sampled local-improvement certificate.
 
@@ -206,21 +301,6 @@ def sample_ball(
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     scale = radius * gen.random(samples) ** (1.0 / n)
     return center + scale[:, None] * z
-
-
-def certificate_radius(
-    profile: SmoothnessProfile, eps_f: float, eps_g: float, delta: float, lam: float
-) -> float:
-    """Radius on which the local certificate is guaranteed for exact residuals.
-
-    ``min(2 delta sqrt(eps_g) / L_g, 2 delta sqrt(eps_f) / (lam L_g + L_f))``;
-    shrinks with the certificate multiplier, so it must be chosen per
-    experiment rather than globally.
-    """
-    return min(
-        2.0 * delta * math.sqrt(eps_g) / profile.lip_grad_g,
-        2.0 * delta * math.sqrt(eps_f) / (lam * profile.lip_grad_g + profile.lip_grad_f),
-    )
 
 
 def local_certificate(

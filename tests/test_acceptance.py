@@ -30,7 +30,7 @@ from dbgd import (
     toy_problem,
 )
 from dbgd.harness import run_casestudy, run_experiment, run_rates
-from dbgd.metrics import infeasible_stationary_ok, unscaled_kkt_ok
+from dbgd.verify import infeasible_stationary_ok, unscaled_kkt_ok
 
 
 def bundled(name: str) -> Path:

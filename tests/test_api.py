@@ -1,4 +1,7 @@
+import importlib
+import re
 import types
+from pathlib import Path
 
 import dbgd
 
@@ -27,3 +30,22 @@ def test_star_import_binds_exactly_the_export_list():
     exec("from dbgd import *", namespace)
     namespace.pop("__builtins__")
     assert set(namespace) == set(dbgd.__all__)
+
+
+def _overview_rows():
+    """``(module, contents)`` of each row of README's "Library overview" table."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library overview", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^\| `(dbgd\.\w+)` \| (.*) \|$", section, re.M)
+
+
+def test_readme_module_table_names_only_what_each_module_has():
+    # a function is named as `name(...)`, a class as `Name`
+    rows = _overview_rows()
+    assert rows
+    stale = []
+    for module_name, contents in rows:
+        module = importlib.import_module(module_name)
+        names = re.findall(r"`(\w+)\(", contents) + re.findall(r"`([A-Z]\w*)`", contents)
+        stale += [f"{module_name}.{name}" for name in names if not hasattr(module, name)]
+    assert stale == []

@@ -11,7 +11,6 @@ from dbgd import (
     SolverConfig,
     decompose_grad_f,
     infeasible_stationary_ok,
-    optimal_multiplier,
     quadratic_sanity_problem,
     rng,
     run,
@@ -84,7 +83,7 @@ class TestStationarityReport:
         assert rep.d_sq == pytest.approx(0.0, abs=1e-28)
         assert rep.cos_theta == pytest.approx(-1.0)
 
-    def test_optimal_multiplier_label_and_value(self):
+    def test_residual_minimizing_multiplier_label_and_value(self):
         problem = quadratic_sanity_problem(3)
         x = 0.5 * np.ones(3)
         rep = stationarity_report(problem, x)
@@ -107,14 +106,6 @@ class TestStationarityReport:
     def test_rejects_negative_multiplier(self):
         with pytest.raises(ValueError):
             stationarity_report(quadratic_sanity_problem(2), np.zeros(2), lam=-1.0)
-
-
-def test_optimal_multiplier_closed_form():
-    gf = np.array([-2.0, 0.0])
-    gg = np.array([1.0, 0.0])
-    assert optimal_multiplier(gf, gg) == pytest.approx(2.0)
-    assert optimal_multiplier(gg, gg) == 0.0  # aligned: no help from the constraint
-    assert optimal_multiplier(gf, np.zeros(2)) == 0.0
 
 
 @pytest.mark.parametrize("method, eta", [

@@ -36,8 +36,9 @@ class TestScheduledStep:
         assert eta == pytest.approx(1.0 / (3.0 * 10.0), rel=1e-12)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            scheduled_step(SmoothnessProfile(1.0, 1.0), 0, 0.0)
+        for budget in (0, 2.5, True):
+            with pytest.raises(ValueError, match="iterations must be a positive integer"):
+                scheduled_step(SmoothnessProfile(1.0, 1.0), budget, 0.0)
         with pytest.raises(ValueError):
             scheduled_step(SmoothnessProfile(1.0, 1.0), 10, -0.5)
 
@@ -221,6 +222,8 @@ def test_solver_config_validation():
         SolverConfig(method=Penalty(0.0), eta=0.1, iterations=0)
     with pytest.raises(ValueError):
         SolverConfig(method=Penalty(0.0), eta=0.0, iterations=1)
+    with pytest.raises(ValueError, match="eta must be"):  # True would step at 1.0
+        SolverConfig(GradNormSquared(0.5), True, 5)
     for budget in (2.5, 3.0, True):  # a budget a run would fail on with a TypeError
         with pytest.raises(ValueError, match="iterations must be a positive integer"):
             SolverConfig(GradNormSquared(0.5), 1e-3, budget)
