@@ -14,10 +14,12 @@ final``), one cell of every method kind on a 3-dimensional quadratic
 from the lower optimum ``x0 = 0`` (where ``grad_g`` vanishes, so that a
 degenerate bloop row and an undefined cosine of every kind are written),
 the seeded quadratic cells again with ``penalty_step_scaling: false``, a
-``p`` grid of the scheduled dbgd rule on the toy with final rows only,
-the bundled case study under the scheduled rule with every trace row, a
-toy grid with stop tolerances (its cells stop at unequal iterations)
-once with every trace row and once with final rows only, and
+``p`` grid of the scheduled dbgd rule on the toy with final rows only
+(once at its own budget and once at ``--iterations 500``, so that the
+schedule resolves for the overridden budget), the bundled case study
+under the scheduled rule with every trace row, a toy grid with stop
+tolerances (its cells stop at unequal iterations) once with every trace
+row and once with final rows only, and
 ``matfac.json`` with every trace row at 700 iterations (a budget that is
 not a multiple of 256, on 20 cells of dimension 100), so that every
 method the harness can build, the scheduled and the constant step of
@@ -60,6 +62,7 @@ RUNS = (
     ("optimum", ["run", "optimum.json"]),
     ("kinds-unscaled", ["run", "kinds-unscaled.json"]),
     ("scheduled", ["run", "scheduled.json"]),
+    ("scheduled-500", ["run", "scheduled.json", "--iterations", "500"]),
     ("scheduled-casestudy", ["casestudy", "scheduled-casestudy.json"]),
     ("stopping", ["run", "stopping.json"]),
     ("stopping-final", ["run", "stopping-final.json"]),
