@@ -66,11 +66,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            out = run_experiment(
-                args.config,
-                output_dir=args.output,
-                iterations_override=args.iterations,
-            )
+            out = run_experiment(args.config, args.output, args.iterations)
             print(f"wrote {out}/summary.csv")
         elif args.command == "rates":
             path = run_rates(args.config, output_file=args.output)
@@ -79,14 +75,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             out = run_casestudy(args.config, output_dir=args.output)
             print(f"wrote {out}/cases.csv")
         elif args.command == "validate":
-            doc, _, _ = prepare_config(args.config)
+            doc, _, _, _ = prepare_config(args.config)
             print(f"valid {doc['kind']} config")
         else:
             if args.points < 1:
                 raise ConfigurationError(f"--points must be at least 1, got {args.points}")
             if args.seed < 0:
                 raise ConfigurationError(f"--seed must be nonnegative, got {args.seed}")
-            _, problem, _ = prepare_config(args.config)
+            _, problem, _, _ = prepare_config(args.config)
             worst = finite_diff_sweep(problem, points=args.points, seed=args.seed)
             status = "ok" if worst <= GRADCHECK_TOLERANCE else "FAIL"
             print(

@@ -57,6 +57,7 @@ from .solver import (
     SolverConfig,
     TraceRecord,
     _BestLast,
+    _check_exponent,
     _setup,
     fill_geometry,
     run,
@@ -284,8 +285,7 @@ class Schedule:
     p: float
 
     def __post_init__(self):
-        if not (self.p >= 0.0):
-            raise ValueError("p must be nonnegative")
+        _check_exponent(self.p)
 
 
 class MethodEntry(NamedTuple):
@@ -424,15 +424,16 @@ def validate_config(doc: Any) -> str:
 
 
 def prepare_config(
-    doc: dict | str | Path, kind: Optional[str] = None
-) -> tuple[dict, ProblemSpec, list[tuple[str, Method | Schedule]]]:
-    """Load and validate a config, build its problem and expand its methods.
+    doc: dict | str | Path, kind: Optional[str] = None, iterations: Optional[int] = None
+) -> tuple[dict, ProblemSpec, np.ndarray, list[tuple[str, SolverConfig]]]:
+    """Load and validate a config and resolve everything it runs.
 
     ``doc`` is a parsed document or a config file path; ``kind``, when
-    given, is the config kind the caller runs.  Returns the document, the
-    problem and the named method cells (none for a ``rates`` config).
-    Every rejected value, including one a constructor rejects, raises
-    :class:`ConfigurationError`.
+    given, is the config kind the caller runs; ``iterations`` replaces the
+    budget before any step is resolved.  Returns the document, the problem,
+    the start point (a row per case-study initialization) and the named run
+    configs (none for ``rates``).  Every rejected value, including one a
+    constructor rejects, raises :class:`ConfigurationError`.
     """
     if not isinstance(doc, dict):
         doc = load_config(doc)
@@ -442,9 +443,27 @@ def prepare_config(
         raise ConfigurationError(f"expected a {kind!r} config, got {doc['kind']!r}")
     problem = build_problem(doc["problem"])
     cells = expand_methods(_method_blocks(doc), problem)
-    if doc["kind"] == "casestudy" and len(cells) != 1:
-        raise ConfigurationError("case studies take a single method without grids")
-    return doc, problem, cells
+    if doc["kind"] == "rates":
+        return doc, problem, resolve_x0(doc["x0"], problem.dim, "$.x0"), []
+    run_block = dict(doc["run"])
+    if iterations is not None:
+        if iterations < 1:
+            raise ConfigurationError("iterations override must be >= 1")
+        run_block["iterations"] = iterations
+    if doc["kind"] == "casestudy":
+        if len(cells) != 1:
+            raise ConfigurationError("case studies take a single method without grids")
+        inits = run_block["initializations"]
+        x0 = np.array([resolve_x0(init, problem.dim, f"$.run.initializations[{i}]")
+                       for i, init in enumerate(inits)])
+        cells = [(f"init{i}", cells[0][1]) for i in range(len(inits))]
+    else:
+        x0 = resolve_x0(run_block["x0"], problem.dim, "$.run.x0")
+    try:
+        runs = [(name, _build_solver_config(run_block, method, problem)) for name, method in cells]
+    except ValueError as exc:  # a scaled penalty step that underflows to 0
+        raise ConfigurationError(f"run: {exc}") from exc
+    return doc, problem, x0, runs
 
 
 def _method_blocks(doc: dict) -> list[dict]:
@@ -465,17 +484,14 @@ def build_problem(block: dict) -> ProblemSpec:
         raise ConfigurationError(f"problem: {exc}") from exc
 
 
-def resolve_x0(spec: Any, dim: int) -> np.ndarray:
-    """Materialize an initial point from a literal vector or a seed block."""
+def resolve_x0(spec: Any, dim: int, where: str) -> np.ndarray:
+    """Materialize the start point of the config field ``where`` for dimension ``dim``."""
     if isinstance(spec, dict):
         gen = rng(spec["seed"])
         return spec.get("scale", 1.0) * gen.standard_normal(dim)
-    x0 = np.asarray(spec, dtype=float)
-    if x0.shape != (dim,):
-        raise ConfigurationError(
-            f"x0 has {x0.shape[0]} entries, problem dimension is {dim}"
-        )
-    return x0
+    if len(spec) != dim:
+        raise _error(where, f"expected {dim} entries (the problem dimension), got {len(spec)}")
+    return np.asarray(spec, dtype=float)
 
 
 def _grid_values(value: Any) -> list[float]:
@@ -571,6 +587,10 @@ class _TraceWriter(_BestLast):
                     self.opened.append(self.paths[i])
                 fh.write(trace_csv(rows[:, j], ks, header=k0 == 0))
         super().block(k0, cell, rows, gf, gg)
+
+    def kept(self, i: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """The best and last rows of run ``i``, as :meth:`block` filled them."""
+        return self.table[:, i], np.array([self.best_k[i], rows - 1])
 
     def discard(self) -> None:
         """Remove the files written so far."""
@@ -668,14 +688,7 @@ def run_experiment(
     and ``iterations_override`` replace the config's values when given
     (the latter is how the full-scale budget is enabled from the CLI).
     """
-    doc, problem, cells = prepare_config(doc, "experiment")
-    run_block = dict(doc["run"])
-    if iterations_override is not None:
-        if iterations_override < 1:
-            raise ConfigurationError("iterations override must be >= 1")
-        run_block["iterations"] = iterations_override
-    x0 = resolve_x0(run_block["x0"], problem.dim)
-    runs = [(name, _build_solver_config(run_block, method, problem)) for name, method in cells]
+    doc, problem, x0, runs = prepare_config(doc, "experiment", iterations_override)
     table, traces = _run_and_write(doc, output_dir, problem, runs, x0, "cell", "summary.csv")
     rows = [_summary_row(name, trace) for (name, _), trace in zip(runs, traces)]
     table.write_text(SUMMARY_CSV.text(rows))
@@ -692,9 +705,8 @@ def run_rates(
     as is an output file that names a directory or a parent that names a
     file (both checked before the runs).
     """
-    doc, problem, _ = prepare_config(doc, "rates")
+    doc, problem, x0, _ = prepare_config(doc, "rates")
     path = Path(output_file if output_file is not None else doc["output"]["file"])
-    x0 = resolve_x0(doc["x0"], problem.dim)
     _output_directory(path.parent)
     _output_file(path)
     tolerance = doc.get("slope_tolerance", 0.3)
@@ -724,14 +736,10 @@ def classify_terminal(trace: TraceRecord, thresholds: dict) -> str:
     """
     lam = float(trace.lam[-1])
     gf_sq = float(trace.grad_f_sq[-1])
-    cos = float(trace.cos_theta[-1])
+    cos = float(trace.cos_theta[-1])  # NaN where undefined, which no threshold admits
     if lam <= thresholds["case1_lambda_max"] and gf_sq <= thresholds["case1_grad_f_sq_max"]:
         return "case1"
-    if (
-        bool(trace.cos_defined[-1])
-        and cos <= thresholds["case2_cos_theta_max"]
-        and lam > thresholds["case2_lambda_min"]
-    ):
+    if cos <= thresholds["case2_cos_theta_max"] and lam > thresholds["case2_lambda_min"]:
         return "case2"
     return "unclassified"
 
@@ -741,13 +749,8 @@ def run_casestudy(
 ) -> Path:
     """Run one method from several initializations, as one batch, and
     classify endpoints."""
-    doc, problem, cells = prepare_config(doc, "casestudy")
-    _, method = cells[0]
+    doc, problem, x0, runs = prepare_config(doc, "casestudy")
     thresholds = {**DEFAULT_CLASSIFY, **doc.get("classify", {})}
-    inits = doc["run"]["initializations"]
-    x0 = np.array([resolve_x0(init, problem.dim) for init in inits])
-    config = _build_solver_config(doc["run"], method, problem)
-    runs = [(f"init{i}", config) for i in range(len(inits))]
     table, traces = _run_and_write(doc, output_dir, problem, runs, x0, "initialization",
                                    "cases.csv")
     labels = [classify_terminal(trace, thresholds) for trace in traces]

@@ -49,6 +49,12 @@ def _check_budget(iterations) -> None:
         raise ValueError(f"iterations must be a positive integer, got {iterations!r}")
 
 
+def _check_exponent(p) -> None:
+    """Reject a schedule exponent that is not a finite nonnegative number."""
+    if not (0.0 <= p < np.inf):
+        raise ValueError(f"p must be nonnegative and finite, got {p!r}")
+
+
 def scheduled_step(
     profile: SmoothnessProfile, iterations: int, p: float
 ) -> tuple[float, float]:
@@ -61,8 +67,7 @@ def scheduled_step(
     Larger ``p >= 0`` trades lower-level accuracy for upper-level accuracy.
     """
     _check_budget(iterations)
-    if not (p >= 0.0):
-        raise ValueError("p must be nonnegative")
+    _check_exponent(p)
     k = float(iterations)
     eta = 1.0 / (profile.lip_total * k ** (1.0 / (3.0 + p)))
     beta = k ** (-p / (3.0 + p))
@@ -438,7 +443,7 @@ def _run_batch(
         budget, clamp_ref = per_row["budget"], per_row["clamp_ref"]
         eps_f, eps_g = per_row["tolerance"].T
         horizon = int(budget.min())
-        stopping = bool(np.isfinite(eps_f).any())
+        stopping = bool((eps_f > -np.inf).any())  # -inf: the run has no tolerance
         buffered = 0
         block_rows = np.empty((block, n, len(COLUMNS)))
         block_gf, block_gg = np.empty((2, block, n, dim))

@@ -31,6 +31,14 @@ from .solver import SolverConfig, TraceRecord, run, scheduled_step
 Array = np.ndarray
 
 
+def _point(problem: ProblemSpec, x) -> Array:
+    """``x`` as a point of ``problem``; another shape is a ``ValueError``."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (problem.dim,):
+        raise ValueError(f"x has shape {x.shape}, problem {problem.name!r} takes ({problem.dim},)")
+    return x
+
+
 def finite_diff_check(problem: ProblemSpec, x: Array, h: float) -> float:
     """Worst mismatch between analytic and central-difference gradients.
 
@@ -39,7 +47,7 @@ def finite_diff_check(problem: ProblemSpec, x: Array, h: float) -> float:
     """
     if not (h > 0.0):
         raise ValueError("h must be strictly positive")
-    x = np.asarray(x, dtype=float)
+    x = _point(problem, x)
     worst = 0.0
     for func, grad in ((problem.eval_f, problem.eval_grad_f),
                        (problem.eval_g, problem.eval_grad_g)):
@@ -216,7 +224,7 @@ def stationarity_report(
     Pass ``lam=None`` to use the residual-minimizing multiplier instead of
     a caller-supplied one; the report labels which was used.
     """
-    x = np.asarray(x, dtype=float)
+    x = _point(problem, x)
     gf = problem.eval_grad_f(x)
     gg = problem.eval_grad_g(x)
     if not (np.all(np.isfinite(gf)) and np.all(np.isfinite(gg))):
@@ -326,7 +334,7 @@ def local_certificate(
         raise ValueError("radius must be strictly positive")
     if samples < 1:
         raise ValueError("samples must be a positive integer")
-    x_hat = np.asarray(x_hat, dtype=float)
+    x_hat = _point(problem, x_hat)
     gen = rng(seed)
     points = sample_ball(x_hat, radius, samples, gen)
 

@@ -13,6 +13,7 @@ from dbgd import (
     barrier_value,
     bloop_direction,
     dbgd_direction,
+    decompose_grad_f,
     lambda_closed_form,
     penalty_direction,
     qp_oracle_direction,
@@ -218,3 +219,42 @@ def test_multiplier_bound_on_problem_gradients():
                     continue
                 lam, _ = lambda_closed_form(gf, gg, beta * norm_g**2)
                 assert lam <= beta + bound / norm_g + 1e-12
+
+
+class TestDecompose:
+    def test_axis_aligned(self):
+        par, perp = decompose_grad_f(np.array([1.0, 1.0]), np.array([2.0, 0.0]))
+        assert np.allclose(par, [1.0, 0.0]) and np.allclose(perp, [0.0, 1.0])
+
+    def test_parallel_input_has_no_orthogonal_part(self):
+        g = np.array([1.0, 2.0, -1.0])
+        par, perp = decompose_grad_f(3.0 * g, g)
+        assert np.allclose(perp, 0.0, atol=1e-14)
+
+    def test_guard_convention(self):
+        gf = np.array([1.0, -2.0])
+        par, perp = decompose_grad_f(gf, np.zeros(2))
+        assert np.array_equal(par, np.zeros(2)) and np.array_equal(perp, gf)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10**9), st.integers(2, 30))
+    def test_pythagoras(self, seed, n):
+        gen = rng(seed)
+        gf = gen.standard_normal(n)
+        gg = gen.standard_normal(n)
+        par, perp = decompose_grad_f(gf, gg)
+        total = float(gf @ gf)
+        assert float(par @ par) + float(perp @ perp) == pytest.approx(
+            total, rel=1e-10, abs=1e-12
+        )
+        assert float(par @ perp) == pytest.approx(0.0, abs=1e-10 * (1.0 + total))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10**9), st.floats(1e-6, 1e6))
+    def test_scaling_lower_gradient_changes_nothing(self, seed, c):
+        gen = rng(seed)
+        gf = gen.standard_normal(5)
+        gg = gen.standard_normal(5)
+        _, perp_a = decompose_grad_f(gf, gg)
+        _, perp_b = decompose_grad_f(gf, c * gg)
+        assert np.allclose(perp_a, perp_b, rtol=1e-10, atol=1e-12)

@@ -12,6 +12,7 @@ import pytest
 import dbgd
 import dbgd.cli as cli
 import dbgd.harness as harness
+import dbgd.solver as solver
 from dbgd import (
     ConfigurationError,
     GradNormSquared,
@@ -363,6 +364,11 @@ class TestExpansion:
                     for method in built if isinstance(method, Schedule)]
         assert [type(method) for method in resolved] == [GradNormSquared]
 
+    def test_a_schedule_takes_a_finite_nonnegative_p(self):
+        for p in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="p must be nonnegative and finite"):
+                Schedule(p)
+
     def test_g_star_rules_reject_matfac(self):
         problem = build_problem(
             {"name": "matrix-factorization", "n": 4, "r": 2, "alpha": 1.0}
@@ -374,12 +380,12 @@ class TestExpansion:
             )
 
     def test_x0_from_seed_block(self):
-        a = resolve_x0({"seed": 3, "scale": 0.1}, 5)
-        b = resolve_x0({"seed": 3, "scale": 0.1}, 5)
+        a = resolve_x0({"seed": 3, "scale": 0.1}, 5, "$.run.x0")
+        b = resolve_x0({"seed": 3, "scale": 0.1}, 5, "$.run.x0")
         assert np.array_equal(a, b)
         assert a.shape == (5,)
-        with pytest.raises(ConfigurationError):
-            resolve_x0([1.0, 2.0], 3)
+        with pytest.raises(ConfigurationError, match=r"\$\.run\.x0: expected 3 entries"):
+            resolve_x0([1.0, 2.0], 3, "$.run.x0")
 
 
 class TestRunExperiment:
@@ -419,6 +425,20 @@ class TestRunExperiment:
         out = run_experiment(doc, iterations_override=7)
         lines = (out / "dbgd_beta=1.csv").read_text().splitlines()
         assert len(lines) == 8
+
+    def test_every_row_trace_fills_the_geometry_once_per_block(self, tmp_path, monkeypatch):
+        # toy.json: 5 cells of 1,000 iterations, in 4 blocks of at most 256;
+        # the kept best and last rows are not filled a second time
+        calls = []
+        decompose = solver.decompose_grad_f
+
+        def counted(*args):
+            calls.append(args)
+            return decompose(*args)
+
+        monkeypatch.setattr(solver, "decompose_grad_f", counted)
+        run_experiment(bundled("toy.json"), output_dir=tmp_path / "toy")
+        assert len(calls) == 4
 
     def test_undefined_cosine_serializes_as_na(self, tmp_path):
         doc = minimal_experiment(tmp_path)
@@ -685,7 +705,11 @@ class TestCli:
         ({"problem": {"name": "matrix-factorization", "n": 3, "r": 5, "alpha": 1.0}},
          "problem"),
         ({"methods": [{"kind": "penalty", "lambda": -1}]}, "methods[0]"),
-    ], ids=["dbgd-beta-above-1", "matfac-rank-above-n", "penalty-negative-lambda"])
+        ({"methods": [{"kind": "penalty", "lambda": 1e300}],  # eta / (1 + lambda) is 0
+          "run": {"x0": [0.2, 0.2, 0.2], "iterations": 5,
+                  "step": {"mode": "constant", "eta": 1e-30}}}, "run"),
+    ], ids=["dbgd-beta-above-1", "matfac-rank-above-n", "penalty-negative-lambda",
+            "penalty-step-underflow"])
     def test_out_of_range_values_are_config_errors(self, tmp_path, capsys, change, where):
         path = tmp_path / "range.json"
         path.write_text(json.dumps(minimal_experiment(tmp_path, **change)))
@@ -723,6 +747,27 @@ class TestCli:
         for command in ("validate", "rates" if base == RATES else "run"):
             assert cli.main([command, str(config)]) == 2, command
             assert f"config error: config field {where}: " in capsys.readouterr().err, command
+        assert not (tmp_path / "out").exists() and not (tmp_path / "rates.json").exists()
+
+    @pytest.mark.parametrize("base, path, value, command, where", [
+        ("toy.json", ("run", "x0"), [1, 2, 3], "run", "$.run.x0"),
+        (CASE, ("run", "initializations", 1), [0.1], "casestudy", "$.run.initializations[1]"),
+        ("rates-toy.json", ("x0",), [1.0], "rates", "$.x0"),
+    ], ids=["experiment", "casestudy", "rates"])
+    def test_validate_rejects_the_start_point_its_runner_rejects(
+        self, tmp_path, capsys, base, path, value, command, where
+    ):
+        doc = mutated(base, path, value)
+        doc["output"] = {"file": str(tmp_path / "rates.json")} if command == "rates" else {
+            "directory": str(tmp_path / "out"), "trace": "all"}
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(doc))
+        errors = []
+        for cmd in ("validate", command):
+            assert cli.main([cmd, str(config)]) == 2, cmd
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith(f"config error: config field {where}: expected 2 entries")
         assert not (tmp_path / "out").exists() and not (tmp_path / "rates.json").exists()
 
     def test_the_cli_does_not_import_jsonschema(self):

@@ -39,8 +39,9 @@ class TestScheduledStep:
         for budget in (0, 2.5, True):
             with pytest.raises(ValueError, match="iterations must be a positive integer"):
                 scheduled_step(SmoothnessProfile(1.0, 1.0), budget, 0.0)
-        with pytest.raises(ValueError):
-            scheduled_step(SmoothnessProfile(1.0, 1.0), 10, -0.5)
+        for p in (-0.5, np.inf, np.nan):
+            with pytest.raises(ValueError, match="p must be nonnegative and finite"):
+                scheduled_step(SmoothnessProfile(1.0, 1.0), 10, p)
 
 
 class TestRun:
@@ -106,6 +107,18 @@ class TestRun:
         assert len(trace) < 10**4
         assert trace.d_sq[-1] <= 1e-2
         assert trace.grad_g_sq[-1] <= 1e-3
+
+    def test_an_infinite_tolerance_stops_as_a_huge_one_does(self):
+        # a run without tolerances holds (-inf, -inf), so an infinite eps_f
+        # still asks for the stop test at every iterate
+        problem, x0 = toy_problem(), np.array([-3.0, -1.0])
+        inf, huge, both = (
+            run(problem, SolverConfig(GradNormSquared(1.0), 1e-3, 2000, stop_tolerances=tol), x0)
+            for tol in ((np.inf, 1e-3), (1e30, 1e-3), (np.inf, np.inf)))
+        assert inf.stopped_early and len(inf) == len(huge) < 2000
+        assert inf.table.tobytes() == huge.table.tobytes()
+        assert np.array_equal(inf.k, huge.k)
+        assert both.stopped_early and len(both) == 1
 
     def test_descent_inequalities_hold_on_quadratic(self):
         problem = quadratic_sanity_problem(6, box_radius=0.5)

@@ -14,6 +14,7 @@ from dbgd import (
     SmoothnessProfile,
     SolverConfig,
     finite_diff_check,
+    infeasible_stationary_ok,
     inequality_audit,
     local_certificate,
     matrix_factorization_problem,
@@ -24,7 +25,9 @@ from dbgd import (
     sample_ball,
     sqrt_lemma_check,
     sqrt_lemma_violations,
+    stationarity_report,
     toy_problem,
+    unscaled_kkt_ok,
 )
 
 
@@ -54,6 +57,10 @@ class TestFiniteDiff:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             finite_diff_check(quadratic_sanity_problem(2), np.zeros(2), 0.0)
+
+    def test_rejects_a_point_of_another_dimension(self):
+        with pytest.raises(ValueError, match=r"shape \(2,\), problem 'quadratic' takes \(3,\)"):
+            finite_diff_check(quadratic_sanity_problem(3), np.zeros(2), 1e-6)
 
     def test_non_finite_evaluation_raises(self):
         broken = ProblemSpec(
@@ -229,6 +236,11 @@ class TestLocalCertificate:
         with pytest.raises(ValueError):
             local_certificate(problem, np.zeros(2), 1.0, 1.0, 0.5, 1.0, 0)
 
+    def test_rejects_a_point_of_another_dimension(self):
+        # a 3-vector on the 2-dimensional toy used to pass
+        with pytest.raises(ValueError, match=r"shape \(3,\), problem 'toy' takes \(2,\)"):
+            local_certificate(toy_problem(), np.zeros(3), 1e-4, 1e-4, 0.1, 1e-3, 5)
+
     def test_ball_sampler_stays_in_ball_and_is_seeded(self):
         center = np.array([1.0, -2.0, 0.5])
         pts = sample_ball(center, 0.3, 200, rng(5))
@@ -262,3 +274,96 @@ class TestRateFit:
         for k_grid in ([100, 100, 100], [100, 1000, 100]):
             with pytest.raises(ValueError, match="3 distinct budgets"):
                 rate_fit(problem, np.ones(3), [0.0], k_grid)
+
+
+class TestStationarityReport:
+    def test_quadratic_at_lower_solution(self):
+        problem = quadratic_sanity_problem(5)
+        rep = stationarity_report(problem, np.zeros(5), lam=3.0)
+        assert rep.grad_g_sq == 0.0
+        assert rep.d_sq == pytest.approx(5.0)
+        assert rep.f_perp_sq == pytest.approx(5.0)
+        assert not rep.cos_defined and math.isnan(rep.cos_theta)
+        assert rep.primal_gap == 0.0
+        assert rep.lambda_source == "given"
+
+    def test_toy_at_bilevel_optimum(self):
+        problem = toy_problem()
+        x_star = np.array([-math.pi / 20.0, -1.0])
+        rep = stationarity_report(problem, x_star, lam=0.0)
+        assert rep.d_sq == 0.0
+        assert rep.grad_g_sq == pytest.approx(0.0, abs=1e-28)
+
+    def test_exact_cancellation(self):
+        problem = quadratic_sanity_problem(3)
+        rep = stationarity_report(problem, 0.5 * np.ones(3), lam=1.0)
+        assert rep.d_sq == pytest.approx(0.0, abs=1e-28)
+        assert rep.cos_theta == pytest.approx(-1.0)
+
+    def test_residual_minimizing_multiplier_label_and_value(self):
+        problem = quadratic_sanity_problem(3)
+        x = 0.5 * np.ones(3)
+        rep = stationarity_report(problem, x)
+        assert rep.lambda_source == "optimal"
+        assert rep.lam == pytest.approx(1.0)
+        # optimal multiplier minimizes the residual over lam >= 0
+        given = stationarity_report(problem, x, lam=0.7)
+        assert rep.d_sq <= given.d_sq + 1e-15
+
+    def test_orthogonal_component_bounds_residual(self):
+        problem = toy_problem()
+        gen = rng(3)
+        for _ in range(50):
+            x = problem.sample_point(gen)
+            lam = abs(gen.standard_normal())
+            rep = stationarity_report(problem, x, lam=lam)
+            gf_sq = rep.f_par_sq + rep.f_perp_sq
+            assert rep.d_sq >= rep.f_perp_sq - 1e-10 * (1.0 + gf_sq)
+
+    def test_rejects_negative_multiplier(self):
+        with pytest.raises(ValueError):
+            stationarity_report(quadratic_sanity_problem(2), np.zeros(2), lam=-1.0)
+
+    def test_rejects_a_point_of_another_dimension(self):
+        # the toy's gradients would leave the third entry unwritten
+        with pytest.raises(ValueError, match=r"shape \(3,\), problem 'toy' takes \(2,\)"):
+            stationarity_report(toy_problem(), [0.1, 0.2, 5.0], lam=1.0)
+        with pytest.raises(ValueError, match=r"shape \(2,\), problem 'quadratic' takes \(3,\)"):
+            stationarity_report(quadratic_sanity_problem(3), np.zeros(2), lam=1.0)
+
+
+@pytest.mark.parametrize("method, eta", [
+    (GradNormSquared(1.0), 1e-2),
+    (Penalty(10.0), 1e-2 / (1.0 + 10.0)),
+], ids=["dbgd", "penalty"])
+def test_trace_rows_equal_the_report_at_their_iterate(method, eta):
+    # The solver's trace and stationarity_report compute the paper's
+    # residuals in two places; row k must be the report at x_k, bit for bit.
+    problem = toy_problem()
+    x0 = np.array([-3.0, -1.0])
+    config = SolverConfig(method, eta, 400)
+    trace = run(problem, config, x0)
+    # x_k is the final point of a k-iteration run
+    shorter = [SolverConfig(method, eta, k) for k in range(1, len(trace))]
+    points = [x0] + [t.final_x for t in run(problem, shorter, x0).traces]
+    undefined = 0
+    for k, x_k in enumerate(points):
+        report = stationarity_report(problem, x_k, lam=float(trace.lam[k]))
+        for name in ("grad_g_sq", "d_sq", "f_par_sq", "f_perp_sq", "cos_theta"):
+            row, rep = np.float64(getattr(trace, name)[k]), np.float64(getattr(report, name))
+            assert row.tobytes() == rep.tobytes() or (np.isnan(row) and np.isnan(rep)), (k, name)
+        assert bool(trace.cos_defined[k]) == report.cos_defined, k
+        undefined += not report.cos_defined
+    if not isinstance(method, Penalty):  # the barrier run crosses a vanished lower gradient
+        assert undefined > 0
+
+
+def test_each_relaxed_kkt_condition_rejects_what_it_must():
+    # criterion 09 checks only that one of the two holds; each must also fail
+    eps_p, eps_d = 1e-3, 0.2
+    assert unscaled_kkt_ok(0.0, 0.1, eps_p, eps_d)
+    assert not unscaled_kkt_ok(0.005, 0.1, eps_p, eps_d)  # gap above eps_p
+    assert not unscaled_kkt_ok(0.0, 0.3, eps_p, eps_d)  # residual above eps_d
+    assert infeasible_stationary_ok(0.005, 0.1, eps_p, eps_d)
+    assert not infeasible_stationary_ok(0.5 * eps_p, 0.1, eps_p, eps_d)  # nearly feasible
+    assert not infeasible_stationary_ok(0.005, 0.3, eps_p, eps_d)  # lower gradient too large
