@@ -6,14 +6,17 @@ Runs ``dbgd run`` on ``toy.json``, ``matfac.json``, ``matfac-log.json``
 and ``matfac.json --iterations 100000``, ``dbgd casestudy`` on
 ``casestudy.json`` and ``dbgd rates`` on both rates configs, each into
 its own subdirectory of ``DIR``, with the ``dbgd`` package of the
-checkout this script sits in. It also writes ten configs of its own
+checkout this script sits in. It also writes eleven configs of its own
 under ``DIR/configs`` and runs them: ``toy.json`` with no trace CSV
 (``trace: none``), the bundled case study with final rows only (``trace:
 final``), one cell of every method kind on a 3-dimensional quadratic
 (``g* = 0``) with every trace row, once from a seeded start and once
 from the lower optimum ``x0 = 0`` (where ``grad_g`` vanishes, so that a
 degenerate bloop row and an undefined cosine of every kind are written),
-the seeded quadratic cells again with ``penalty_step_scaling: false``, a
+the seeded quadratic cells again with ``penalty_step_scaling: false``,
+seven seeded quadratic cells with every trace row whose method blocks
+interleave the kinds (penalty, bloop, dbgd, lower-linearization,
+penalty, dynamic-barrier-min, dbgd), a
 ``p`` grid of the scheduled dbgd rule on the toy with final rows only
 (once at its own budget and once at ``--iterations 500``, so that the
 schedule resolves for the overridden budget), the bundled case study
@@ -24,8 +27,8 @@ row and once with final rows only, and
 not a multiple of 256, on 20 cells of dimension 100), so that every
 method the harness can build, the scheduled and the constant step of
 every config kind that has them, the scaled and the unscaled penalty
-step, and runs that end early or late under every trace granularity are
-covered. It then prints one ``sha256 relative/path`` line per file under
+step, runs that end early or late under every trace granularity, and
+method blocks whose kinds come in any order are covered. It then prints one ``sha256 relative/path`` line per file under
 ``DIR``, sorted by path, so that two checkouts write byte-identical
 outputs exactly when ``diff`` of their printouts is empty. It writes
 nothing outside ``DIR``; the command's own messages go to standard
@@ -61,6 +64,7 @@ RUNS = (
     ("kinds", ["run", "kinds.json"]),
     ("optimum", ["run", "optimum.json"]),
     ("kinds-unscaled", ["run", "kinds-unscaled.json"]),
+    ("interleaved", ["run", "interleaved.json"]),
     ("scheduled", ["run", "scheduled.json"]),
     ("scheduled-500", ["run", "scheduled.json", "--iterations", "500"]),
     ("scheduled-casestudy", ["casestudy", "scheduled-casestudy.json"]),
@@ -104,6 +108,21 @@ _KINDS = {
     "run": {"x0": {"seed": 2}, "iterations": 300, "step": {"mode": "constant", "eta": 0.1}},
 }
 
+#: The kinds of ``_KINDS`` in method blocks that interleave them out of
+#: the order of the ``Method`` union, each with its own parameters.
+_INTERLEAVED = {
+    **_KINDS,
+    "methods": [
+        {"kind": "penalty", "lambda": 10},
+        {"kind": "bloop", "beta": 0.25},
+        {"kind": "dbgd", "beta": 0.5},
+        {"kind": "dbgd", "rule": "lower-linearization", "eta": 0.2},
+        {"kind": "penalty", "lambda": 2},
+        {"kind": "dbgd", "rule": "dynamic-barrier-min", "alpha": 1, "beta": 0.25},
+        {"kind": "dbgd", "beta": 1.0},
+    ],
+}
+
 #: Configs this script writes, by file name.
 GENERATED = {
     "toy-none.json": {**_TOY, "output": {"directory": "toy-none", "trace": "none"}},
@@ -120,6 +139,9 @@ GENERATED = {
         **_KINDS,
         "run": {**_KINDS["run"], "penalty_step_scaling": False},
         "output": {"directory": "kinds-unscaled", "trace": "all"},
+    },
+    "interleaved.json": {
+        **_INTERLEAVED, "output": {"directory": "interleaved", "trace": "all"},
     },
     "scheduled.json": {
         "kind": "experiment",
