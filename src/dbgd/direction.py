@@ -121,8 +121,7 @@ class Penalty:
             raise ValueError("penalty multiplier must be nonnegative")
 
 
-#: A method is the rule that picks its multiplier; the order of the
-#: union is the order a batch keeps the rows of each kind in.
+#: A method is the rule that picks its multiplier.
 Method = Union[BarrierRule, Penalty]
 
 

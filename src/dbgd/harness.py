@@ -58,15 +58,11 @@ from .solver import (
     TraceRecord,
     _BestLast,
     _check_exponent,
-    _setup,
     fill_geometry,
     run,
     scheduled_step,
 )
 from .verify import rate_fit
-
-#: Version of the trace/summary CSV schemas below.
-TRACE_SCHEMA_VERSION = 1
 
 #: Columns written as integers or as text; every other column is a float.
 _INTEGER_COLUMNS = {"k", "degenerate", "rows", "stopped_early", "init"}
@@ -657,7 +653,7 @@ def _run_and_write(
     table_path = _output_file(out / table)
     writer = _TraceWriter(paths, problem.dim) if granularity == "all" else None
     for name, config in runs:
-        for warning in _setup(problem.smoothness, config).warnings:
+        for warning in config.warnings(problem.smoothness):
             print(f"warning: {name}: {warning}", file=sys.stderr)
     try:
         batch = run(problem, [config for _, config in runs], x0,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple, Optional, Protocol, Union, get_args
+from typing import Optional, Protocol, Union
 
 import numpy as np
 
@@ -84,8 +84,8 @@ class SolverConfig:
     stop_tolerances: Optional[tuple[float, float]] = None
 
     def __post_init__(self):
-        if isinstance(self.eta, bool) or not (self.eta > 0.0):
-            raise ValueError(f"eta must be a strictly positive number, got {self.eta!r}")
+        if isinstance(self.eta, bool) or not (0.0 < self.eta < np.inf):
+            raise ValueError(f"eta must be a strictly positive finite number, got {self.eta!r}")
         _check_budget(self.iterations)
         if self.stop_tolerances is not None:
             try:
@@ -96,6 +96,16 @@ class SolverConfig:
                 ) from None
             if not (ef >= 0.0 and eg >= 0.0):
                 raise ValueError("stop tolerances must be nonnegative")
+
+    def warnings(self, profile: SmoothnessProfile) -> list[str]:
+        """Warnings of this run on a problem with ``profile``: a dbgd rule's
+        step above ``1/(L_f+L_g)``, where its descent guarantees end."""
+        if self.method.label.startswith("dbgd") and self.eta > 1.0 / profile.lip_total:
+            return [
+                f"constant step {self.eta} exceeds 1/(L_f+L_g) = {1.0 / profile.lip_total}; "
+                "descent guarantees may fail"
+            ]
+        return []
 
 
 #: Columns of a trace row, in the order of ``TraceRecord.table``: that of
@@ -188,32 +198,6 @@ class BatchTrace:
         return np.array([trace.degenerate_steps for trace in self.traces])
 
 
-#: Direction kinds, in the order their rows take in a batch.  Each kind
-#: present takes one direction call per iteration, for all its rows.
-_KINDS = get_args(Method)
-
-
-class _Setup(NamedTuple):
-    """What a config resolves to before its run starts."""
-
-    beta: Optional[float]
-    pot_coef: float
-    warnings: list[str]
-
-
-def _setup(profile: SmoothnessProfile, config: SolverConfig) -> _Setup:
-    rule, eta = config.method, config.eta
-    warnings: list[str] = []
-    if rule.label.startswith("dbgd") and eta > 1.0 / profile.lip_total:
-        warnings.append(
-            f"constant step {eta} exceeds 1/(L_f+L_g) = {1.0 / profile.lip_total}; "
-            "descent guarantees may fail"
-        )
-    beta = getattr(rule, "beta", None)
-    pot_coef = 0.0 if beta is None else beta / (profile.lip_grad_g * eta)
-    return _Setup(beta, pot_coef, warnings)
-
-
 def _stacked(rules: list[Method]) -> Method:
     """One method whose fields hold the values of ``rules``, row by row."""
     first = rules[0]
@@ -223,7 +207,8 @@ def _stacked(rules: list[Method]) -> Method:
 
 
 def _groups(configs: list[SolverConfig], cell: Array) -> list[tuple[slice, Method]]:
-    """The slice of each kind's rows, with the kind's stacked rule."""
+    """The slice of each run of consecutive same-kind rows, with its
+    stacked rule; each takes one direction call per iteration."""
     groups, start = [], 0
     for _, members in itertools.groupby(cell.tolist(), key=lambda i: type(configs[i].method)):
         rules = [configs[i].method for i in members]
@@ -392,7 +377,6 @@ def _run_batch(
         raise ConfigurationError(f"x0 has shape {x0.shape}, problem dimension is {dim}")
     if not np.all(np.isfinite(x0)):
         raise ConfigurationError("x0 must be finite")
-    setups = [_setup(problem.smoothness, config) for config in configs]
     budget_max = max(config.iterations for config in configs)
     if not isinstance(keep, str):
         sink = keep
@@ -405,14 +389,17 @@ def _run_batch(
     # two gradients of 8-byte floats per run and iteration
     block = max(1, min(_BLOCK_ITERATIONS, budget_max, _BLOCK_BYTES // (16 * cells * dim)))
 
-    # Rows of a kind sit together; active row j runs configs[cell[j]].
-    cell = np.array(sorted(range(cells), key=lambda i: _KINDS.index(type(configs[i].method))))
+    # Active row j runs configs[cell[j]].
+    cell = np.arange(cells)
+    betas = [getattr(config.method, "beta", None) for config in configs]
+    lip_g = problem.smoothness.lip_grad_g
     per_row = {
-        "eta": np.array([configs[i].eta for i in cell])[:, None],
-        "pot_coef": np.array([setups[i].pot_coef for i in cell]),
-        "budget": np.array([configs[i].iterations for i in cell]),
-        "tolerance": np.array([configs[i].stop_tolerances or (-np.inf, -np.inf) for i in cell]),
-        "clamp_ref": np.array([getattr(configs[i].method, "g_star", -np.inf) for i in cell]),
+        "eta": np.array([config.eta for config in configs])[:, None],
+        "pot_coef": np.array([0.0 if beta is None else beta / (lip_g * config.eta)
+                              for beta, config in zip(betas, configs)]),
+        "budget": np.array([config.iterations for config in configs]),
+        "tolerance": np.array([config.stop_tolerances or (-np.inf, -np.inf) for config in configs]),
+        "clamp_ref": np.array([getattr(config.method, "g_star", -np.inf) for config in configs]),
     }
     x = np.broadcast_to(x0, (cells, dim))[cell]
     f_now = problem.eval_f(x)
@@ -498,20 +485,20 @@ def _run_batch(
         per_row = {name: value[go_on] for name, value in per_row.items()}
 
     traces = []
-    for i, (config, setup) in enumerate(zip(configs, setups)):
+    for i, (config, beta) in enumerate(zip(configs, betas)):
         kept, index = sink.kept(i, int(out["rows"][i]))
         traces.append(TraceRecord(
             table=kept,
             k=index,
             eta=config.eta,
-            beta=setup.beta,
-            potential_kind="direction-only" if setup.beta is None else "full",
+            beta=beta,
+            potential_kind="direction-only" if beta is None else "full",
             method_label=config.method.label,
             final_x=out["final_x"][i],
             stopped_early=bool(out["stopped"][i]),
             clamp_count=int(out["clamps"][i]),
             degenerate_steps=int(out["degenerate"][i]),
-            warnings=setup.warnings,
+            warnings=config.warnings(problem.smoothness),
         ))
     return BatchTrace(tuple(traces))
 

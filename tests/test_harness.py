@@ -354,8 +354,7 @@ class TestExpansion:
             assert (trace.method_label, trace.potential_kind) == (label, potential_kind), name
 
     def test_the_methods_table_builds_every_kind_of_the_method_union(self):
-        # the solver batches rows in the order of get_args(Method); a
-        # schedule resolves to a grad-norm-squared rule for its budget
+        # a schedule resolves to a grad-norm-squared rule for its budget
         kinds = typing.get_args(Method)
         problem = build_problem({"name": "toy"})
         built = [entry.build(0.0, *(0.5 for _ in entry.fields)) for entry in METHODS.values()]
@@ -923,6 +922,34 @@ class TestCli:
                     if line.startswith("warning: ")]
         assert len(warnings) == 1
         assert warnings[0].startswith("warning: dbgd_beta=1: constant step 0.01 exceeds 1/(L_f+L_g)")
+
+    @pytest.mark.parametrize("step", [0.1, 0.6])  # 1/(L_f+L_g) = 0.5 on the quadratic
+    @pytest.mark.parametrize("block, warns", [
+        ({"kind": "dbgd", "beta": 0.5}, True),
+        ({"kind": "dbgd", "rule": "dynamic-barrier-min", "alpha": 1, "beta": 0.25}, True),
+        ({"kind": "dbgd", "rule": "lower-linearization", "eta": 0.1}, True),
+        ({"kind": "bloop", "beta": 0.5}, False),
+        ({"kind": "penalty", "lambda": 0.1}, False),  # its scaled step 0.6/1.1 > 0.5
+    ])
+    def test_a_run_warns_what_its_config_warns(self, tmp_path, capsys, block, warns, step):
+        doc = {
+            "kind": "experiment",
+            "problem": {"name": "quadratic", "n": 3},
+            "methods": [block],
+            "run": {"x0": [0.2, 0.2, 0.2], "iterations": 3,
+                    "step": {"mode": "constant", "eta": step}},
+            "output": {"directory": str(tmp_path / "out"), "trace": "none"},
+        }
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(doc))
+        _, problem, x0, ((name, config),) = harness.prepare_config(doc, "experiment")
+        expected = config.warnings(problem.smoothness)
+        assert bool(expected) == (warns and step > 0.5)
+        assert run(problem, config, x0).warnings == expected
+        assert cli.main(["run", str(path)]) == 0
+        printed = [line for line in capsys.readouterr().err.splitlines()
+                   if line.startswith("warning: ")]
+        assert printed == [f"warning: {name}: {warning}" for warning in expected]
 
     def test_run_with_output_override(self, tmp_path, capsys):
         doc = minimal_experiment(tmp_path)

@@ -237,6 +237,8 @@ def test_solver_config_validation():
         SolverConfig(method=Penalty(0.0), eta=0.0, iterations=1)
     with pytest.raises(ValueError, match="eta must be"):  # True would step at 1.0
         SolverConfig(GradNormSquared(0.5), True, 5)
+    with pytest.raises(ValueError, match="eta must be"):  # a run would diverge at iteration 0
+        SolverConfig(GradNormSquared(0.5), float("inf"), 5)
     for budget in (2.5, 3.0, True):  # a budget a run would fail on with a TypeError
         with pytest.raises(ValueError, match="iterations must be a positive integer"):
             SolverConfig(GradNormSquared(0.5), 1e-3, budget)
