@@ -43,8 +43,40 @@ Array = np.ndarray
 DEFAULT_GUARD = 1e-24
 
 
+class _Rule:
+    """What a method states about itself for the solver.
+
+    Each rule's ``multiplier(fg, gg_sq, g)`` returns ``(lam, degenerate)``
+    of each row from ``fg = grad_f . grad_g``, ``gg_sq = ||grad_g||^2`` and
+    the lower value ``g``.  The defaults below are those of a rule without
+    a barrier.
+    """
+
+    #: The ``beta`` of the potential's barrier weight ``beta / (L_g eta)``,
+    #: or ``None`` for a potential of the direction alone.
+    potential_beta = None
+    #: The ``g`` below which the rule's barrier level is clamped at zero.
+    clamp_level = -np.inf
+    #: A constant step above ``1/(L_f+L_g)`` warns, because the rule's
+    #: descent guarantees end there.
+    warns_above_step_bound: ClassVar[bool] = False
+    #: At a degenerate row the direction is ``grad_f`` itself, not
+    #: ``grad_f + 0 * grad_g``.
+    degenerate_takes_grad_f: ClassVar[bool] = False
+
+
+class _Barrier(_Rule):
+    """A dbgd rule: the halfspace projection at the barrier level
+    ``level(g, gg_sq)`` of each row."""
+
+    warns_above_step_bound: ClassVar[bool] = True
+
+    def multiplier(self, fg, gg_sq, g):
+        return halfspace_multiplier(fg, gg_sq, self.level(g, gg_sq))
+
+
 @dataclass(frozen=True)
-class GradNormSquared:
+class GradNormSquared(_Barrier):
     """Barrier level ``beta * ||grad_g||^2`` with ``0 <= beta <= 1``."""
 
     label: ClassVar[str] = "dbgd:grad-norm-squared"
@@ -55,9 +87,14 @@ class GradNormSquared:
         if not np.all((0.0 <= beta) & (beta <= 1.0)):
             raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
 
+    potential_beta = property(lambda self: self.beta)
+
+    def level(self, g, gg_sq):
+        return self.beta * gg_sq
+
 
 @dataclass(frozen=True)
-class DynamicBarrierMin:
+class DynamicBarrierMin(_Barrier):
     """Barrier level ``min(alpha * (g - g_star), beta * ||grad_g||^2)``."""
 
     label: ClassVar[str] = "dbgd:dynamic-barrier-min"
@@ -71,14 +108,21 @@ class DynamicBarrierMin:
         if not np.all(np.asarray(self.beta) > 0.0):
             raise ValueError("beta must be strictly positive")
 
+    potential_beta = property(lambda self: self.beta)
+    clamp_level = property(lambda self: self.g_star)
+
+    def level(self, g, gg_sq):
+        return np.maximum(np.minimum(self.alpha * (g - self.g_star), self.beta * gg_sq), 0.0)
+
 
 @dataclass(frozen=True)
-class LowerLinearization:
+class LowerLinearization(_Barrier):
     """Barrier level ``(g - g_star) / eta``.
 
     With ``eta`` equal to the step size this reproduces the projection
     onto a linearization of the lower level around the iterate, the
-    classical rule for convex lower objectives.
+    classical rule for convex lower objectives.  Its potential is that of
+    the direction alone.
     """
 
     label: ClassVar[str] = "dbgd:lower-linearization"
@@ -89,20 +133,31 @@ class LowerLinearization:
         if not np.all(np.asarray(self.eta) > 0.0):
             raise ValueError("eta must be strictly positive")
 
+    clamp_level = property(lambda self: self.g_star)
+
+    def level(self, g, gg_sq):
+        return np.maximum((g - self.g_star) / self.eta, 0.0)
+
 
 @dataclass(frozen=True)
-class BloopOrthogonal:
+class BloopOrthogonal(_Rule):
     """Equality-constrained rule: ``beta * grad_g`` plus the component of
     ``grad_f`` orthogonal to ``grad_g``.  Carries no scalar barrier level;
     see :func:`bloop_direction`.
     """
 
     label: ClassVar[str] = "bloop"
+    degenerate_takes_grad_f: ClassVar[bool] = True
     beta: float
 
     def __post_init__(self):
         if not np.all(np.asarray(self.beta) >= 0.0):
             raise ValueError("beta must be nonnegative")
+
+    potential_beta = property(lambda self: self.beta)
+
+    def multiplier(self, fg, gg_sq, g):
+        return orthogonal_multiplier(fg, gg_sq, self.beta)
 
 
 #: Each rule's ``label`` is the ``method_label`` of the traces it drives.
@@ -110,7 +165,7 @@ BarrierRule = Union[GradNormSquared, DynamicBarrierMin, LowerLinearization, Bloo
 
 
 @dataclass(frozen=True)
-class Penalty:
+class Penalty(_Rule):
     """Fixed-multiplier method: direction ``grad_f + lam * grad_g``."""
 
     label: ClassVar[str] = "penalty"
@@ -119,6 +174,9 @@ class Penalty:
     def __post_init__(self):
         if not np.all(np.asarray(self.lam) >= 0.0):
             raise ValueError("penalty multiplier must be nonnegative")
+
+    def multiplier(self, fg, gg_sq, g):
+        return self.lam, False
 
 
 #: A method is the rule that picks its multiplier.
@@ -143,19 +201,11 @@ def barrier_value(rule: BarrierRule, g_val, grad_g: Array):
     a bad ``g_star`` (the solver counts these iterations in
     ``TraceRecord.clamp_count``).
     """
-    if isinstance(rule, GradNormSquared):
-        return rule.beta * row_dot(grad_g, grad_g)
-    if isinstance(rule, DynamicBarrierMin):
-        level = np.minimum(
-            rule.alpha * (g_val - rule.g_star),
-            rule.beta * row_dot(grad_g, grad_g),
-        )
-        return np.maximum(level, 0.0)
-    if isinstance(rule, LowerLinearization):
-        return np.maximum((g_val - rule.g_star) / rule.eta, 0.0)
     if isinstance(rule, BloopOrthogonal):
         raise ValueError("the orthogonal-projection rule has no scalar barrier level")
-    raise TypeError(f"unknown barrier rule {rule!r}")
+    if not isinstance(rule, _Barrier):
+        raise TypeError(f"unknown barrier rule {rule!r}")
+    return rule.level(g_val, row_dot(grad_g, grad_g))
 
 
 @dataclass(frozen=True)
@@ -175,6 +225,19 @@ class DirectionResult:
     degenerate: Any
 
 
+def halfspace_multiplier(fg, gg_sq, phi):
+    """Multiplier of the halfspace projection from the Gram entries
+    ``fg = grad_f . grad_g`` and ``gg_sq = ||grad_g||^2`` of each row.
+
+    Returns ``(max((phi - fg) / gg_sq, 0), False)``, or ``(0, True)`` where
+    ``gg_sq <= DEFAULT_GUARD``.  The one home of the dbgd multiplier, for
+    :func:`lambda_closed_form` and the solver.
+    """
+    degenerate = gg_sq <= DEFAULT_GUARD
+    lam = np.maximum((phi - fg) / _safe(gg_sq, degenerate), 0.0)
+    return np.where(degenerate, 0.0, lam)[()], degenerate
+
+
 def lambda_closed_form(grad_f: Array, grad_g: Array, phi):
     """Closed-form multiplier of the halfspace projection, per row.
 
@@ -183,10 +246,7 @@ def lambda_closed_form(grad_f: Array, grad_g: Array, phi):
     """
     if np.any(np.asarray(phi) < 0.0):
         raise ValueError(f"phi must be nonnegative, got {phi}")
-    gg = row_dot(grad_g, grad_g)
-    degenerate = gg <= DEFAULT_GUARD
-    lam = np.maximum((phi - row_dot(grad_f, grad_g)) / _safe(gg, degenerate), 0.0)
-    return np.where(degenerate, 0.0, lam)[()], degenerate
+    return halfspace_multiplier(row_dot(grad_f, grad_g), row_dot(grad_g, grad_g), phi)
 
 
 def dbgd_direction(grad_f: Array, grad_g: Array, phi) -> DirectionResult:
@@ -210,6 +270,16 @@ def decompose_grad_f(grad_f: Array, grad_g: Array) -> tuple[Array, Array]:
     return par, grad_f - par
 
 
+def orthogonal_multiplier(fg, gg_sq, beta):
+    """Signed multiplier ``beta - fg / gg_sq`` of the orthogonal projection
+    from the Gram entries of each row, with its degeneracy flag; ``0`` where
+    ``gg_sq <= DEFAULT_GUARD``.  The one home of the bloop multiplier, for
+    :func:`bloop_direction` and the solver.
+    """
+    degenerate = gg_sq <= DEFAULT_GUARD
+    return np.where(degenerate, 0.0, beta - fg / _safe(gg_sq, degenerate))[()], degenerate
+
+
 def bloop_direction(grad_f: Array, grad_g: Array, beta) -> DirectionResult:
     """Orthogonal-projection direction.
 
@@ -221,9 +291,7 @@ def bloop_direction(grad_f: Array, grad_g: Array, beta) -> DirectionResult:
     At or below ``DEFAULT_GUARD`` the direction falls back to ``grad_f``
     (with multiplier 0).
     """
-    gg = row_dot(grad_g, grad_g)
-    degenerate = gg <= DEFAULT_GUARD
-    lam = np.where(degenerate, 0.0, beta - row_dot(grad_f, grad_g) / _safe(gg, degenerate))[()]
+    lam, degenerate = orthogonal_multiplier(row_dot(grad_f, grad_g), row_dot(grad_g, grad_g), beta)
     d = np.where(_per_row(degenerate), grad_f, grad_f + _per_row(lam) * grad_g)
     return DirectionResult(d=d, lam=lam, degenerate=degenerate)
 

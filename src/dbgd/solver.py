@@ -8,12 +8,16 @@ the upper gradient, and the potential
 ``0.5 ||d_k||^2 + (beta / (L_g eta)) ||grad_g(x_k)||^2`` whose minimizer
 over the trace is the certified near-stationary iterate.
 
-Each iteration computes what decides a run: ``f``, ``g``, ``lam``,
-``degenerate``, ``d_sq``, ``grad_g_sq``, the decreases and the potential.
-A run buffers its rows with their gradients for a block of iterations
-and hands the block to a sink, which decides what the run keeps: every
-row, in memory or written out, or the best and the last row.  The
-gradient-geometry columns are filled only for the rows a sink keeps.
+Each iteration computes what the next one needs: the gradients, their
+Gram entries ``grad_g . grad_g`` and ``grad_f . grad_g``, each row's
+multiplier from its rule, one direction for the whole batch, the step,
+``f`` and ``g`` at the next iterate, and ``d_sq``.  A run buffers these
+with its gradients for a block of iterations; the block's end computes
+the decreases and the potential, checks that every row is finite, counts
+clamps and degenerate steps, and hands the block to a sink, which
+decides what the run keeps: every row, in memory or written out, or the
+best and the last row.  The gradient-geometry columns are filled only for
+the rows a sink keeps.
 """
 
 from __future__ import annotations
@@ -100,7 +104,7 @@ class SolverConfig:
     def warnings(self, profile: SmoothnessProfile) -> list[str]:
         """Warnings of this run on a problem with ``profile``: a dbgd rule's
         step above ``1/(L_f+L_g)``, where its descent guarantees end."""
-        if self.method.label.startswith("dbgd") and self.eta > 1.0 / profile.lip_total:
+        if self.method.warns_above_step_bound and self.eta > 1.0 / profile.lip_total:
             return [
                 f"constant step {self.eta} exceeds 1/(L_f+L_g) = {1.0 / profile.lip_total}; "
                 "descent guarantees may fail"
@@ -208,7 +212,7 @@ def _stacked(rules: list[Method]) -> Method:
 
 def _groups(configs: list[SolverConfig], cell: Array) -> list[tuple[slice, Method]]:
     """The slice of each run of consecutive same-kind rows, with its
-    stacked rule; each takes one direction call per iteration."""
+    stacked rule; each takes one multiplier call per iteration."""
     groups, start = [], 0
     for _, members in itertools.groupby(cell.tolist(), key=lambda i: type(configs[i].method)):
         rules = [configs[i].method for i in members]
@@ -217,7 +221,22 @@ def _groups(configs: list[SolverConfig], cell: Array) -> list[tuple[slice, Metho
     return groups
 
 
-def _direction(rule: Method, gf: Array, gg: Array, g_now: Array) -> DirectionResult:
+def _direction(groups: list[tuple[slice, Method]], gf: Array, gg: Array, gg_sq: Array,
+               g_now: Array, lam: Array, degenerate: Array) -> Array:
+    """The direction ``gf + lam * gg`` of every row of a batch; fills each
+    row's ``lam`` and ``degenerate`` from its rule and the Gram entries."""
+    fg = row_dot(gf, gg)
+    for rows, rule in groups:
+        lam[rows], degenerate[rows] = rule.multiplier(fg[rows], gg_sq[rows], g_now[rows])
+    d = gf + lam[:, None] * gg
+    for rows, rule in groups:
+        if rule.degenerate_takes_grad_f:
+            np.copyto(d[rows], gf[rows], where=degenerate[rows, None])
+    return d
+
+
+def _library_direction(rule: Method, gf: Array, gg: Array, g_now: Array) -> DirectionResult:
+    """The direction of one group by the library's direction functions."""
     if isinstance(rule, Penalty):
         return penalty_direction(gf, gg, rule.lam)
     if isinstance(rule, BloopOrthogonal):
@@ -307,6 +326,27 @@ _BLOCK_BYTES = 1 << 20
 _BLOCK_ITERATIONS = 256
 
 
+def _same_bits(mine: Array, theirs) -> bool:
+    theirs = np.broadcast_to(np.asarray(theirs, dtype=mine.dtype), mine.shape)
+    return mine.tobytes() == np.ascontiguousarray(theirs).tobytes()
+
+
+def _cross_check(k: int, cell: Array, groups: list[tuple[slice, Method]], gf: Array, gg: Array,
+                 g_now: Array, d: Array, lam: Array, degenerate: Array) -> None:
+    """Raise unless each group's ``d``, ``lam`` and ``degenerate`` are bit for
+    bit those of the library's direction functions (:func:`dbgd_direction`
+    with :func:`barrier_value`, :func:`bloop_direction` and
+    :func:`penalty_direction`)."""
+    for rows, rule in groups:
+        ref = _library_direction(rule, gf[rows], gg[rows], g_now[rows])
+        if not (_same_bits(d[rows], ref.d) and _same_bits(lam[rows], ref.lam)
+                and _same_bits(degenerate[rows], ref.degenerate)):
+            raise RuntimeError(
+                f"the batch direction of {rule.label} runs {cell[rows].tolist()} at iteration "
+                f"{k} differs from the library's"
+            )
+
+
 def _diverged(iteration: int, what: str, cell: Array, *values: Array) -> None:
     """Raise :class:`DivergenceError` naming the lowest-index config with a
     non-finite value."""
@@ -357,8 +397,18 @@ def run(problem: ProblemSpec, config, x0: Array, keep: Union[str, RowSink] = "al
     A run that stops leaves the batch.  Every quantity that decides a run
     (``f``, ``g``, the gradients, ``lam``, ``d_sq``, ``grad_g_sq``, the
     decreases and the potential) is finite or the batch aborts with
-    :class:`DivergenceError` naming the iteration and, in ``cell``, the
-    index of the first run that diverged.
+    :class:`DivergenceError` naming the first non-finite iteration and, in
+    ``cell``, the index of the first run that diverged there.  The check
+    runs once per block, so a diverging run steps on non-finite values
+    until its block ends (at most 255 more iterations) before the batch
+    aborts; an oracle that raises on non-finite input raises its own error
+    from those steps instead.
+
+    The batch forms one direction ``grad_f + lam * grad_g`` from each row's
+    multiplier.  On the first iteration of a batch and after each run that
+    leaves it, each group of same-kind runs has its direction and
+    multiplier checked bit for bit against the library's direction
+    functions, and a difference raises ``RuntimeError``.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is detected, not warned
         if isinstance(config, SolverConfig):
@@ -391,7 +441,7 @@ def _run_batch(
 
     # Active row j runs configs[cell[j]].
     cell = np.arange(cells)
-    betas = [getattr(config.method, "beta", None) for config in configs]
+    betas = [config.method.potential_beta for config in configs]
     lip_g = problem.smoothness.lip_grad_g
     per_row = {
         "eta": np.array([config.eta for config in configs])[:, None],
@@ -399,7 +449,7 @@ def _run_batch(
                               for beta, config in zip(betas, configs)]),
         "budget": np.array([config.iterations for config in configs]),
         "tolerance": np.array([config.stop_tolerances or (-np.inf, -np.inf) for config in configs]),
-        "clamp_ref": np.array([getattr(config.method, "g_star", -np.inf) for config in configs]),
+        "clamp_ref": np.array([config.method.clamp_level for config in configs]),
     }
     x = np.broadcast_to(x0, (cells, dim))[cell]
     f_now = problem.eval_f(x)
@@ -415,12 +465,24 @@ def _run_batch(
         "degenerate": np.zeros(cells, dtype=int),
     }
 
-    def flush(buffered: int) -> None:
-        """End a block of ``buffered`` iterations: count it, then hand it to the sink."""
-        rows = block_rows[:buffered]
-        out["clamps"][cell] += (rows[:, :, _G] < clamp_ref).sum(axis=0)
-        out["degenerate"][cell] += (rows[:, :, _DEGENERATE] != 0.0).sum(axis=0)
-        sink.block(k - buffered, cell, rows, block_gf[:buffered], block_gg[:buffered])
+    def flush(b: int) -> None:
+        """End a block of ``b`` iterations: fill its rows, check them, count
+        them, then hand them to the sink."""
+        k0, rows, gf = k - b, block_rows[:b], block_gf[:b]
+        f, g = block_f[:b + 1], block_g[:b + 1]
+        rows[:, :, _F], rows[:, :, _G] = f[:-1], g[:-1]
+        rows[:, :, _GRAD_G_SQ], rows[:, :, _D_SQ] = block_gg_sq[:b], block_d_sq[:b]
+        rows[:, :, _LAM], rows[:, :, _DEGENERATE] = block_lam[:b], block_degenerate[:b]
+        rows[:, :, _DELTA_F], rows[:, :, _DELTA_G] = f[:-1] - f[1:], g[:-1] - g[1:]
+        rows[:, :, _POTENTIAL] = 0.5 * block_d_sq[:b] + pot_coef * block_gg_sq[:b]
+        finite = np.isfinite(rows[:, :, _NEW]).all(axis=2) & np.isfinite(gf).all(axis=2)
+        if not finite.all():
+            j = int(np.argmin(finite.all(axis=1)))
+            _diverged_row(k0 + j, cell, gf[j], rows[j], f[j + 1], g[j + 1])
+        out["clamps"][cell] += (g[:-1] < clamp_ref).sum(axis=0)
+        out["degenerate"][cell] += block_degenerate[:b].sum(axis=0)
+        sink.block(k0, cell, rows, gf, block_gg[:b])
+        block_f[0], block_g[0] = f[-1], g[-1]
 
     k = 0
     while cell.size:
@@ -431,38 +493,29 @@ def _run_batch(
         eps_f, eps_g = per_row["tolerance"].T
         horizon = int(budget.min())
         stopping = bool((eps_f > -np.inf).any())  # -inf: the run has no tolerance
-        buffered = 0
+        # One row per iteration of the block; f and g hold one more, the
+        # values at the iterate the block's last step reached.
         block_rows = np.empty((block, n, len(COLUMNS)))
         block_gf, block_gg = np.empty((2, block, n, dim))
+        block_f, block_g = np.empty((2, block + 1, n))
+        block_gg_sq, block_d_sq, block_lam = np.empty((3, block, n))
+        block_degenerate = np.empty((block, n), dtype=bool)
+        block_f[0], block_g[0] = f_now, g_now
+        buffered, check = 0, True
         while True:
-            gf = problem.eval_grad_f(x)
-            gg = problem.eval_grad_g(x)
-            row = block_rows[buffered]
-            d = np.empty_like(gf)
-            for rows, rule in groups:
-                res = _direction(rule, gf[rows], gg[rows], g_now[rows])
-                d[rows] = res.d
-                row[rows, _LAM] = res.lam
-                row[rows, _DEGENERATE] = res.degenerate
-            x_next = x - eta * d
-            f_next = problem.eval_f(x_next)
-            g_next = problem.eval_g(x_next)
-
-            gg_sq = row_dot(gg, gg)
-            d_sq = row_dot(d, d)
-            row[:, _F] = f_now
-            row[:, _G] = g_now
-            row[:, _GRAD_G_SQ] = gg_sq
-            row[:, _D_SQ] = d_sq
-            row[:, _DELTA_F] = f_now - f_next
-            row[:, _DELTA_G] = g_now - g_next
-            row[:, _POTENTIAL] = 0.5 * d_sq + pot_coef * gg_sq
-            if not (np.isfinite(gf).all() and np.isfinite(row[:, _NEW]).all()):
-                _diverged_row(k, cell, gf, row, f_next, g_next)
-            block_gf[buffered], block_gg[buffered] = gf, gg
+            gf = block_gf[buffered] = problem.eval_grad_f(x)
+            gg = block_gg[buffered] = problem.eval_grad_g(x)
+            gg_sq = block_gg_sq[buffered] = row_dot(gg, gg)
+            lam, degenerate = block_lam[buffered], block_degenerate[buffered]
+            d = _direction(groups, gf, gg, gg_sq, g_now, lam, degenerate)
+            if check:  # the first iteration of each segment
+                _cross_check(k, cell, groups, gf, gg, g_now, d, lam, degenerate)
+                check = False
+            x = x - eta * d
+            f_now = block_f[buffered + 1] = problem.eval_f(x)
+            g_now = block_g[buffered + 1] = problem.eval_g(x)
+            d_sq = block_d_sq[buffered] = row_dot(d, d)
             buffered += 1
-
-            x, f_now, g_now = x_next, f_next, g_next
             k += 1
             if buffered == block:
                 flush(buffered)

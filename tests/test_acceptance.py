@@ -20,7 +20,6 @@ from dbgd import (
     finite_diff_sweep,
     inequality_audit,
     matrix_factorization_problem,
-    penalty_direction,
     qp_oracle_direction,
     quadratic_sanity_problem,
     rng,
@@ -275,10 +274,11 @@ def test_criterion_06_rejects_barrier_off(tmp_path):
 
 def test_criterion_06_rejects_fixed_multiplier_direction(tmp_path, monkeypatch):
     # negative control: the barrier cell secretly takes the lambda = 1
-    # penalty direction
+    # penalty direction, through the one home of the dbgd multiplier that
+    # the solver and lambda_closed_form share
     monkeypatch.setattr(
-        "dbgd.solver.dbgd_direction",
-        lambda gf, gg, phi: penalty_direction(gf, gg, 1.0),
+        "dbgd.direction.halfspace_multiplier",
+        lambda fg, gg_sq, phi: (np.ones_like(fg), np.zeros_like(fg, dtype=bool)),
     )
     out = run_experiment(bundled("toy.json"), output_dir=tmp_path / "toy")
     failures = toy_reproduction_failures(certified_rows(out), "dbgd_beta=1")

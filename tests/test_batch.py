@@ -3,6 +3,7 @@
 A command advances all its runs (grid cells, initializations, ``(p, K)``
 pairs) as one ``(runs, dim)`` array.  These tests pin that doing so
 changes no bit of any run, nor does streaming every row in blocks, that
+the batch's multipliers and direction are the library's row by row, that
 the streamed summary of a best-and-last run equals the one read from
 full traces, that memory does not grow with the budget, that the
 gradient-geometry columns are computed only for the rows a run keeps,
@@ -17,6 +18,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import dbgd.cli as cli
 import dbgd.solver as solver
@@ -29,6 +33,7 @@ from dbgd import (
     Penalty,
     SolverConfig,
     quadratic_sanity_problem,
+    row_dot,
     run,
     scheduled_step,
     toy_problem,
@@ -101,6 +106,44 @@ def test_each_run_of_a_batch_equals_its_batch_of_one(keep):
 
     assert len(batch) == sum(lengths)
     assert batch.degenerate.sum() == sum(t.degenerate_steps for t in alone)
+
+
+#: A rule of each method kind, with parameters drawn where they may lie.
+RULES = {
+    "grad-norm-squared": st.builds(GradNormSquared, st.floats(0.0, 1.0)),
+    "dynamic-barrier-min": st.builds(
+        DynamicBarrierMin, st.floats(1e-3, 10.0), st.floats(1e-3, 1.0), st.floats(-1.0, 1.0)),
+    "lower-linearization": st.builds(
+        LowerLinearization, st.floats(-1.0, 1.0), st.floats(1e-3, 1.0)),
+    "bloop": st.builds(BloopOrthogonal, st.floats(0.0, 2.0)),
+    "penalty": st.builds(Penalty, st.floats(0.0, 1e3)),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_the_batch_direction_is_the_library_direction_row_by_row(data):
+    # method blocks of every kind in any order, at states where some rows'
+    # grad_g vanishes or lies below the degeneracy guard and g straddles g_star
+    kinds = data.draw(st.lists(st.sampled_from(sorted(RULES)), min_size=1, max_size=6))
+    rules = [data.draw(RULES[kind]) for kind in kinds for _ in range(data.draw(st.integers(1, 3)))]
+    n, dim = len(rules), data.draw(st.integers(1, 4))
+    value = st.floats(-10.0, 10.0)
+    gf = data.draw(hnp.arrays(float, (n, dim), elements=value))
+    gg = data.draw(hnp.arrays(float, (n, dim), elements=value))
+    gg *= data.draw(hnp.arrays(float, (n, 1), elements=st.sampled_from([1.0, 1e-13, 0.0])))
+    g = data.draw(hnp.arrays(float, n, elements=st.floats(-2.0, 2.0)))
+
+    configs = [SolverConfig(rule, 0.1, 1) for rule in rules]
+    lam, degenerate = np.empty(n), np.empty(n, dtype=bool)
+    gg_sq = row_dot(gg, gg)
+    d = solver._direction(solver._groups(configs, np.arange(n)), gf, gg, gg_sq, g, lam, degenerate)
+    for i, rule in enumerate(rules):
+        ref = solver._library_direction(rule, gf[i], gg[i], g[i])
+        assert bits(d[i]) == bits(ref.d), (i, rule)
+        assert bits(lam[i]) == bits(np.float64(ref.lam)), (i, rule)
+        assert degenerate[i] == ref.degenerate, (i, rule)
+        assert isinstance(rule, BloopOrthogonal) or lam[i] >= 0.0, (i, rule)
 
 
 class BlockLog(solver._Table):
@@ -467,3 +510,23 @@ def test_divergence_names_the_first_non_finite_quantity():
         run(problem, configs, starts)
     assert (err.value.what, err.value.cell) == ("gradient", 1)
     assert err.value.iteration > 0
+
+
+@pytest.mark.parametrize("lam,iteration", [(48.75, 255), (48.6, 256), (48.5, 257)])
+def test_divergence_at_a_block_boundary_names_the_first_non_finite_row(
+    tmp_path, capsys, lam, iteration
+):
+    # blocks hold 256 iterations here, and a penalty run turns non-finite in
+    # the last row of the first block, the first row of the second or the
+    # row after it; the batch steps on to the end of the block before it
+    # aborts, and reports the first non-finite row all the same
+    configs = [SolverConfig(GradNormSquared(1.0), 0.1, 1000)]
+    configs += [SolverConfig(Penalty(value), 0.1, 1000) for value in (1.0, lam, 2.0)]
+    for keep in ("all", "best-last"):
+        with pytest.raises(DivergenceError) as err:
+            run(quadratic_sanity_problem(3), configs, np.full(3, 0.3), keep=keep)
+        assert (err.value.iteration, err.value.what, err.value.cell) == (iteration, "direction", 2)
+    assert cli.main(["run", str(_diverging_grid(tmp_path, "all", lam))]) == 3
+    err = capsys.readouterr().err
+    assert f"non-finite direction in cell penalty_lambda={lam} at iteration {iteration}" in err
+    assert sorted(p.name for p in (tmp_path / "div").iterdir()) == []

@@ -1,3 +1,6 @@
+from dataclasses import dataclass
+from typing import ClassVar
+
 import numpy as np
 import pytest
 
@@ -199,6 +202,24 @@ class TestRun:
         assert blp.beta == 0.5
         expected = 0.5 * blp.d_sq + (0.5 / (1.0 * 0.1)) * blp.grad_g_sq
         assert np.allclose(blp.potential, expected)
+
+    def test_a_rule_counts_only_as_it_states(self):
+        # the potential weight, the g* clamp and the step warning are what a
+        # rule states about itself: fields named beta and g_star and a dbgd
+        # label change nothing about a fixed-multiplier rule
+        @dataclass(frozen=True)
+        class Fixed(Penalty):
+            label: ClassVar[str] = "dbgd:fixed"
+            beta: float = 0.5
+            g_star: float = 10.0
+
+        problem = quadratic_sanity_problem(3)
+        x0 = 0.2 * np.ones(3)
+        fixed = run(problem, SolverConfig(Fixed(1.0), 0.6, 3), x0)  # above the bound 0.5
+        plain = run(problem, SolverConfig(Penalty(1.0), 0.6, 3), x0)
+        assert (fixed.potential_kind, fixed.beta, fixed.clamp_count, fixed.warnings) == (
+            "direction-only", None, 0, [])
+        assert fixed.table.tobytes() == plain.table.tobytes()
 
     def test_potential_is_nonnegative(self):
         problem = toy_problem()
