@@ -8,11 +8,11 @@ runs ``bench/run_bench.py --workload NAME --seconds S`` of each tree, the
 parent's and the checkout's, from that tree's root, ``N`` times per
 workload.  Within a workload the sides alternate: the parent runs first in
 the odd pairs and the checkout in the even ones.  ``OUTPUT`` (by
-convention ``BENCH_<pr>.json``) receives the environment, both SHAs,
-every run's end-to-end metrics and operation counts, and per workload and
-metric each side's median and quartiles and the number of pairs the
-checkout won, where "won" follows the ``better`` direction of
-``BENCHMARK.json``.  Uses the standard library only.
+convention ``BENCH_<n>.json``, after the change it measures) receives the
+environment, both SHAs, every run's end-to-end metrics and operation
+counts, and per workload and metric each side's median and quartiles and
+the number of pairs the checkout won, where "won" follows the ``better``
+direction of ``BENCHMARK.json``.  Uses the standard library only.
 """
 
 from __future__ import annotations
