@@ -57,19 +57,11 @@ class _Rule:
     potential_beta = None
     #: The ``g`` below which the rule's barrier level is clamped at zero.
     clamp_level = -np.inf
-    #: A constant step above ``1/(L_f+L_g)`` warns, because the rule's
-    #: descent guarantees end there.
-    warns_above_step_bound: ClassVar[bool] = False
-    #: At a degenerate row the direction is ``grad_f`` itself, not
-    #: ``grad_f + 0 * grad_g``.
-    degenerate_takes_grad_f: ClassVar[bool] = False
 
 
 class _Barrier(_Rule):
     """A dbgd rule: the halfspace projection at the barrier level
     ``level(g, gg_sq)`` of each row."""
-
-    warns_above_step_bound: ClassVar[bool] = True
 
     def multiplier(self, fg, gg_sq, g):
         return halfspace_multiplier(fg, gg_sq, self.level(g, gg_sq))
@@ -147,7 +139,6 @@ class BloopOrthogonal(_Rule):
     """
 
     label: ClassVar[str] = "bloop"
-    degenerate_takes_grad_f: ClassVar[bool] = True
     beta: float
 
     def __post_init__(self):

@@ -34,6 +34,7 @@ from .direction import (
     DirectionResult,
     Method,
     Penalty,
+    _Barrier,
     barrier_value,
     bloop_direction,
     dbgd_direction,
@@ -104,7 +105,7 @@ class SolverConfig:
     def warnings(self, profile: SmoothnessProfile) -> list[str]:
         """Warnings of this run on a problem with ``profile``: a dbgd rule's
         step above ``1/(L_f+L_g)``, where its descent guarantees end."""
-        if self.method.warns_above_step_bound and self.eta > 1.0 / profile.lip_total:
+        if isinstance(self.method, _Barrier) and self.eta > 1.0 / profile.lip_total:
             return [
                 f"constant step {self.eta} exceeds 1/(L_f+L_g) = {1.0 / profile.lip_total}; "
                 "descent guarantees may fail"
@@ -230,7 +231,7 @@ def _direction(groups: list[tuple[slice, Method]], gf: Array, gg: Array, gg_sq: 
         lam[rows], degenerate[rows] = rule.multiplier(fg[rows], gg_sq[rows], g_now[rows])
     d = gf + lam[:, None] * gg
     for rows, rule in groups:
-        if rule.degenerate_takes_grad_f:
+        if isinstance(rule, BloopOrthogonal):
             np.copyto(d[rows], gf[rows], where=degenerate[rows, None])
     return d
 

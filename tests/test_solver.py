@@ -204,9 +204,10 @@ class TestRun:
         assert np.allclose(blp.potential, expected)
 
     def test_a_rule_counts_only_as_it_states(self):
-        # the potential weight, the g* clamp and the step warning are what a
-        # rule states about itself: fields named beta and g_star and a dbgd
-        # label change nothing about a fixed-multiplier rule
+        # the potential weight and the g* clamp are what a rule states about
+        # itself, and the step warning is that of the barrier rules: fields
+        # named beta and g_star and a dbgd label change nothing about a
+        # fixed-multiplier rule
         @dataclass(frozen=True)
         class Fixed(Penalty):
             label: ClassVar[str] = "dbgd:fixed"

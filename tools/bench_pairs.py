@@ -1,13 +1,16 @@
 """Benchmark a parent commit against the checkout in alternating pairs.
 
-Usage: ``python3 tools/bench_pairs.py PARENT_REF OUTPUT [--pairs N]
-[--seconds S] [--workload NAME ...]``
+Usage: ``python3 tools/bench_pairs.py PARENT_REF OUTPUT [--pairs N]``
 
 Unpacks ``PARENT_REF`` with ``git archive`` into a temporary directory and
-runs ``bench/run_bench.py --workload NAME --seconds S`` of each tree, the
-parent's and the checkout's, from that tree's root, ``N`` times per
-workload.  Within a workload the sides alternate: the parent runs first in
-the odd pairs and the checkout in the even ones.  ``OUTPUT`` (by
+runs ``bench/run_bench.py --workload NAME`` of each tree, the parent's and
+the checkout's, from that tree's root, ``N`` times (default 10) for each
+workload of ``BENCHMARK.json``, at the benchmark's own run length.  Within
+a workload the sides alternate: the parent runs first in the odd pairs and
+the checkout in the even ones.  The checkout must be a clean commit: the
+tool refuses to start when a tracked file differs from ``HEAD``, and stops
+when a run of the checkout reports another commit or a modified tree, so
+that every number belongs to the SHA it is recorded under.  ``OUTPUT`` (by
 convention ``BENCH_<n>.json``, after the change it measures) receives the
 environment, both SHAs, every run's end-to-end metrics and operation
 counts, and per workload and metric each side's median and quartiles and
@@ -45,11 +48,16 @@ def unpack(ref: str, into: Path) -> None:
         tar.extractall(into)
 
 
-def bench_once(tree: Path, workload: str, seconds: float) -> dict:
+def dirty() -> bool:
+    """Whether a tracked file of the checkout differs from ``HEAD``."""
+    return bool(git("status", "--porcelain", "--untracked-files=no"))
+
+
+def bench_once(tree: Path, workload: str) -> dict:
     """One ``run_bench.py`` run of ``tree``: its metrics, operation counts and
     the environment its report line names."""
     done = subprocess.run(
-        [sys.executable, "bench/run_bench.py", "--workload", workload, "--seconds", str(seconds)],
+        [sys.executable, "bench/run_bench.py", "--workload", workload],
         cwd=tree, capture_output=True, text=True,
     )
     if done.returncode != 0:
@@ -96,37 +104,40 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_ref")
     parser.add_argument("output", type=Path)
-    parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--seconds", type=float, default=35.0)
-    parser.add_argument("--workload", action="append")
+    parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
+    if dirty():
+        parser.error("tracked files differ from HEAD; commit them or run from a clean clone")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    sha = git("rev-parse", "HEAD")
     result = {
-        "command": spec["command"] + ["--workload", "NAME", "--seconds", str(args.seconds)],
+        "command": spec["command"] + ["--workload", "NAME"],
         "environment": {
             "python": platform.python_version(),
             "platform": platform.platform(),
             "cpus": os.cpu_count(),
         },
         "parent": {"ref": args.parent_ref, "sha": git("rev-parse", args.parent_ref)},
-        "change": {"sha": git("rev-parse", "HEAD"),
-                   "uncommitted_changes": bool(git("status", "--porcelain", "--untracked-files=no"))},
+        "change": {"sha": sha},
         "pairs_per_workload": args.pairs,
         "workloads": {},
     }
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"parent": Path(tmp), "change": ROOT}
         unpack(args.parent_ref, trees["parent"])
-        for workload in workloads:
+        for workload in (w["name"] for w in spec["workloads"]):
             pairs = []
             for i in range(args.pairs):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 pair = {"first": order[0]}
                 for side in order:
-                    pair[side] = bench_once(trees[side], workload, args.seconds)
+                    pair[side] = bench_once(trees[side], workload)
+                    if side == "change" and (pair[side]["environment"]["git_sha"] != sha
+                                             or pair[side]["environment"]["git_dirty"]):
+                        raise RuntimeError(f"the checkout left {sha} or was modified during "
+                                           f"the runs: {pair[side]['environment']}")
                     print(f"{workload} pair {i + 1}/{args.pairs} {side}: "
                           f"iters_per_s {pair[side]['metrics']['iters_per_s']:.6g}", flush=True)
                 pairs.append(pair)
