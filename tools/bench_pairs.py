@@ -142,7 +142,7 @@ def main(argv: list[str] | None = None) -> int:
                           f"iters_per_s {pair[side]['metrics']['iters_per_s']:.6g}", flush=True)
                 pairs.append(pair)
             result["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs, better)}
-            args.output.write_text(json.dumps(result, indent=1) + "\n")
+    args.output.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {args.output}")
     return 0
 
