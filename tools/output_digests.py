@@ -28,11 +28,13 @@ not a multiple of 256, on 20 cells of dimension 100), so that every
 method the harness can build, the scheduled and the constant step of
 every config kind that has them, the scaled and the unscaled penalty
 step, runs that end early or late under every trace granularity, and
-method blocks whose kinds come in any order are covered. It then prints one ``sha256 relative/path`` line per file under
-``DIR``, sorted by path, so that two checkouts write byte-identical
-outputs exactly when ``diff`` of their printouts is empty. It writes
-nothing outside ``DIR``; the command's own messages go to standard
-error.
+method blocks whose kinds come in any order are covered. What each
+command prints to standard error (its warnings) goes to
+``DIR/<output name>.stderr``. It then prints one ``sha256 relative/path``
+line per file under ``DIR``, sorted by path, so that two checkouts write
+byte-identical outputs and warnings exactly when ``diff`` of their
+printouts is empty. It writes nothing outside ``DIR``; the commands'
+other messages (``wrote ...``) go to standard error.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -175,9 +178,12 @@ def main(argv: list[str]) -> int:
         (generated / config).write_text(json.dumps(doc, indent=2) + "\n")
     for name, (command, config, *rest) in RUNS:
         path = generated / config if config in GENERATED else CONFIGS / config
-        with redirect_stdout(sys.stderr):
+        messages = StringIO()
+        with redirect_stdout(sys.stderr), redirect_stderr(messages):
             status = cli.main([command, str(path), *rest, "--output", str(out / name)])
+        (out / f"{name}.stderr").write_text(messages.getvalue())
         if status != 0:
+            print(messages.getvalue(), end="", file=sys.stderr)
             print(f"dbgd {command} {config} exited {status}", file=sys.stderr)
             return status
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
