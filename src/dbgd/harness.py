@@ -12,8 +12,8 @@ A config is a single JSON object whose ``kind`` selects the workflow:
 
 Each command runs all its independent runs (grid cells, initializations,
 ``(p, K)`` pairs) as one solver batch.  When a config asks for every trace
-row (``output.trace: all``), the solver hands the rows to a writer in
-blocks of iterations, and the writer appends each block to its run's CSV;
+row (``output.trace: all``), the solver hands the rows to a write function
+in blocks of iterations, which appends each block to its run's CSV;
 otherwise only each run's best and last rows are kept.  Either way memory
 does not grow with the budget.
 
@@ -56,9 +56,7 @@ from .solver import (
     COLUMNS,
     SolverConfig,
     TraceRecord,
-    _BestLast,
     _check_exponent,
-    fill_geometry,
     run,
     scheduled_step,
 )
@@ -135,7 +133,8 @@ class Leaf(NamedTuple):
     ``choices`` and at least (``strict``: above) ``low``.
 
     ``int`` takes JSON integers only and ``float`` every finite JSON
-    number; no number type takes ``true`` or ``false``.
+    number; no number type takes ``true`` or ``false``, nor an integer
+    beyond the largest float.
     """
 
     type: type
@@ -152,6 +151,8 @@ class Leaf(NamedTuple):
             ok = isinstance(value, self.type)
         if not ok:
             raise _error(where, f"expected {_NOUNS[self.type]}, got {value!r}")
+        if isinstance(value, int) and abs(value) > sys.float_info.max:
+            raise _error(where, f"an integer beyond the largest float ({sys.float_info.max:g})")
         if self.choices is not None and value not in self.choices:
             raise _error(where, f"{value!r} is not one of {list(self.choices)}")
         if self.low is not None and (value <= self.low if self.strict else value < self.low):
@@ -394,11 +395,15 @@ def load_config(path: str | Path) -> dict:
     if not path.exists():
         raise ConfigurationError(f"config file not found: {path}")
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigurationError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except (OSError, ValueError, RecursionError) as exc:
+        # a directory, bytes that are not UTF-8, an integer of over 4,300
+        # digits or arrays nested too deep
+        raise ConfigurationError(f"{path}: cannot read the config: {exc}") from exc
     validate_config(doc)
     return doc
 
@@ -560,33 +565,21 @@ def trace_csv(table: np.ndarray, k: np.ndarray, header: bool = True) -> str:
     return TRACE_CSV.text(lines, header=header)
 
 
-class _TraceWriter(_BestLast):
-    """The solver's row sink under ``trace: all``.
+class _TraceWriter:
+    """The solver's write function under ``trace: all``: appends each block
+    of rows to its run's trace CSV at ``paths[i]``."""
 
-    Fills the geometry of every row of a block and appends the block to
-    its run's trace CSV at ``paths[i]``; each run's trace holds its
-    minimal-potential and last rows, kept as ``keep="best-last"`` keeps them.
-    """
-
-    def __init__(self, paths: list[Path], dim: int):
-        super().__init__(len(paths), dim)
+    def __init__(self, paths: list[Path]):
         self.paths = paths
         self.opened: list[Path] = []
 
-    def block(self, k0: int, cell: np.ndarray, rows: np.ndarray, gf: np.ndarray,
-              gg: np.ndarray) -> None:
-        fill_geometry(rows, gf, gg)
+    def __call__(self, k0: int, cell: np.ndarray, rows: np.ndarray) -> None:
         ks = np.arange(k0, k0 + len(rows))
         for j, i in enumerate(cell.tolist()):
             with open(self.paths[i], "a" if k0 else "w") as fh:
                 if k0 == 0:
                     self.opened.append(self.paths[i])
                 fh.write(trace_csv(rows[:, j], ks, header=k0 == 0))
-        super().block(k0, cell, rows, gf, gg)
-
-    def kept(self, i: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        """The best and last rows of run ``i``, as :meth:`block` filled them."""
-        return self.table[:, i], np.array([self.best_k[i], rows - 1])
 
     def discard(self) -> None:
         """Remove the files written so far."""
@@ -651,7 +644,7 @@ def _run_and_write(
     names = [name for name, _ in runs]
     paths = [_output_file(out / f"{name}.csv") for name in names if granularity != "none"]
     table_path = _output_file(out / table)
-    writer = _TraceWriter(paths, problem.dim) if granularity == "all" else None
+    writer = _TraceWriter(paths) if granularity == "all" else None
     for name, config in runs:
         for warning in config.warnings(problem.smoothness):
             print(f"warning: {name}: {warning}", file=sys.stderr)

@@ -14,17 +14,18 @@ multiplier from its rule, one direction for the whole batch, the step,
 ``f`` and ``g`` at the next iterate, and ``d_sq``.  A run buffers these
 with its gradients for a block of iterations; the block's end computes
 the decreases and the potential, checks that every row is finite, counts
-clamps and degenerate steps, and hands the block to a sink, which
-decides what the run keeps: every row, in memory or written out, or the
-best and the last row.  The gradient-geometry columns are filled only for
-the rows a sink keeps.
+clamps and degenerate steps, and keeps what ``keep`` asks for: every row,
+in memory or handed to a write function, or each run's best and last
+row.  The engine alone fills the gradient-geometry columns: of every row
+of a block when every row leaves the solver, otherwise of each run's best
+and last rows, once, after the last block.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, fields
-from typing import Optional, Protocol, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -147,10 +148,9 @@ class TraceRecord:
 
     ``table`` holds the kept rows, one column per name in ``COLUMNS``,
     each also an attribute (``trace.d_sq``); ``k`` holds their iteration
-    indices, as the :class:`RowSink` of the run returned them: every row
-    under ``keep="all"``, and under ``"best-last"`` the minimal-potential
-    row (the earliest on ties) followed by the last row.  ``len(trace)``
-    counts the rows the run recorded, kept or not.  ``clamp_count`` is the
+    indices: every row under ``keep="all"``, and otherwise the
+    minimal-potential row (the earliest on ties) followed by the last row.
+    ``len(trace)`` counts the rows the run recorded, kept or not.  ``clamp_count`` is the
     number of rows whose ``g_star``-based barrier level was clamped at zero
     because ``g`` lay below ``g_star``; ``degenerate_steps`` counts the
     degenerate rows.
@@ -245,10 +245,9 @@ def _library_direction(rule: Method, gf: Array, gg: Array, g_now: Array) -> Dire
     return dbgd_direction(gf, gg, barrier_value(rule, g_now, gg))
 
 
-def fill_geometry(rows: Array, gf: Array, gg: Array) -> Array:
+def _fill_geometry(rows: Array, gf: Array, gg: Array) -> None:
     """Fill the geometry columns of ``rows[iteration, run]`` from the rows'
-    gradients ``gf[iteration, run]`` and ``gg[iteration, run]``; return
-    ``rows``."""
+    gradients ``gf[iteration, run]`` and ``gg[iteration, run]``."""
     b, n = rows.shape[:2]
     row, gf, gg = (a.reshape(b * n, -1) for a in (rows, gf, gg))
     gf_sq = row_dot(gf, gf)
@@ -261,45 +260,11 @@ def fill_geometry(rows: Array, gf: Array, gg: Array) -> Array:
     row[:, _F_PERP_SQ] = row_dot(perp, perp)
     row[:, _F_PAR_SQ] = row_dot(par, par)
     row[:, _COS_DEFINED] = defined
-    return rows
-
-
-class RowSink(Protocol):
-    """Where a run puts its rows, block by block, and what its trace keeps.
-
-    ``block(k0, cell, rows, gf, gg)`` takes the rows of iterations
-    ``k0, k0 + 1, ...`` of the runs ``cell`` (indices of the batch's
-    configs) as ``rows[iteration, run, column]``, with the gradients
-    ``gf``/``gg[iteration, run]`` of each row.  Every column but the
-    geometry ones is filled; the sink fills those of the rows it keeps
-    with :func:`fill_geometry`.  The arrays are reused after the call.  A
-    run's blocks come in iteration order, and a block holds no row after
-    the run ended.  ``kept(i, rows)`` returns the ``(table, k)`` of the
-    trace of run ``i``, which recorded ``rows`` rows.
-    """
-
-    def block(self, k0: int, cell: Array, rows: Array, gf: Array, gg: Array) -> None: ...
-
-    def kept(self, i: int, rows: int) -> tuple[Array, Array]: ...
-
-
-class _Table:
-    """The :class:`RowSink` of ``keep="all"``: every row, in memory."""
-
-    def __init__(self, iterations: int, cells: int):
-        self.table = np.empty((iterations, cells, len(COLUMNS)))
-
-    def block(self, k0: int, cell: Array, rows: Array, gf: Array, gg: Array) -> None:
-        self.table[k0:k0 + len(rows), cell] = fill_geometry(rows, gf, gg)
-
-    def kept(self, i: int, rows: int) -> tuple[Array, Array]:
-        return self.table[:rows, i], np.arange(rows)
 
 
 class _BestLast:
-    """The :class:`RowSink` of ``keep="best-last"``: each run's first
-    minimal-potential row ``table[0]`` and its last row ``table[1]``, with
-    their gradients, whose geometry is filled when the trace is taken."""
+    """Each run's first minimal-potential row ``table[0]`` and its last row
+    ``table[1]``, with their gradients."""
 
     def __init__(self, cells: int, dim: int):
         self.table = np.full((2, cells, len(COLUMNS)), np.inf)
@@ -316,13 +281,10 @@ class _BestLast:
             mine[1, cell] = theirs[-1]
         self.best_k[cell[better]] = k0 + first
 
-    def kept(self, i: int, rows: int) -> tuple[Array, Array]:
-        table = fill_geometry(self.table[:, [i]], self.gf[:, [i]], self.gg[:, [i]])
-        return table[:, 0], np.array([self.best_k[i], rows - 1])
 
-
-#: Bytes of the gradient rows a run buffers, in blocks of at most
-#: ``_BLOCK_ITERATIONS`` iterations, before it hands them to its sink.
+#: Bytes of the gradient rows a batch buffers, in blocks of at most
+#: ``_BLOCK_ITERATIONS`` iterations, before the block's rows are kept or
+#: written.
 _BLOCK_BYTES = 1 << 20
 _BLOCK_ITERATIONS = 256
 
@@ -378,17 +340,22 @@ def _diverged_row(iteration: int, cell: Array, gf: Array, row: Array, f_next: Ar
             _diverged(iteration, what, cell, *values)
 
 
-def run(problem: ProblemSpec, config, x0: Array, keep: Union[str, RowSink] = "all"):
+def run(problem: ProblemSpec, config, x0: Array, keep: Union[str, Callable] = "all"):
     """Execute the iteration and return the trace of each run.
 
     ``config`` is one :class:`SolverConfig`, which runs as a batch of one
     and returns its :class:`TraceRecord`, or a sequence of them, which run
     as one batch and return a :class:`BatchTrace`.  ``x0`` is one start
-    point for every run, or one row per run.  Every row goes, in blocks of
-    up to 256 iterations, to a :class:`RowSink`, which decides what each
-    trace keeps: ``keep`` is that sink, ``"all"`` (every row, in memory)
-    or ``"best-last"`` (the minimal-potential and last rows, so that memory
-    does not grow with the budget).
+    point for every run, or one row per run.  ``keep`` says what each
+    trace keeps: ``"all"``, every row, in memory; ``"best-last"``, the
+    minimal-potential and last rows, so that memory does not grow with the
+    budget; or a function ``write(k0, cell, rows)``, called with every
+    row, while each trace keeps its best and last rows as under
+    ``"best-last"``.  ``write`` takes blocks of up to 256 iterations:
+    ``rows[iteration, run, column]``, all columns filled, holds iterations
+    ``k0, k0 + 1, ...`` of the runs ``cell`` (indices of ``config``), and
+    is reused after the call.  A run's blocks come in iteration order, and
+    a block holds no row after the run ended.
 
     A batch advances all its runs as one ``(runs, dim)`` array, each run
     with its own method, step, budget and stop state; a run's trace is bit
@@ -418,7 +385,7 @@ def run(problem: ProblemSpec, config, x0: Array, keep: Union[str, RowSink] = "al
 
 
 def _run_batch(
-    problem: ProblemSpec, configs: list[SolverConfig], x0: Array, keep: Union[str, RowSink]
+    problem: ProblemSpec, configs: list[SolverConfig], x0: Array, keep: Union[str, Callable]
 ) -> BatchTrace:
     if not configs:
         raise ValueError("a batch needs at least one config")
@@ -429,12 +396,10 @@ def _run_batch(
     if not np.all(np.isfinite(x0)):
         raise ConfigurationError("x0 must be finite")
     budget_max = max(config.iterations for config in configs)
-    if not isinstance(keep, str):
-        sink = keep
-    elif keep == "all":
-        sink = _Table(budget_max, cells)
-    elif keep == "best-last":
-        sink = _BestLast(cells, dim)
+    if keep == "all":
+        table = np.empty((budget_max, cells, len(COLUMNS)))
+    elif keep == "best-last" or callable(keep):
+        best_last = _BestLast(cells, dim)
     else:
         raise ValueError(f"unknown keep {keep!r}")
     # two gradients of 8-byte floats per run and iteration
@@ -468,8 +433,8 @@ def _run_batch(
 
     def flush(b: int) -> None:
         """End a block of ``b`` iterations: fill its rows, check them, count
-        them, then hand them to the sink."""
-        k0, rows, gf = k - b, block_rows[:b], block_gf[:b]
+        them, then keep or write them."""
+        k0, rows, gf, gg = k - b, block_rows[:b], block_gf[:b], block_gg[:b]
         f, g = block_f[:b + 1], block_g[:b + 1]
         rows[:, :, _F], rows[:, :, _G] = f[:-1], g[:-1]
         rows[:, :, _GRAD_G_SQ], rows[:, :, _D_SQ] = block_gg_sq[:b], block_d_sq[:b]
@@ -482,7 +447,14 @@ def _run_batch(
             _diverged_row(k0 + j, cell, gf[j], rows[j], f[j + 1], g[j + 1])
         out["clamps"][cell] += (g[:-1] < clamp_ref).sum(axis=0)
         out["degenerate"][cell] += block_degenerate[:b].sum(axis=0)
-        sink.block(k0, cell, rows, gf, block_gg[:b])
+        if keep != "best-last":
+            _fill_geometry(rows, gf, gg)
+        if keep == "all":
+            table[k0:k0 + b, cell] = rows
+        else:
+            best_last.block(k0, cell, rows, gf, gg)
+            if callable(keep):
+                keep(k0, cell, rows)
         block_f[0], block_g[0] = f[-1], g[-1]
 
     k = 0
@@ -538,12 +510,13 @@ def _run_batch(
         cell, x, f_now, g_now = cell[go_on], x[go_on], f_now[go_on], g_now[go_on]
         per_row = {name: value[go_on] for name, value in per_row.items()}
 
+    if keep == "best-last":
+        _fill_geometry(best_last.table, best_last.gf, best_last.gg)
     traces = []
-    for i, (config, beta) in enumerate(zip(configs, betas)):
-        kept, index = sink.kept(i, int(out["rows"][i]))
+    for i, (config, beta, rows) in enumerate(zip(configs, betas, out["rows"].tolist())):
         traces.append(TraceRecord(
-            table=kept,
-            k=index,
+            table=table[:rows, i] if keep == "all" else best_last.table[:, i],
+            k=np.arange(rows) if keep == "all" else np.array([best_last.best_k[i], rows - 1]),
             eta=config.eta,
             beta=beta,
             potential_kind="direction-only" if beta is None else "full",

@@ -146,17 +146,17 @@ def test_the_batch_direction_is_the_library_direction_row_by_row(data):
         assert isinstance(rule, BloopOrthogonal) or lam[i] >= 0.0, (i, rule)
 
 
-class BlockLog(solver._Table):
-    """Keeps every row, as ``keep="all"`` does, and logs each block's first
-    iteration, length and runs."""
+class BlockLog:
+    """A ``keep`` write function: logs each block's first iteration, length
+    and runs, and copies its rows into ``table[iteration, run]``."""
 
     def __init__(self, iterations: int, cells: int):
-        super().__init__(iterations, cells)
+        self.table = np.full((iterations, cells, len(solver.COLUMNS)), np.nan)
         self.blocks = []
 
-    def block(self, k0, cell, rows, gf, gg):
+    def __call__(self, k0, cell, rows):
         self.blocks.append((k0, len(rows), cell.tolist()))
-        super().block(k0, cell, rows, gf, gg)
+        self.table[k0:k0 + len(rows), cell] = rows
 
 
 def test_block_boundaries_change_no_bit():
@@ -179,9 +179,14 @@ def test_block_boundaries_change_no_bit():
     lengths = [len(trace) for trace in batch.traces]
     assert lengths[:3] == [255, 256, 257] and 256 < lengths[3] < 512
     for i, (config, x0) in enumerate(zip(configs, starts)):
-        assert_same_run(batch.traces[i], run(problem, config, x0, keep="all"), f"config {i}")
-    first = batch.traces[0].cos_defined
-    assert not first[0] and first[1:].all() and batch.traces[1].cos_defined.all()
+        # every row written is the row the run keeps alone; the trace
+        # keeps the best and last rows, as it does alone
+        alone = run(problem, config, x0, keep="all")
+        assert bits(log.table[:lengths[i], i]) == bits(alone.table), f"config {i}"
+        assert_same_run(batch.traces[i], run(problem, config, x0, keep="best-last"), f"config {i}")
+    cos_defined = log.table[:, :, solver.COLUMNS.index("cos_defined")] != 0.0
+    first = cos_defined[:lengths[0], 0]
+    assert not first[0] and first[1:].all() and cos_defined[:lengths[1], 1].all()
 
     # each run's blocks cover its rows in order; a block ends at every
     # retirement and after 256 iterations
@@ -264,7 +269,7 @@ def test_geometry_columns_are_computed_only_for_kept_rows(monkeypatch):
     # config 1 stops early, the others retire together at the budget
     assert retirements == 2
     assert count("best-last", 2000) == (short, retirements)
-    assert short == len(starts)  # one fill of the best and the last row of each run
+    assert short == 1  # one fill of the best and the last rows of every run
     # every row is kept, its geometry filled once per block of rows: a block
     # ends where config 1 stops, at the budget and after 256 iterations
     stop = len(run(problem, replace(mixed_configs()[1], iterations=2000), starts[1]))

@@ -697,6 +697,25 @@ class TestCli:
         assert cli.main(["validate", str(bad)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content, reason", [
+        (None, "Is a directory"),
+        (b'{"kind": "\xe9"}', "can't decode byte 0xe9"),
+        (b'{"kind": "experiment", "n": 1' + b"0" * 4300 + b"}", "Exceeds the limit (4300 digits)"),
+        (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth"),
+    ], ids=["directory", "not-utf-8", "integer-of-4301-digits", "nested-100000-deep"])
+    def test_a_config_file_that_cannot_be_read_is_a_config_error(
+        self, tmp_path, capsys, content, reason
+    ):
+        config = tmp_path / "config.json"
+        if content is None:
+            config.mkdir()
+        else:
+            config.write_bytes(content)
+        assert cli.main(["validate", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: {config}: cannot read the config: ")
+        assert reason in captured.err and captured.out == ""
+
     @pytest.mark.parametrize("change, where", [
         ({"problem": {"name": "toy"}, "methods": [{"kind": "dbgd", "beta": 1.5}],
           "run": {"x0": [-3.0, -1.0], "iterations": 5,
@@ -730,20 +749,30 @@ class TestCli:
         (EXP, ("kind",), [], "$.kind"),
         (EXP, ("run", "x0", "seed"), -1, "$.run.x0.seed"),
         (RATES, ("x0",), {"seed": -3}, "$.x0.seed"),
+        # integers beyond the largest float
+        ("toy.json", ("run", "step", "eta"), 10**400, "$.run.step.eta"),
+        ("toy.json", ("methods", 1, "lambda", 0), 10**400, "$.methods[1].lambda[0]"),
+        ("toy.json", ("run", "x0", 0), -10**400, "$.run.x0[0]"),
+        ("rates-toy.json", ("p", 1), 10**400, "$.p[1]"),
+        ("rates-toy.json", ("slope_tolerance",), 10**400, "$.slope_tolerance"),
+        ("rates-toy.json", ("k_grid", 2), 10**400, "$.k_grid[2]"),
     ], ids=["iterations-5.0", "x0-seed-1.0", "n-3.0", "problem-seed-0.0", "k-grid-100.0",
             "guard-nan", "stop-tolerances-nan", "eta-infinity", "slope-tolerance-infinity",
-            "slope-tolerance-nan", "kind-list", "x0-seed-negative", "rates-x0-seed-negative"])
+            "slope-tolerance-nan", "kind-list", "x0-seed-negative", "rates-x0-seed-negative",
+            "eta-1e400", "lambda-1e400", "x0-minus-1e400", "rates-p-1e400",
+            "slope-tolerance-1e400", "k-grid-1e400"])
     def test_non_integers_non_finite_numbers_and_odd_kinds_are_config_errors(
         self, tmp_path, capsys, base, path, value, where
     ):
         # json.loads reads the NaN and Infinity that json.dumps writes; an
         # exception escaping cli.main would be a traceback with exit 1
         doc = mutated(base, path, value)
-        doc["output"] = {"file": str(tmp_path / "rates.json")} if base == RATES else {
+        rates = base.startswith("rates")
+        doc["output"] = {"file": str(tmp_path / "rates.json")} if rates else {
             "directory": str(tmp_path / "out"), "trace": "none"}
         config = tmp_path / "bad.json"
         config.write_text(json.dumps(doc))
-        for command in ("validate", "rates" if base == RATES else "run"):
+        for command in ("validate", "rates" if rates else "run"):
             assert cli.main([command, str(config)]) == 2, command
             assert f"config error: config field {where}: " in capsys.readouterr().err, command
         assert not (tmp_path / "out").exists() and not (tmp_path / "rates.json").exists()
