@@ -24,17 +24,24 @@ under the scheduled rule with every trace row, a toy grid with stop
 tolerances (its cells stop at unequal iterations) once with every trace
 row and once with final rows only, and
 ``matfac.json`` with every trace row at 700 iterations (a budget that is
-not a multiple of 256, on 20 cells of dimension 100), so that every
-method the harness can build, the scheduled and the constant step of
-every config kind that has them, the scaled and the unscaled penalty
-step, runs that end early or late under every trace granularity, and
-method blocks whose kinds come in any order are covered. What each
-command prints to standard error (its warnings) goes to
-``DIR/<output name>.stderr``. It then prints one ``sha256 relative/path``
-line per file under ``DIR``, sorted by path, so that two checkouts write
-byte-identical outputs and warnings exactly when ``diff`` of their
-printouts is empty. It writes nothing outside ``DIR``; the commands'
-other messages (``wrote ...``) go to standard error.
+not a multiple of 256, on 20 cells of dimension 100), and a quadratic
+grid with every trace row whose ``penalty_lambda=40`` cell diverges at
+iteration 312, after a first block of 256 rows was streamed (exit
+status 3, no file left in its output directory), so that every method
+the harness can build, the scheduled and the constant step of every
+config kind that has them, the scaled and the unscaled penalty step,
+runs that end early or late under every trace granularity, method
+blocks whose kinds come in any order, and a divergence report are
+covered. What each command prints to standard error (its warnings, and
+the ``divergence:`` line) goes to ``DIR/<output name>.stderr``. It then
+prints one ``sha256 relative/path`` line per file under ``DIR``, and one
+``empty relative/path/`` line per empty directory, sorted by path, so
+that two checkouts write byte-identical outputs, warnings and reports
+exactly when ``diff`` of their printouts is empty. A command that exits
+with another status than its ``RUNS`` entry expects (0 unless stated)
+stops the script with that status, or 1 where it was 0. It writes
+nothing outside ``DIR``; the commands' other messages (``wrote ...``) go
+to standard error.
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ from dbgd import cli  # noqa: E402
 
 CONFIGS = ROOT / "src" / "dbgd" / "configs"
 
-#: (output name, dbgd arguments before the output flag)
+#: (output name, dbgd arguments before the output flag[, expected exit status])
 RUNS = (
     ("toy", ["run", "toy.json"]),
     ("matfac", ["run", "matfac.json"]),
@@ -74,6 +81,7 @@ RUNS = (
     ("stopping", ["run", "stopping.json"]),
     ("stopping-final", ["run", "stopping-final.json"]),
     ("matfac-all-700", ["run", "matfac-all.json", "--iterations", "700"]),
+    ("diverging", ["run", "diverging.json"], 3),
 )
 
 _CASESTUDY = json.loads((CONFIGS / "casestudy.json").read_text())
@@ -164,6 +172,18 @@ GENERATED = {
         **_STOPPING, "output": {"directory": "stopping-final", "trace": "final"},
     },
     "matfac-all.json": {**_MATFAC, "output": {"directory": "matfac-all", "trace": "all"}},
+    "diverging.json": {
+        "kind": "experiment",
+        "problem": {"name": "quadratic", "n": 3},
+        "methods": [{"kind": "dbgd", "beta": 1.0}, {"kind": "penalty", "lambda": [1, 40, 2]}],
+        "run": {
+            "x0": [0.3, 0.3, 0.3],
+            "iterations": 1000,
+            "step": {"mode": "constant", "eta": 0.1},
+            "penalty_step_scaling": False,
+        },
+        "output": {"directory": "diverging", "trace": "all"},
+    },
 }
 
 
@@ -176,18 +196,21 @@ def main(argv: list[str]) -> int:
     generated.mkdir(parents=True, exist_ok=True)
     for config, doc in GENERATED.items():
         (generated / config).write_text(json.dumps(doc, indent=2) + "\n")
-    for name, (command, config, *rest) in RUNS:
+    for name, (command, config, *rest), *expected in RUNS:
         path = generated / config if config in GENERATED else CONFIGS / config
         messages = StringIO()
         with redirect_stdout(sys.stderr), redirect_stderr(messages):
             status = cli.main([command, str(path), *rest, "--output", str(out / name)])
         (out / f"{name}.stderr").write_text(messages.getvalue())
-        if status != 0:
+        if status != (expected[0] if expected else 0):
             print(messages.getvalue(), end="", file=sys.stderr)
             print(f"dbgd {command} {config} exited {status}", file=sys.stderr)
-            return status
-    for path in sorted(p for p in out.rglob("*") if p.is_file()):
-        print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out)}")
+            return status or 1
+    for path in sorted(out.rglob("*")):
+        if path.is_file():
+            print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out)}")
+        elif not any(path.iterdir()):
+            print(f"empty  {path.relative_to(out)}/")
     return 0
 
 
