@@ -535,3 +535,43 @@ def test_divergence_at_a_block_boundary_names_the_first_non_finite_row(
     err = capsys.readouterr().err
     assert f"non-finite direction in cell penalty_lambda={lam} at iteration {iteration}" in err
     assert sorted(p.name for p in (tmp_path / "div").iterdir()) == []
+
+
+def _oracles(base, f=None, grad_f=None, grad_g=None):
+    """``base`` with ``f``, ``grad_f`` and ``grad_g`` replaced where given;
+    each replacement maps ``x`` and the base oracle's value to its own."""
+    return replace(base, **{
+        name: (lambda x, wrap=wrap, own=getattr(base, name): wrap(x, own(x)))
+        for name, wrap in (("f", f), ("grad_f", grad_f), ("grad_g", grad_g)) if wrap
+    })
+
+
+_FIRST = (slice(None), slice(0, 1))  # the first coordinate of each row
+
+
+@pytest.mark.parametrize("keep", ["all", "best-last"])
+@pytest.mark.parametrize("oracles,report", [
+    (dict(f=lambda x, v: np.where(x[..., 0] > 0.5, np.inf, v)), (0, "objective value", 1)),
+    (dict(f=lambda x, v: np.where(x[..., 0] < 0.25, np.nan, v)), (10, "objective value", 1)),
+    (dict(f=lambda x, v: np.where(x[..., 0] > 0.25, 1e308, -1e308)),
+     (10, "decrease or potential", 1)),
+    (dict(grad_f=lambda x, v: np.where(x[_FIRST] > 0.65, np.nan, v),
+          grad_g=lambda x, v: np.where((0.55 < x[_FIRST]) & (x[_FIRST] < 0.65), np.nan, v)),
+     (0, "gradient", 1)),
+], ids=["inf-start", "nan-objective", "overflowing-decrease", "gradient-union"])
+def test_divergence_reports_the_first_iteration_quantity_and_config(keep, oracles, report):
+    # the report is the first non-finite iteration, its first non-finite
+    # quantity in the order an iteration computes them (gradient, direction,
+    # objective value, decrease or potential), and the lowest-index config
+    # among the runs non-finite in any array of that quantity: in the last
+    # case run 2 fails in grad_f and run 1 in grad_g, which reports run 1
+    problem = _oracles(quadratic_sanity_problem(3), **oracles)
+    configs = [
+        SolverConfig(Penalty(1.0), 0.05, 300),
+        SolverConfig(GradNormSquared(0.5), 0.1, 300),
+        SolverConfig(Penalty(10.0), 0.01, 300),
+    ]
+    starts = np.array([[0.3, 0.3, 0.3], [0.6, 0.3, 0.3], [0.7, 0.3, 0.3]])
+    with pytest.raises(DivergenceError) as err:
+        run(problem, configs, starts, keep=keep)
+    assert (err.value.iteration, err.value.what, err.value.cell) == report
