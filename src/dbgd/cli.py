@@ -9,12 +9,13 @@ Subcommands::
     dbgd gradcheck <config> [--seed S] [--points N]
 
 Exit codes: 0 success, 1 check failed, 2 configuration error,
-3 divergence.
+3 divergence, 143 terminated by SIGTERM.
 """
 
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 from typing import Optional, Sequence
 
@@ -62,8 +63,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _terminate(signum, frame) -> None:
+    raise SystemExit(128 + signum)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    # SIGTERM ends a command as an exception does, which removes the trace
+    # CSVs it streamed so far; the previous handler is back when it ends
+    previous = signal.signal(signal.SIGTERM, _terminate)
+    try:
+        return _command(args)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+def _command(args: argparse.Namespace) -> int:
     try:
         if args.command == "run":
             out = run_experiment(args.config, args.output, args.iterations)

@@ -576,9 +576,9 @@ class _TraceWriter:
     def __call__(self, k0: int, cell: np.ndarray, rows: np.ndarray) -> None:
         ks = np.arange(k0, k0 + len(rows))
         for j, i in enumerate(cell.tolist()):
+            if k0 == 0:  # listed before it exists, so that discard misses no file
+                self.opened.append(self.paths[i])
             with open(self.paths[i], "a" if k0 else "w") as fh:
-                if k0 == 0:
-                    self.opened.append(self.paths[i])
                 fh.write(trace_csv(rows[:, j], ks, header=k0 == 0))
 
     def discard(self) -> None:

@@ -14,11 +14,11 @@ multiplier from its rule, one direction for the whole batch, the step,
 ``f`` and ``g`` at the next iterate, and ``d_sq``.  A run buffers these
 with its gradients for a block of iterations; the block's end computes
 the decreases and the potential, checks that every row is finite, counts
-clamps and degenerate steps, and keeps what ``keep`` asks for: every row,
-in memory or handed to a write function, or each run's best and last
-row.  The engine alone fills the gradient-geometry columns: of every row
-of a block when every row leaves the solver, otherwise of each run's best
-and last rows, once, after the last block.
+clamps and degenerate steps, and keeps each run's best and last row.
+Rows leave the solver one way, a write function (the caller's, or under
+``keep="all"`` the engine's own, into a table), which gets every row of a
+block with its gradient-geometry columns filled; otherwise the engine
+fills them for each run's best and last rows, once, after the last block.
 """
 
 from __future__ import annotations
@@ -264,19 +264,19 @@ def _fill_geometry(rows: Array, gf: Array, gg: Array) -> None:
 
 class _BestLast:
     """Each run's first minimal-potential row ``table[0]`` and its last row
-    ``table[1]``, with their gradients."""
+    ``table[1]``, with their gradients ``gf``, ``gg`` if ``gradients``."""
 
-    def __init__(self, cells: int, dim: int):
+    def __init__(self, cells: int, dim: int, gradients: bool):
         self.table = np.full((2, cells, len(COLUMNS)), np.inf)
-        self.gf, self.gg = np.empty((2, 2, cells, dim))
+        self.gf, self.gg = np.empty((2, 2, cells, dim)) if gradients else (None, None)
         self.best_k = np.zeros(cells, dtype=int)
 
-    def block(self, k0: int, cell: Array, rows: Array, gf: Array, gg: Array) -> None:
+    def block(self, k0: int, cell: Array, rows: Array, *gradients: Array) -> None:
         first = rows[:, :, _POTENTIAL].argmin(axis=0)
         runs = np.arange(len(cell))
         better = rows[first, runs, _POTENTIAL] < self.table[0, cell, _POTENTIAL]
         first, runs = first[better], runs[better]
-        for mine, theirs in ((self.table, rows), (self.gf, gf), (self.gg, gg)):
+        for mine, theirs in zip((self.table, self.gf, self.gg), (rows, *gradients)):
             mine[0, cell[better]] = theirs[first, runs]
             mine[1, cell] = theirs[-1]
         self.best_k[cell[better]] = k0 + first
@@ -310,34 +310,21 @@ def _cross_check(k: int, cell: Array, groups: list[tuple[slice, Method]], gf: Ar
             )
 
 
-def _diverged(iteration: int, what: str, cell: Array, *values: Array) -> None:
-    """Raise :class:`DivergenceError` naming the lowest-index config with a
-    non-finite value."""
-    bad = np.zeros(cell.size, dtype=bool)
-    for value in values:
-        bad |= ~np.isfinite(value).reshape(cell.size, -1).all(axis=1)
-    raise DivergenceError(iteration, what, int(cell[bad].min()))
-
-
-#: Columns an iteration computes from ``gg``, ``lam``, ``d`` and ``f``, ``g``
-#: at the next iterate: each of those that is not finite leaves one of the
-#: columns non-finite (``d_sq`` for ``d``, the decreases for ``f`` and ``g``),
-#: and so does an overflow of a column.
-_NEW = np.array([_GRAD_G_SQ, _LAM, _D_SQ, _DELTA_F, _DELTA_G, _POTENTIAL])
-
-
-def _diverged_row(iteration: int, cell: Array, gf: Array, row: Array, f_next: Array,
-                  g_next: Array) -> None:
-    """Raise :class:`DivergenceError` for the first non-finite quantity of
-    an iteration, in the order the iteration computes them."""
-    for what, values in (
-        ("gradient", (gf, row[:, _GRAD_G_SQ])),
-        ("direction", (row[:, _D_SQ], row[:, _LAM])),
-        ("objective value", (f_next, g_next)),
-        ("decrease or potential", (row[:, _DELTA_F:_DEGENERATE],)),
-    ):
-        if not all(np.isfinite(value).all() for value in values):
-            _diverged(iteration, what, cell, *values)
+def _check_finite(k0: int, cell: Array, quantities) -> None:
+    """Raise :class:`DivergenceError` unless every array of ``quantities``,
+    ``(what, arrays)`` pairs in the order an iteration computes them, is
+    finite.  Each array holds ``[iteration, run, ...]`` from iteration
+    ``k0`` on.  The error names the first non-finite iteration, at it the
+    first non-finite quantity, and the lowest-index config among the runs
+    non-finite in any array of that quantity."""
+    if all(np.isfinite(a).all() for _, arrays in quantities for a in arrays):
+        return
+    # [quantity, iteration, run]: the run is non-finite in an array of the quantity
+    bad = np.array([sum(~np.isfinite(a).reshape(*a.shape[:2], -1).all(axis=2) for a in arrays)
+                    for _, arrays in quantities], dtype=bool)
+    j = int(bad.any(axis=(0, 2)).argmax())
+    q = int(bad[:, j].any(axis=1).argmax())
+    raise DivergenceError(k0 + j, quantities[q][0], int(cell[bad[q, j]].min()))
 
 
 def run(problem: ProblemSpec, config, x0: Array, keep: Union[str, Callable] = "all"):
@@ -350,12 +337,12 @@ def run(problem: ProblemSpec, config, x0: Array, keep: Union[str, Callable] = "a
     trace keeps: ``"all"``, every row, in memory; ``"best-last"``, the
     minimal-potential and last rows, so that memory does not grow with the
     budget; or a function ``write(k0, cell, rows)``, called with every
-    row, while each trace keeps its best and last rows as under
-    ``"best-last"``.  ``write`` takes blocks of up to 256 iterations:
-    ``rows[iteration, run, column]``, all columns filled, holds iterations
-    ``k0, k0 + 1, ...`` of the runs ``cell`` (indices of ``config``), and
-    is reused after the call.  A run's blocks come in iteration order, and
-    a block holds no row after the run ended.
+    row, while each trace keeps its best and last rows.  ``"all"`` is the
+    engine's own such function, into a table.  ``write`` takes blocks of up
+    to 256 iterations: ``rows[iteration, run, column]``, all columns
+    filled, holds iterations ``k0, k0 + 1, ...`` of the runs ``cell``
+    (indices of ``config``), and is reused after the call.  A run's blocks
+    come in iteration order, and a block holds no row after the run ended.
 
     A batch advances all its runs as one ``(runs, dim)`` array, each run
     with its own method, step, budget and stop state; a run's trace is bit
@@ -365,12 +352,12 @@ def run(problem: ProblemSpec, config, x0: Array, keep: Union[str, Callable] = "a
     A run that stops leaves the batch.  Every quantity that decides a run
     (``f``, ``g``, the gradients, ``lam``, ``d_sq``, ``grad_g_sq``, the
     decreases and the potential) is finite or the batch aborts with
-    :class:`DivergenceError` naming the first non-finite iteration and, in
-    ``cell``, the index of the first run that diverged there.  The check
-    runs once per block, so a diverging run steps on non-finite values
-    until its block ends (at most 255 more iterations) before the batch
-    aborts; an oracle that raises on non-finite input raises its own error
-    from those steps instead.
+    :class:`DivergenceError` naming the first non-finite iteration, its
+    first non-finite quantity and, in ``cell``, the lowest index of a run
+    non-finite in it.  The check runs once per block, so a diverging run
+    steps on non-finite values until its block ends (at most 255 more
+    iterations) before the batch aborts; an oracle that raises on
+    non-finite input raises its own error from those steps instead.
 
     The batch forms one direction ``grad_f + lam * grad_g`` from each row's
     multiplier.  On the first iteration of a batch and after each run that
@@ -398,10 +385,14 @@ def _run_batch(
     budget_max = max(config.iterations for config in configs)
     if keep == "all":
         table = np.empty((budget_max, cells, len(COLUMNS)))
+
+        def write(k0: int, cell: Array, rows: Array) -> None:
+            table[k0:k0 + len(rows), cell] = rows
     elif keep == "best-last" or callable(keep):
-        best_last = _BestLast(cells, dim)
+        write = None if keep == "best-last" else keep
     else:
         raise ValueError(f"unknown keep {keep!r}")
+    best_last = _BestLast(cells, dim, gradients=write is None)
     # two gradients of 8-byte floats per run and iteration
     block = max(1, min(_BLOCK_ITERATIONS, budget_max, _BLOCK_BYTES // (16 * cells * dim)))
 
@@ -420,8 +411,7 @@ def _run_batch(
     x = np.broadcast_to(x0, (cells, dim))[cell]
     f_now = problem.eval_f(x)
     g_now = problem.eval_g(x)
-    if not (np.isfinite(f_now).all() and np.isfinite(g_now).all()):
-        _diverged(0, "objective value", cell, f_now, g_now)
+    _check_finite(0, cell, [("objective value", (f_now[None], g_now[None]))])
 
     out = {
         "rows": np.zeros(cells, dtype=int),
@@ -433,7 +423,7 @@ def _run_batch(
 
     def flush(b: int) -> None:
         """End a block of ``b`` iterations: fill its rows, check them, count
-        them, then keep or write them."""
+        them, then keep each run's best and last, and write them."""
         k0, rows, gf, gg = k - b, block_rows[:b], block_gf[:b], block_gg[:b]
         f, g = block_f[:b + 1], block_g[:b + 1]
         rows[:, :, _F], rows[:, :, _G] = f[:-1], g[:-1]
@@ -441,20 +431,20 @@ def _run_batch(
         rows[:, :, _LAM], rows[:, :, _DEGENERATE] = block_lam[:b], block_degenerate[:b]
         rows[:, :, _DELTA_F], rows[:, :, _DELTA_G] = f[:-1] - f[1:], g[:-1] - g[1:]
         rows[:, :, _POTENTIAL] = 0.5 * block_d_sq[:b] + pot_coef * block_gg_sq[:b]
-        finite = np.isfinite(rows[:, :, _NEW]).all(axis=2) & np.isfinite(gf).all(axis=2)
-        if not finite.all():
-            j = int(np.argmin(finite.all(axis=1)))
-            _diverged_row(k0 + j, cell, gf[j], rows[j], f[j + 1], g[j + 1])
+        _check_finite(k0, cell, (
+            ("gradient", (gf, rows[:, :, _GRAD_G_SQ])),
+            ("direction", (rows[:, :, _D_SQ], rows[:, :, _LAM])),
+            ("objective value", (f[1:], g[1:])),
+            ("decrease or potential", (rows[:, :, _DELTA_F:_DEGENERATE],)),
+        ))
         out["clamps"][cell] += (g[:-1] < clamp_ref).sum(axis=0)
         out["degenerate"][cell] += block_degenerate[:b].sum(axis=0)
-        if keep != "best-last":
-            _fill_geometry(rows, gf, gg)
-        if keep == "all":
-            table[k0:k0 + b, cell] = rows
-        else:
+        if write is None:
             best_last.block(k0, cell, rows, gf, gg)
-            if callable(keep):
-                keep(k0, cell, rows)
+        else:
+            _fill_geometry(rows, gf, gg)
+            best_last.block(k0, cell, rows)
+            write(k0, cell, rows)
         block_f[0], block_g[0] = f[-1], g[-1]
 
     k = 0
@@ -510,7 +500,7 @@ def _run_batch(
         cell, x, f_now, g_now = cell[go_on], x[go_on], f_now[go_on], g_now[go_on]
         per_row = {name: value[go_on] for name, value in per_row.items()}
 
-    if keep == "best-last":
+    if write is None:
         _fill_geometry(best_last.table, best_last.gf, best_last.gg)
     traces = []
     for i, (config, beta, rows) in enumerate(zip(configs, betas, out["rows"].tolist())):

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .direction import DEFAULT_GUARD, GradNormSquared, decompose_grad_f, lambda_closed_form
-from .errors import ConfigurationError, EvaluationError
+from .errors import ConfigurationError, DivergenceError, EvaluationError
 from .problems import ProblemSpec, SmoothnessProfile, rng
 from .solver import SolverConfig, TraceRecord, run, scheduled_step
 
@@ -395,16 +395,20 @@ def rate_fit(
     Every ``(p, K)`` pair runs in one batch, keeping only each run's best
     and last rows; returns one fit per exponent of ``ps``, in order.  A
     line through fewer than 3 distinct budgets fits nothing, so ``k_grid``
-    must hold at least 3.
+    must hold at least 3.  A divergence names its run as ``run p=... K=...``.
     """
     if len(set(k_grid)) < 3:
         raise ValueError("k_grid must contain at least 3 distinct budgets")
+    pairs = [(p, k) for p in ps for k in k_grid]
     configs = []
-    for p in ps:
-        for k in k_grid:
-            eta, beta = scheduled_step(problem.smoothness, int(k), p)
-            configs.append(SolverConfig(method=GradNormSquared(beta), eta=eta, iterations=int(k)))
-    traces = iter(run(problem, configs, x0, keep="best-last").traces)
+    for p, k in pairs:
+        eta, beta = scheduled_step(problem.smoothness, int(k), p)
+        configs.append(SolverConfig(method=GradNormSquared(beta), eta=eta, iterations=int(k)))
+    try:
+        traces = iter(run(problem, configs, x0, keep="best-last").traces)
+    except DivergenceError as exc:
+        p, k = pairs[exc.cell]
+        raise DivergenceError(exc.iteration, f"{exc.what} in run p={p} K={k}", exc.cell) from exc
     fits = []
     for p in ps:
         minima = []

@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 import typing
 from pathlib import Path
 
@@ -72,12 +74,16 @@ def bundled(name: str) -> Path:
     return Path(str(resources.files("dbgd") / "configs" / name))
 
 
+def dbgd_env() -> dict:
+    """The environment of a fresh interpreter that imports this ``dbgd``."""
+    src = str(Path(dbgd.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+
+
 def run_python(args: list[str]) -> subprocess.CompletedProcess:
     """Run a fresh interpreter that imports this ``dbgd``."""
-    src = str(Path(dbgd.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     return subprocess.run([sys.executable, *args],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=dbgd_env(), timeout=120)
 
 
 def run_cli(args: list[str]) -> subprocess.CompletedProcess:
@@ -870,6 +876,47 @@ class TestCli:
         assert proc.returncode == 2
         assert "config error: rates: minimal potential 0.0 at K = 100 is not positive" in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "rates.json").exists()
+
+    def test_sigterm_removes_the_streamed_trace_csvs(self, tmp_path):
+        # a trace-all run streams each cell's CSV block by block; SIGTERM
+        # ends the command as an exception does, which removes them
+        out = tmp_path / "out"
+        argv = ["-m", "dbgd.cli", "run", str(bundled("toy.json")), "--iterations", "100000000",
+                "--output", str(out)]
+        proc = subprocess.Popen([sys.executable, *argv], env=dbgd_env(),
+                                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 60
+            while not any(out.glob("*.csv")):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == 128 + signal.SIGTERM
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert sorted(p.name for p in out.iterdir()) == []
+
+    def test_a_command_restores_the_sigterm_handler(self, tmp_path, capsys):
+        # only a command turns SIGTERM into an exit; its caller's handler is back after it
+        before = signal.getsignal(signal.SIGTERM)
+        assert cli.main(["validate", str(bundled("toy.json"))]) == 0
+        assert signal.getsignal(signal.SIGTERM) is before
+
+    def test_rates_divergence_names_its_run(self, tmp_path, capsys):
+        # dbgd run and casestudy name the diverging cell or initialization;
+        # rates names its (p, K) pair, here the first of the batch
+        doc = json.loads(bundled("rates-toy.json").read_text())
+        doc["x0"] = [1e200, 1.0]
+        doc["output"]["file"] = str(tmp_path / "rates.json")
+        path = tmp_path / "diverge.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["rates", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            "divergence: non-finite objective value in run p=0.0 K=100 at iteration 0\n"
+        )
         assert not (tmp_path / "rates.json").exists()
 
     def test_rates_of_repeated_budgets_is_a_config_error(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from dbgd import (
     ConfigurationError,
+    DivergenceError,
     EvaluationError,
     GradNormSquared,
     Penalty,
@@ -274,6 +276,17 @@ class TestRateFit:
         for k_grid in ([100, 100, 100], [100, 1000, 100]):
             with pytest.raises(ValueError, match="3 distinct budgets"):
                 rate_fit(problem, np.ones(3), [0.0], k_grid)
+
+    def test_divergence_names_the_p_and_budget_of_its_run(self):
+        # from the lower optimum every run first steps along -grad_f = (1, 1),
+        # each by its own step; only p = 1 at K = 100 (eta = 0.158, run 3 of
+        # the p-major batch) crosses x_0 = 0.12, where f turns NaN
+        base = quadratic_sanity_problem(2)
+        problem = replace(base, f=lambda x: np.where(x[..., 0] > 0.12, np.nan, base.f(x)))
+        with pytest.raises(DivergenceError) as err:
+            rate_fit(problem, np.zeros(2), [0.0, 1.0], [100, 1000, 10000])
+        assert (err.value.iteration, err.value.cell) == (0, 3)
+        assert str(err.value) == "non-finite objective value in run p=1.0 K=100 at iteration 0"
 
 
 class TestStationarityReport:
