@@ -63,22 +63,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _terminate(signum, frame) -> None:
-    raise SystemExit(128 + signum)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     # SIGTERM ends a command as an exception does, which removes the trace
     # CSVs it streamed so far; the previous handler is back when it ends
-    previous = signal.signal(signal.SIGTERM, _terminate)
-    try:
-        return _command(args)
-    finally:
-        signal.signal(signal.SIGTERM, previous)
-
-
-def _command(args: argparse.Namespace) -> int:
+    previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     try:
         if args.command == "run":
             out = run_experiment(args.config, args.output, args.iterations)
@@ -115,6 +104,8 @@ def _command(args: argparse.Namespace) -> int:
     except DbgdError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     return 0
 
 
