@@ -6,7 +6,7 @@ Runs ``dbgd run`` on ``toy.json``, ``matfac.json``, ``matfac-log.json``
 and ``matfac.json --iterations 100000``, ``dbgd casestudy`` on
 ``casestudy.json`` and ``dbgd rates`` on both rates configs, each into
 its own subdirectory of ``DIR``, with the ``dbgd`` package of the
-checkout this script sits in. It also writes eleven configs of its own
+checkout this script sits in. It also writes thirteen configs of its own
 under ``DIR/configs`` and runs them: ``toy.json`` with no trace CSV
 (``trace: none``), the bundled case study with final rows only (``trace:
 final``), one cell of every method kind on a 3-dimensional quadratic
@@ -23,8 +23,9 @@ schedule resolves for the overridden budget), the bundled case study
 under the scheduled rule with every trace row, a toy grid with stop
 tolerances (its cells stop at unequal iterations) once with every trace
 row and once with final rows only, and
-``matfac.json`` with every trace row at 700 iterations (a budget that is
-not a multiple of 256, on 20 cells of dimension 100), and a quadratic
+``matfac.json`` and ``matfac-log.json`` with every trace row at 700
+iterations (a budget that is not a multiple of 256, on 20 cells of
+dimension 100, for each upper objective), and a quadratic
 grid with every trace row whose ``penalty_lambda=40`` cell diverges at
 iteration 312, after a first block of 256 rows was streamed (exit
 status 3, no file left in its output directory), so that every method
@@ -81,12 +82,14 @@ RUNS = (
     ("stopping", ["run", "stopping.json"]),
     ("stopping-final", ["run", "stopping-final.json"]),
     ("matfac-all-700", ["run", "matfac-all.json", "--iterations", "700"]),
+    ("matfac-log-all-700", ["run", "matfac-log-all.json", "--iterations", "700"]),
     ("diverging", ["run", "diverging.json"], 3),
 )
 
 _CASESTUDY = json.loads((CONFIGS / "casestudy.json").read_text())
 _TOY = json.loads((CONFIGS / "toy.json").read_text())
 _MATFAC = json.loads((CONFIGS / "matfac.json").read_text())
+_MATFAC_LOG = json.loads((CONFIGS / "matfac-log.json").read_text())
 
 #: A toy grid with stop tolerances: its cells stop at unequal iterations.
 _STOPPING = {
@@ -172,6 +175,9 @@ GENERATED = {
         **_STOPPING, "output": {"directory": "stopping-final", "trace": "final"},
     },
     "matfac-all.json": {**_MATFAC, "output": {"directory": "matfac-all", "trace": "all"}},
+    "matfac-log-all.json": {
+        **_MATFAC_LOG, "output": {"directory": "matfac-log-all", "trace": "all"},
+    },
     "diverging.json": {
         "kind": "experiment",
         "problem": {"name": "quadratic", "n": 3},
