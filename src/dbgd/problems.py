@@ -32,7 +32,7 @@ def row_dot(a: Array, b: Array) -> Array:
     Bit for bit equal to ``a[i] @ b[i]`` for every row (``einsum`` is
     not); a pair of 1-D vectors gives a scalar.
     """
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+    return np.vecdot(a, b)
 
 
 def _as_value(value):
@@ -168,25 +168,25 @@ def toy_problem() -> ProblemSpec:
     gradient bound is attained at the corner ``(4, 4)``.
     """
 
+    shift = np.array([math.pi / 20.0, 1.0])
+
     def f(x: Array) -> Array:
         # products, not ``** 2``, which goes through libm pow for a numpy scalar
-        a = x[..., 0] + math.pi / 20.0
-        b = x[..., 1] + 1.0
+        y = x + shift
+        a, b = y[..., 0], y[..., 1]
         return a * a + b * b
 
     def grad_f(x: Array) -> Array:
-        out = np.empty(x.shape)
-        out[..., 0] = 2.0 * (x[..., 0] + math.pi / 20.0)
-        out[..., 1] = 2.0 * (x[..., 1] + 1.0)
-        return out
+        return 2.0 * (x + shift)
 
     def g(x: Array) -> Array:
         e = x[..., 1] - np.sin(10.0 * x[..., 0])
         return e * e
 
     def grad_g(x: Array) -> Array:
-        c = np.cos(10.0 * x[..., 0])
-        e = x[..., 1] - np.sin(10.0 * x[..., 0])
+        t = 10.0 * x[..., 0]
+        c = np.cos(t)
+        e = x[..., 1] - np.sin(t)
         out = np.empty(x.shape)
         out[..., 0] = -20.0 * c * e
         out[..., 1] = 2.0 * e

@@ -11,10 +11,12 @@ over the trace is the certified near-stationary iterate.
 Each iteration computes what the next one needs: the gradients, their
 Gram entries ``grad_g . grad_g`` and ``grad_f . grad_g``, each row's
 multiplier from its rule, one direction for the whole batch, the step,
-``f`` and ``g`` at the next iterate, and ``d_sq``.  A run buffers these
-with its gradients for a block of iterations; the block's end computes
-the decreases and the potential, checks that every row is finite, counts
-clamps and degenerate steps, and keeps each run's best and last row.
+``g`` at the next iterate (the level rules read it), and ``d_sq``.  A run
+buffers these with its gradients and iterates for a block of iterations;
+the block's end evaluates ``f`` at the block's iterates in one call
+(no step reads ``f``), computes the decreases and the potential, checks
+that every row is finite, counts clamps and degenerate steps, and keeps
+each run's best and last row.
 Rows leave the solver one way, a write function (the caller's, or under
 ``keep="all"`` the engine's own, into a table), which gets every row of a
 block with its gradient-geometry columns filled; otherwise the engine
@@ -282,9 +284,9 @@ class _BestLast:
         self.best_k[cell[better]] = k0 + first
 
 
-#: Bytes of the gradient rows a batch buffers, in blocks of at most
-#: ``_BLOCK_ITERATIONS`` iterations, before the block's rows are kept or
-#: written.
+#: Bytes of the gradients and iterates a batch buffers, in blocks of at
+#: most ``_BLOCK_ITERATIONS`` iterations, before the block's rows are kept
+#: or written.
 _BLOCK_BYTES = 1 << 20
 _BLOCK_ITERATIONS = 256
 
@@ -393,8 +395,8 @@ def _run_batch(
     else:
         raise ValueError(f"unknown keep {keep!r}")
     best_last = _BestLast(cells, dim, gradients=write is None)
-    # two gradients of 8-byte floats per run and iteration
-    block = max(1, min(_BLOCK_ITERATIONS, budget_max, _BLOCK_BYTES // (16 * cells * dim)))
+    # two gradients and the iterate, 8-byte floats, per run and iteration
+    block = max(1, min(_BLOCK_ITERATIONS, budget_max, _BLOCK_BYTES // (24 * cells * dim)))
 
     # Active row j runs configs[cell[j]].
     cell = np.arange(cells)
@@ -422,10 +424,12 @@ def _run_batch(
     }
 
     def flush(b: int) -> None:
-        """End a block of ``b`` iterations: fill its rows, check them, count
-        them, then keep each run's best and last, and write them."""
+        """End a block of ``b`` iterations: evaluate ``f`` at its iterates,
+        fill its rows, check them, count them, then keep each run's best
+        and last, and write them."""
         k0, rows, gf, gg = k - b, block_rows[:b], block_gf[:b], block_gg[:b]
         f, g = block_f[:b + 1], block_g[:b + 1]
+        f[1:] = problem.eval_f(block_x[:b])
         rows[:, :, _F], rows[:, :, _G] = f[:-1], g[:-1]
         rows[:, :, _GRAD_G_SQ], rows[:, :, _D_SQ] = block_gg_sq[:b], block_d_sq[:b]
         rows[:, :, _LAM], rows[:, :, _DEGENERATE] = block_lam[:b], block_degenerate[:b]
@@ -456,10 +460,11 @@ def _run_batch(
         eps_f, eps_g = per_row["tolerance"].T
         horizon = int(budget.min())
         stopping = bool((eps_f > -np.inf).any())  # -inf: the run has no tolerance
-        # One row per iteration of the block; f and g hold one more, the
-        # values at the iterate the block's last step reached.
+        # One row per iteration of the block, and the iterate each step
+        # reached; f and g hold one more, the values at the iterate the
+        # block started from.
         block_rows = np.empty((block, n, len(COLUMNS)))
-        block_gf, block_gg = np.empty((2, block, n, dim))
+        block_gf, block_gg, block_x = np.empty((3, block, n, dim))
         block_f, block_g = np.empty((2, block + 1, n))
         block_gg_sq, block_d_sq, block_lam = np.empty((3, block, n))
         block_degenerate = np.empty((block, n), dtype=bool)
@@ -474,8 +479,7 @@ def _run_batch(
             if check:  # the first iteration of each segment
                 _cross_check(k, cell, groups, gf, gg, g_now, d, lam, degenerate)
                 check = False
-            x = x - eta * d
-            f_now = block_f[buffered + 1] = problem.eval_f(x)
+            x = np.subtract(x, eta * d, out=block_x[buffered])
             g_now = block_g[buffered + 1] = problem.eval_g(x)
             d_sq = block_d_sq[buffered] = row_dot(d, d)
             buffered += 1
@@ -497,7 +501,7 @@ def _run_batch(
         out["stopped"][ended] = stopped[done]
         out["final_x"][ended] = x[done]
         go_on = ~done
-        cell, x, f_now, g_now = cell[go_on], x[go_on], f_now[go_on], g_now[go_on]
+        cell, x, f_now, g_now = cell[go_on], x[go_on], block_f[0, go_on], g_now[go_on]
         per_row = {name: value[go_on] for name, value in per_row.items()}
 
     if write is None:

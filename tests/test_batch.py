@@ -222,15 +222,15 @@ def test_clamp_and_degenerate_counts_are_read_off_the_rows():
     assert any((k0 + size) % 256 for k0, size, _ in log.blocks)
 
 
-@pytest.mark.parametrize("n,cells,block", [(3000, 1, 21), (40000, 2, 1)])
+@pytest.mark.parametrize("n,cells,block", [(3000, 1, 14), (40000, 2, 1)])
 def test_blocks_hold_at_most_a_megabyte_of_gradients(n, cells, block):
     problem = quadratic_sanity_problem(n)
     budget = 3 * block + 1
     configs = [SolverConfig(GradNormSquared(0.5), 0.1, budget)] * cells
     log = BlockLog(budget, cells)
     run(problem, configs, np.full(n, 0.1), keep=log)
-    # 2**20 bytes hold 21 iterations of two float64 gradients of 3,000
-    # entries, and less than one of two runs of 40,000 entries
+    # 2**20 bytes hold 14 iterations of two float64 gradients and the
+    # iterate of 3,000 entries, and less than one of two runs of 40,000
     assert {size for _, size, _ in log.blocks[:-1]} == {block}
 
 

@@ -18,6 +18,7 @@ from dbgd import (
     rng,
     toy_problem,
 )
+from dbgd.problems import row_dot
 
 ALL_PROBLEMS = [
     ("toy", lambda: toy_problem()),
@@ -147,15 +148,36 @@ def test_gradients_match_finite_differences(name, factory):
 @pytest.mark.parametrize("name,factory", ALL_PROBLEMS)
 def test_batched_oracles_equal_single_point_oracles(name, factory):
     # the solver advances runs as rows of one batch; each row's values must
-    # be bit for bit those of the point alone
+    # be bit for bit those of the point alone, also in a stack of blocks
+    # (the solver evaluates f on the iterates of a block at once)
     p = factory()
     gen = rng(11)
-    x = np.array([p.sample_point(gen) for _ in range(5)])
-    for oracle in ("eval_f", "eval_g", "eval_grad_f", "eval_grad_g"):
-        batch = getattr(p, oracle)(x)
-        alone = np.array([getattr(p, oracle)(row) for row in x])
-        assert batch.shape == alone.shape and batch.tobytes() == alone.tobytes(), oracle
-    assert isinstance(p.eval_f(x[0]), float) and isinstance(p.eval_g(x[0]), float)
+    points = np.array([p.sample_point(gen) for _ in range(15)])
+    for x in (points[:5], points.reshape(3, 5, p.dim)):
+        for oracle in ("eval_f", "eval_g", "eval_grad_f", "eval_grad_g"):
+            batch = getattr(p, oracle)(x)
+            alone = np.array([getattr(p, oracle)(row) for row in x.reshape(-1, p.dim)])
+            alone = alone.reshape(x.shape[:-1] + alone.shape[1:])
+            assert batch.shape == alone.shape, (oracle, x.shape)
+            assert batch.tobytes() == alone.tobytes(), (oracle, x.shape)
+    assert isinstance(p.eval_f(points[0]), float) and isinstance(p.eval_g(points[0]), float)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 10, 100, 4000])
+def test_row_dot_is_the_dot_product_of_each_row(dim):
+    # bit for bit a[i] @ b[i] for one pair, rows and a stack of blocks of
+    # rows, with entries spread over twenty orders of magnitude
+    gen = rng(dim)
+    for lead in ((), (5,), (3, 4)):
+        for _ in range(20):
+            shape = (*lead, dim)
+            a, b = (gen.standard_normal(shape) * 10.0 ** gen.uniform(-10, 10, shape)
+                    for _ in range(2))
+            for x, y in ((a, b), (a, a), (a[..., ::-1], b)):
+                got = row_dot(x, y)
+                assert got.shape == lead
+                for i in np.ndindex(*lead):
+                    assert np.float64(got[i]).tobytes() == np.float64(x[i] @ y[i]).tobytes(), i
 
 
 def below_g_star_problem() -> ProblemSpec:
