@@ -184,8 +184,7 @@ class Object(NamedTuple):
 
 class Array(NamedTuple):
     """A JSON array of ``length`` or more (``exact``: exactly ``length``)
-    values, each checked by ``item``; ``distinct``: ``length`` or more of
-    them distinct."""
+    values, each checked by ``item``; ``distinct``: no value repeated."""
 
     item: Check
     length: int = 1
@@ -199,8 +198,10 @@ class Array(NamedTuple):
             raise _error(where, f"expected {self.length}{'' if self.exact else ' or more'} items")
         for i, item in enumerate(value):
             self.item(item, f"{where}[{i}]")
-        if self.distinct and len(set(value)) < self.length:
-            raise _error(where, f"expected {self.length} or more distinct items")
+        if self.distinct and len(set(value)) < len(value):
+            repeated = next(item for i, item in enumerate(value) if item in value[:i])
+            raise _error(where, f"expected {self.length} or more distinct items, none "
+                                f"repeated; {repeated!r} repeats")
 
 
 def _tag(block: Any, where: str, key: str, leaf: Leaf) -> Any:
@@ -375,7 +376,7 @@ _CONFIG = _tagged("kind", {
     "rates": Object({
         "problem": _PROBLEM,
         "x0": _X0,
-        "p": Array(_NONNEGATIVE),
+        "p": Array(_NONNEGATIVE, distinct=True),
         "k_grid": Array(_POSITIVE_INT, 3, distinct=True),
         "output": Object({"file": _STRING}),
     }, {"slope_tolerance": _POSITIVE}),

@@ -213,6 +213,14 @@ REJECTED_CONFIGS = [pytest.param(*case, id=id_) for id_, case in {
     "box-radius-0": (RATES, ("problem", "box_radius"), 0, "box_radius"),
     "k-grid-two-budgets": (RATES, ("k_grid",), [100, 1000], "k_grid"),
     "k-grid-repeated": (RATES, ("k_grid",), [100, 1000, 100], "distinct"),
+    # a repeated budget counts twice in the fit, a repeated exponent writes two equal fits
+    "k-grid-budget-repeated": (RATES, ("k_grid",), [100, 100, 1000, 3000],
+                               "$.k_grid: expected 3 or more distinct items, none repeated; "
+                               "100 repeats"),
+    "p-repeated": (RATES, ("p",), [0.0, 0.0], "$.p: expected 1 or more distinct items, none "
+                                              "repeated; 0.0 repeats"),
+    "p-repeated-int-and-float": (RATES, ("p",), [1, 0.5, 1.0], "$.p: expected 1 or more "
+                                 "distinct items, none repeated; 1.0 repeats"),
     "k-grid-budget-0": (RATES, ("k_grid", 0), 0, "k_grid"),
     "stop-tolerances-one": (EXP, ("run", "stop_tolerances"), [1e-6], "stop_tolerances"),
     "stop-tolerances-three": (EXP, ("run", "stop_tolerances"), [1e-6, 1e-8, 0], "stop_tolerances"),
