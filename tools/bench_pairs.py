@@ -10,7 +10,10 @@ a workload the sides alternate: the parent runs first in the odd pairs and
 the checkout in the even ones.  The checkout must be a clean commit: the
 tool refuses to start when a tracked file differs from ``HEAD``, and stops
 when a run of the checkout reports another commit or a modified tree, so
-that every number belongs to the SHA it is recorded under.  ``OUTPUT`` (by
+that every number belongs to the SHA it is recorded under.  It also stops
+at the first run that exits non-zero, reports ``"correct": false`` or
+fails an operation, naming its side, workload and pair, so that no
+speed-up is recorded for wrong outputs.  ``OUTPUT`` (by
 convention ``BENCH_<n>.json``, after the change it measures) receives the
 environment, both SHAs, every run's end-to-end metrics and operation
 counts, and per workload and metric each side's median and quartiles and
@@ -45,7 +48,7 @@ def unpack(ref: str, into: Path) -> None:
     archive = subprocess.run(["git", "archive", "--format=tar", ref], cwd=ROOT, check=True,
                              capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(into)
+        tar.extractall(into, filter="data")
 
 
 def dirty() -> bool:
@@ -53,17 +56,24 @@ def dirty() -> bool:
     return bool(git("status", "--porcelain", "--untracked-files=no"))
 
 
-def bench_once(tree: Path, workload: str) -> dict:
+def bench_once(tree: Path, workload: str, label: str) -> dict:
     """One ``run_bench.py`` run of ``tree``: its metrics, operation counts and
-    the environment its report line names."""
+    the environment its report line names.  Raises, naming the run by
+    ``label``, unless it exited 0 with correct outputs and no failed
+    operation."""
     done = subprocess.run(
         [sys.executable, "bench/run_bench.py", "--workload", workload],
         cwd=tree, capture_output=True, text=True,
     )
     if done.returncode != 0:
-        raise RuntimeError(f"run_bench.py in {tree} failed ({done.returncode}):\n{done.stderr}")
+        raise RuntimeError(f"{label}: run_bench.py in {tree} failed ({done.returncode}):\n"
+                           f"{done.stderr}")
     lines = done.stdout.strip().splitlines()
     summary = json.loads(lines[-1])
+    if not summary["correct"] or summary["failed"]:
+        raise RuntimeError(f"{label}: run_bench.py in {tree} reported correct = "
+                           f"{summary['correct']}, {summary['failed']} of "
+                           f"{summary['attempted']} operations failed:\n{done.stderr}")
     # "# WORKLOAD seed=N trace=T {environment}"
     host = next(line for line in lines if line.startswith("# "))
     return {
@@ -133,7 +143,8 @@ def main(argv: list[str] | None = None) -> int:
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 pair = {"first": order[0]}
                 for side in order:
-                    pair[side] = bench_once(trees[side], workload)
+                    pair[side] = bench_once(trees[side], workload,
+                                            f"{side} {workload} pair {i + 1}/{args.pairs}")
                     if side == "change" and (pair[side]["environment"]["git_sha"] != sha
                                              or pair[side]["environment"]["git_dirty"]):
                         raise RuntimeError(f"the checkout left {sha} or was modified during "
