@@ -16,9 +16,9 @@ from dbgd import (
     matrix_factorization_problem,
     quadratic_sanity_problem,
     rng,
+    row_dot,
     toy_problem,
 )
-from dbgd.problems import row_dot
 
 ALL_PROBLEMS = [
     ("toy", lambda: toy_problem()),
