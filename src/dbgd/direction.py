@@ -55,8 +55,6 @@ class _Rule:
     #: The ``beta`` of the potential's barrier weight ``beta / (L_g eta)``,
     #: or ``None`` for a potential of the direction alone.
     potential_beta = None
-    #: The ``g`` below which the rule's barrier level is clamped at zero.
-    clamp_level = -np.inf
 
 
 class _Barrier(_Rule):
@@ -101,7 +99,6 @@ class DynamicBarrierMin(_Barrier):
             raise ValueError("beta must be strictly positive")
 
     potential_beta = property(lambda self: self.beta)
-    clamp_level = property(lambda self: self.g_star)
 
     def level(self, g, gg_sq):
         return np.maximum(np.minimum(self.alpha * (g - self.g_star), self.beta * gg_sq), 0.0)
@@ -124,8 +121,6 @@ class LowerLinearization(_Barrier):
     def __post_init__(self):
         if not np.all(np.asarray(self.eta) > 0.0):
             raise ValueError("eta must be strictly positive")
-
-    clamp_level = property(lambda self: self.g_star)
 
     def level(self, g, gg_sq):
         return np.maximum((g - self.g_star) / self.eta, 0.0)
@@ -189,8 +184,7 @@ def barrier_value(rule: BarrierRule, g_val, grad_g: Array):
 
     Always nonnegative: levels computed from a declared ``g_star`` are
     clamped at zero when ``g_val`` falls below ``g_star``, which indicates
-    a bad ``g_star`` (the solver counts these iterations in
-    ``TraceRecord.clamp_count``).
+    a bad ``g_star``.
     """
     if isinstance(rule, BloopOrthogonal):
         raise ValueError("the orthogonal-projection rule has no scalar barrier level")

@@ -15,8 +15,8 @@ multiplier from its rule, one direction for the whole batch, the step,
 buffers these with its gradients and iterates for a block of iterations;
 the block's end evaluates ``f`` at the block's iterates in one call
 (no step reads ``f``), computes the decreases and the potential, checks
-that every row is finite, counts clamps and degenerate steps, and keeps
-each run's best and last row.
+that every row is finite, counts degenerate steps, and keeps each run's
+best and last row.
 Rows leave the solver one way, a write function (the caller's, or under
 ``keep="all"`` the engine's own, into a table), which gets every row of a
 block with its gradient-geometry columns filled; otherwise the engine
@@ -152,10 +152,8 @@ class TraceRecord:
     each also an attribute (``trace.d_sq``); ``k`` holds their iteration
     indices: every row under ``keep="all"``, and otherwise the
     minimal-potential row (the earliest on ties) followed by the last row.
-    ``len(trace)`` counts the rows the run recorded, kept or not.  ``clamp_count`` is the
-    number of rows whose ``g_star``-based barrier level was clamped at zero
-    because ``g`` lay below ``g_star``; ``degenerate_steps`` counts the
-    degenerate rows.
+    ``len(trace)`` counts the rows the run recorded, kept or not, and
+    ``degenerate_steps`` the degenerate rows among them.
     """
 
     table: Array
@@ -166,7 +164,6 @@ class TraceRecord:
     method_label: str
     final_x: Array
     stopped_early: bool
-    clamp_count: int
     degenerate_steps: int
     warnings: list[str] = field(default_factory=list)
 
@@ -408,7 +405,6 @@ def _run_batch(
                               for beta, config in zip(betas, configs)]),
         "budget": np.array([config.iterations for config in configs]),
         "tolerance": np.array([config.stop_tolerances or (-np.inf, -np.inf) for config in configs]),
-        "clamp_ref": np.array([config.method.clamp_level for config in configs]),
     }
     x = np.broadcast_to(x0, (cells, dim))[cell]
     f_now = problem.eval_f(x)
@@ -419,7 +415,6 @@ def _run_batch(
         "rows": np.zeros(cells, dtype=int),
         "stopped": np.zeros(cells, dtype=bool),
         "final_x": np.empty((cells, dim)),
-        "clamps": np.zeros(cells, dtype=int),
         "degenerate": np.zeros(cells, dtype=int),
     }
 
@@ -441,7 +436,6 @@ def _run_batch(
             ("objective value", (f[1:], g[1:])),
             ("decrease or potential", (rows[:, :, _DELTA_F:_DEGENERATE],)),
         ))
-        out["clamps"][cell] += (g[:-1] < clamp_ref).sum(axis=0)
         out["degenerate"][cell] += block_degenerate[:b].sum(axis=0)
         if write is None:
             best_last.block(k0, cell, rows, gf, gg)
@@ -456,7 +450,7 @@ def _run_batch(
         n = cell.size
         groups = _groups(configs, cell)
         eta, pot_coef = per_row["eta"], per_row["pot_coef"]
-        budget, clamp_ref = per_row["budget"], per_row["clamp_ref"]
+        budget = per_row["budget"]
         eps_f, eps_g = per_row["tolerance"].T
         horizon = int(budget.min())
         stopping = bool((eps_f > -np.inf).any())  # -inf: the run has no tolerance
@@ -517,7 +511,6 @@ def _run_batch(
             method_label=config.method.label,
             final_x=out["final_x"][i],
             stopped_early=bool(out["stopped"][i]),
-            clamp_count=int(out["clamps"][i]),
             degenerate_steps=int(out["degenerate"][i]),
             warnings=config.warnings(problem.smoothness),
         ))

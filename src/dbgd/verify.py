@@ -395,10 +395,15 @@ def rate_fit(
     Every ``(p, K)`` pair runs in one batch, keeping only each run's best
     and last rows; returns one fit per exponent of ``ps``, in order.  A
     line through fewer than 3 distinct budgets fits nothing, so ``k_grid``
-    must hold at least 3.  A divergence names its run as ``run p=... K=...``.
+    must hold at least 3, and neither ``k_grid`` nor ``ps`` may repeat a
+    value.  A divergence names its run as ``run p=... K=...``.
     """
     if len(set(k_grid)) < 3:
         raise ValueError("k_grid must contain at least 3 distinct budgets")
+    for name, values in (("k_grid", k_grid), ("ps", ps)):
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ValueError(f"{name} repeats {repeated[0]!r}")
     pairs = [(p, k) for p in ps for k in k_grid]
     configs = []
     for p, k in pairs:

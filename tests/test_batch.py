@@ -77,7 +77,7 @@ def assert_same_run(a, b, what):
     assert np.array_equal(a.k, b.k), what
     assert bits(a.final_x) == bits(b.final_x), what
     for name in ("eta", "beta", "potential_kind", "method_label",
-                 "stopped_early", "clamp_count", "degenerate_steps", "warnings"):
+                 "stopped_early", "degenerate_steps", "warnings"):
         assert getattr(a, name) == getattr(b, name), (what, name)
     assert len(a) == len(b), what
 
@@ -93,11 +93,12 @@ def test_each_run_of_a_batch_equals_its_batch_of_one(keep):
     for i, (together, single) in enumerate(zip(batch.traces, alone)):
         assert_same_run(together, single, f"config {i}")
 
-    # the batch really exercised an early stop, unequal budgets and g* clamps
+    # the batch really exercised an early stop, unequal budgets and rows
+    # whose g lies below the rule's g_star (where its level is clamped at 0)
     lengths = [len(trace) for trace in alone]
     assert alone[1].stopped_early and lengths[1] < 300
     assert lengths[7:] == [50, 400, 120]
-    assert alone[3].clamp_count > 0
+    assert (alone[3].g < configs[3].method.g_star).any()
 
     # another order of the same runs changes nothing
     reversed_batch = run(problem, configs[::-1], starts[::-1], keep=keep)
@@ -198,7 +199,7 @@ def test_block_boundaries_change_no_bit():
     assert ends == [255, 256, 257, lengths[3], lengths[3] + 256, 700]
 
 
-def test_clamp_and_degenerate_counts_are_read_off_the_rows():
+def test_degenerate_counts_are_read_off_the_rows():
     # runs of up to 400 iterations, some stopping early or retiring in the
     # middle of a block; run 4 starts at the lower optimum x0 = 0, where
     # grad_g vanishes and its first step is degenerate
@@ -207,18 +208,15 @@ def test_clamp_and_degenerate_counts_are_read_off_the_rows():
     starts = mixed_starts(len(configs))
     starts[4] = 0.0
     full = run(problem, configs, starts, keep="all").traces
-    for i, (config, trace) in enumerate(zip(configs, full)):
-        g_star = getattr(config.method, "g_star", None)
-        clamps = 0 if g_star is None else int((trace.g < g_star).sum())
-        assert trace.clamp_count == clamps, i
+    for i, trace in enumerate(full):
         assert trace.degenerate_steps == int(trace.degenerate.sum()), i
-    counts = [(trace.clamp_count, trace.degenerate_steps) for trace in full]
-    assert all(sum(column) > 0 for column in zip(*counts))
+    counts = [trace.degenerate_steps for trace in full]
+    assert sum(counts) > 0
 
     log = BlockLog(max(config.iterations for config in configs), len(configs))
     for keep in ("best-last", log):
         kept = run(problem, configs, starts, keep=keep).traces
-        assert [(trace.clamp_count, trace.degenerate_steps) for trace in kept] == counts, keep
+        assert [trace.degenerate_steps for trace in kept] == counts, keep
     assert any((k0 + size) % 256 for k0, size, _ in log.blocks)
 
 

@@ -23,6 +23,7 @@ from dbgd import (
     SolverConfig,
     run,
     scheduled_step,
+    toy_problem,
 )
 from dbgd.harness import (
     CASES_CSV,
@@ -33,6 +34,7 @@ from dbgd.harness import (
     Schedule,
     _build_solver_config,
     build_problem,
+    classify_terminal,
     expand_methods,
     load_config,
     resolve_x0,
@@ -559,6 +561,20 @@ class TestRunCasestudy:
         rows = (out / "cases.csv").read_text().splitlines()[1:]
         assert all(row.split(",")[1] == "unclassified" for row in rows)
         assert "thresholds" in capsys.readouterr().err
+
+
+def test_classify_thresholds_admit_equality():
+    # at thresholds equal to the last row's own lam, grad_f_sq and cosine,
+    # each signature holds; case 2's lambda bound is strict
+    trace = run(toy_problem(), SolverConfig(GradNormSquared(1.0), 0.01, 50), np.array([-3.0, -1.0]))
+    lam, gf_sq, cos = (float(column[-1]) for column in (trace.lam, trace.grad_f_sq, trace.cos_theta))
+    never = {"case1_lambda_max": -1.0, "case1_grad_f_sq_max": -1.0,
+             "case2_cos_theta_max": -2.0, "case2_lambda_min": math.inf}
+    case1 = {**never, "case1_lambda_max": lam, "case1_grad_f_sq_max": gf_sq}
+    case2 = {**never, "case2_cos_theta_max": cos, "case2_lambda_min": -1.0}
+    assert classify_terminal(trace, case1) == "case1"
+    assert classify_terminal(trace, case2) == "case2"
+    assert classify_terminal(trace, {**case2, "case2_lambda_min": lam}) == "unclassified"
 
 
 class TestScheduledResolution:

@@ -277,6 +277,16 @@ class TestRateFit:
             with pytest.raises(ValueError, match="3 distinct budgets"):
                 rate_fit(problem, np.ones(3), [0.0], k_grid)
 
+    def test_a_repeated_budget_is_rejected(self):
+        # 3 distinct budgets, but the repeat would weigh 100 twice in the fit
+        with pytest.raises(ValueError, match="k_grid repeats 100"):
+            rate_fit(toy_problem(), [-3, -1], [0.0], [100, 100, 1000, 3000])
+
+    def test_a_repeated_exponent_is_rejected(self):
+        # two identical fits
+        with pytest.raises(ValueError, match="ps repeats 0.0"):
+            rate_fit(toy_problem(), [-3, -1], [0.0, 0.0], [100, 1000, 3000])
+
     def test_divergence_names_the_p_and_budget_of_its_run(self):
         # from the lower optimum every run first steps along -grad_f = (1, 1),
         # each by its own step; only p = 1 at K = 100 (eta = 0.158, run 3 of

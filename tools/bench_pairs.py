@@ -16,9 +16,18 @@ fails an operation, naming its side, workload and pair, so that no
 speed-up is recorded for wrong outputs.  ``OUTPUT`` (by
 convention ``BENCH_<n>.json``, after the change it measures) receives the
 environment, both SHAs, every run's end-to-end metrics and operation
-counts, and per workload and metric each side's median and quartiles and
+counts, and per workload and metric each side's median and quartiles,
 the number of pairs the checkout won, where "won" follows the ``better``
-direction of ``BENCHMARK.json``.  Uses the standard library only.
+direction of ``BENCHMARK.json``, and a verdict, which it also prints:
+
+* ``regressed``: the checkout's median is worse than the parent's by more
+  than the metric's ``bound`` in ``BENCHMARK.json``, a fraction of the
+  parent's median;
+* ``gain``: the checkout won at least 9 of 10 pairs, and its median is
+  better than the parent's by more than the parent's quartile spread;
+* ``no regression`` otherwise.
+
+Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -91,12 +100,29 @@ def quartiles(values: list[float]) -> list[float]:
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: each side's median and quartiles, and the pairs the change won."""
+def verdict(parent: list[float], change: list[float], won: int, better: str,
+            bound: float) -> str:
+    """``regressed``, ``gain`` or ``no regression``; see the module docstring."""
+    sign = 1.0 if better == "higher" else -1.0
+    p_median = statistics.median(parent)
+    improvement = sign * (statistics.median(change) - p_median)
+    if improvement < -bound * abs(p_median):
+        return "regressed"
+    q1, _, q3 = quartiles(parent)
+    if 10 * won >= 9 * len(parent) and improvement > q3 - q1:
+        return "gain"
+    return "no regression"
+
+
+def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
+    """Per end-to-end metric of ``BENCHMARK.json`` (``name``, ``better``,
+    ``bound``): each side's median and quartiles, the pairs the change won
+    and the verdict."""
     out = {}
-    for name, direction in better.items():
+    for metric in metrics:
+        name, better = metric["name"], metric["better"]
         sides = {side: [pair[side]["metrics"][name] for pair in pairs] for side in SIDES}
-        sign = 1.0 if direction == "higher" else -1.0
+        sign = 1.0 if better == "higher" else -1.0
         won = sum(sign * (c - p) > 0 for p, c in zip(sides["parent"], sides["change"]))
         out[name] = {
             **{side: {"median": statistics.median(v), "quartiles": quartiles(v)}
@@ -106,6 +132,7 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
                                    if statistics.median(sides["parent"]) else None),
             "change_won": won,
             "pairs": len(pairs),
+            "verdict": verdict(sides["parent"], sides["change"], won, better, metric["bound"]),
         }
     return out
 
@@ -120,7 +147,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("tracked files differ from HEAD; commit them or run from a clean clone")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
     sha = git("rev-parse", "HEAD")
     result = {
         "command": spec["command"] + ["--workload", "NAME"],
@@ -152,7 +178,12 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"{workload} pair {i + 1}/{args.pairs} {side}: "
                           f"iters_per_s {pair[side]['metrics']['iters_per_s']:.6g}", flush=True)
                 pairs.append(pair)
-            result["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs, better)}
+            summary = summarize(pairs, spec["end_to_end"])
+            result["workloads"][workload] = {"pairs": pairs, "summary": summary}
+            for name, entry in summary.items():
+                print(f"{workload} {name}: {entry['verdict']} (median {entry['parent']['median']:.6g}"
+                      f" -> {entry['change']['median']:.6g}, won {entry['change_won']}"
+                      f" of {entry['pairs']})", flush=True)
     args.output.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {args.output}")
     return 0
