@@ -273,12 +273,11 @@ def bloop_direction(grad_f: Array, grad_g: Array, beta) -> DirectionResult:
     ``grad_g . d = beta * ||grad_g||^2``.  The stored multiplier is the
     signed equality multiplier ``beta - grad_f.grad_g / ||grad_g||^2`` and
     may be negative, unlike the multiplier of :func:`dbgd_direction`.
-    At or below ``DEFAULT_GUARD`` the direction falls back to ``grad_f``
-    (with multiplier 0).
+    At or below ``DEFAULT_GUARD`` the multiplier is 0, so the direction is
+    ``grad_f + 0 * grad_g``, as for every rule.
     """
     lam, degenerate = orthogonal_multiplier(row_dot(grad_f, grad_g), row_dot(grad_g, grad_g), beta)
-    d = np.where(_per_row(degenerate), grad_f, grad_f + _per_row(lam) * grad_g)
-    return DirectionResult(d=d, lam=lam, degenerate=degenerate)
+    return DirectionResult(d=grad_f + _per_row(lam) * grad_g, lam=lam, degenerate=degenerate)
 
 
 def penalty_direction(grad_f: Array, grad_g: Array, lam) -> DirectionResult:

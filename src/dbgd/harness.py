@@ -529,7 +529,8 @@ def expand_methods(
                 raise ConfigurationError(f"{where}: {exc}") from exc
     names = [name for name, _ in cells]
     if len(set(names)) != len(names):
-        raise ConfigurationError("method grids produce duplicate cell names")
+        repeated = next(name for i, name in enumerate(names) if name in names[:i])
+        raise ConfigurationError(f"method grids produce duplicate cell names; {repeated!r} repeats")
     return cells
 
 

@@ -11,9 +11,10 @@ over the trace is the certified near-stationary iterate.
 Each iteration computes what the next one needs: the gradients, their
 Gram entries ``grad_g . grad_g`` and ``grad_f . grad_g``, each row's
 multiplier from its rule, one direction for the whole batch, the step,
-``g`` at the next iterate (the level rules read it), and ``d_sq``.  A run
-buffers these with its gradients and iterates for a block of iterations;
-the block's end evaluates ``f`` at the block's iterates in one call
+``g`` at the next iterate (the level rules read it), and ``d_sq``.  It
+writes ``grad_g . grad_g``, the multiplier, its degeneracy flag and
+``d_sq`` into the iteration's row and buffers the gradients and the
+iterate, for a block of iterations; the block's end evaluates ``f`` at the block's iterates in one call
 (no step reads ``f``), computes the decreases and the potential, checks
 that every row is finite, counts degenerate steps, and keeps each run's
 best and last row.
@@ -228,11 +229,7 @@ def _direction(groups: list[tuple[slice, Method]], gf: Array, gg: Array, gg_sq: 
     fg = row_dot(gf, gg)
     for rows, rule in groups:
         lam[rows], degenerate[rows] = rule.multiplier(fg[rows], gg_sq[rows], g_now[rows])
-    d = gf + lam[:, None] * gg
-    for rows, rule in groups:
-        if isinstance(rule, BloopOrthogonal):
-            np.copyto(d[rows], gf[rows], where=degenerate[rows, None])
-    return d
+    return gf + lam[:, None] * gg
 
 
 def _library_direction(rule: Method, gf: Array, gg: Array, g_now: Array) -> DirectionResult:
@@ -426,17 +423,15 @@ def _run_batch(
         f, g = block_f[:b + 1], block_g[:b + 1]
         f[1:] = problem.eval_f(block_x[:b])
         rows[:, :, _F], rows[:, :, _G] = f[:-1], g[:-1]
-        rows[:, :, _GRAD_G_SQ], rows[:, :, _D_SQ] = block_gg_sq[:b], block_d_sq[:b]
-        rows[:, :, _LAM], rows[:, :, _DEGENERATE] = block_lam[:b], block_degenerate[:b]
         rows[:, :, _DELTA_F], rows[:, :, _DELTA_G] = f[:-1] - f[1:], g[:-1] - g[1:]
-        rows[:, :, _POTENTIAL] = 0.5 * block_d_sq[:b] + pot_coef * block_gg_sq[:b]
+        rows[:, :, _POTENTIAL] = 0.5 * rows[:, :, _D_SQ] + pot_coef * rows[:, :, _GRAD_G_SQ]
         _check_finite(k0, cell, (
             ("gradient", (gf, rows[:, :, _GRAD_G_SQ])),
             ("direction", (rows[:, :, _D_SQ], rows[:, :, _LAM])),
             ("objective value", (f[1:], g[1:])),
             ("decrease or potential", (rows[:, :, _DELTA_F:_DEGENERATE],)),
         ))
-        out["degenerate"][cell] += block_degenerate[:b].sum(axis=0)
+        out["degenerate"][cell] += (rows[:, :, _DEGENERATE] != 0.0).sum(axis=0)
         if write is None:
             best_last.block(k0, cell, rows, gf, gg)
         else:
@@ -460,22 +455,21 @@ def _run_batch(
         block_rows = np.empty((block, n, len(COLUMNS)))
         block_gf, block_gg, block_x = np.empty((3, block, n, dim))
         block_f, block_g = np.empty((2, block + 1, n))
-        block_gg_sq, block_d_sq, block_lam = np.empty((3, block, n))
-        block_degenerate = np.empty((block, n), dtype=bool)
         block_f[0], block_g[0] = f_now, g_now
         buffered, check = 0, True
         while True:
+            row = block_rows[buffered]
             gf = block_gf[buffered] = problem.eval_grad_f(x)
             gg = block_gg[buffered] = problem.eval_grad_g(x)
-            gg_sq = block_gg_sq[buffered] = row_dot(gg, gg)
-            lam, degenerate = block_lam[buffered], block_degenerate[buffered]
+            gg_sq = row[:, _GRAD_G_SQ] = row_dot(gg, gg)
+            lam, degenerate = row[:, _LAM], row[:, _DEGENERATE]
             d = _direction(groups, gf, gg, gg_sq, g_now, lam, degenerate)
             if check:  # the first iteration of each segment
                 _cross_check(k, cell, groups, gf, gg, g_now, d, lam, degenerate)
                 check = False
             x = np.subtract(x, eta * d, out=block_x[buffered])
             g_now = block_g[buffered + 1] = problem.eval_g(x)
-            d_sq = block_d_sq[buffered] = row_dot(d, d)
+            d_sq = row[:, _D_SQ] = row_dot(d, d)
             buffered += 1
             k += 1
             if buffered == block:

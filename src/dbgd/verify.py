@@ -84,6 +84,8 @@ def finite_diff_sweep(problem: ProblemSpec, points: int = 100, seed: int = 0) ->
 
 
 _SQRT_SLACK = 1e-12
+#: Slack of the descent-inequality audit, relative to the audited side.
+_AUDIT_SLACK = 1e-8
 
 
 def sqrt_lemma_check(a: float, b: float, x: float) -> bool:
@@ -136,19 +138,15 @@ class AuditReport:
         return sum(self.violations.values())
 
 
-def inequality_audit(
-    trace: TraceRecord,
-    profile: SmoothnessProfile,
-    slack: float = 1e-8,
-) -> AuditReport:
+def inequality_audit(trace: TraceRecord, profile: SmoothnessProfile) -> AuditReport:
     """Audit a dynamic-barrier trace against its descent bounds.
 
     Valid only for the grad-norm-squared rule; the bounds take the run's own
     step size and barrier weight (``trace.eta``, ``trace.beta``), and the
     profile constants must hold over the recorded trajectory for the
     outcome to be meaningful.
-    All slacks are relative to the magnitude of the audited side (the
-    multiplier bound uses a fixed ``1e-12``).
+    All slacks (``_AUDIT_SLACK``, 1e-8) are relative to the magnitude of
+    the audited side (the multiplier bound uses a fixed ``1e-12``).
     """
     if trace.method_label != GradNormSquared.label:
         raise ConfigurationError(
@@ -166,10 +164,10 @@ def inequality_audit(
     lam, df, dg = trace.lam, trace.delta_f, trace.delta_g
 
     lhs = (1.0 - eta * lf / 2.0) * d_sq
-    upper = lhs <= df / eta + lam * beta * gg_sq + slack * (1.0 + d_sq)
+    upper = lhs <= df / eta + lam * beta * gg_sq + _AUDIT_SLACK * (1.0 + d_sq)
 
     lhs = beta * gg_sq
-    lower = lhs <= dg / eta + 0.5 * lg * eta * d_sq + slack * (1.0 + np.abs(lhs))
+    lower = lhs <= dg / eta + 0.5 * lg * eta * d_sq + _AUDIT_SLACK * (1.0 + np.abs(lhs))
 
     with np.errstate(divide="ignore"):
         mult_rhs = beta + gf_bound / np.sqrt(gg_sq)
@@ -177,12 +175,12 @@ def inequality_audit(
 
     rhs = 4.0 * (df + beta * dg) / eta + 2.0 * dg / (lg * eta**2) \
         + 2.0 * beta * gf_bound**2 * lg * eta
-    direction = d_sq <= rhs + slack * (1.0 + d_sq)
+    direction = d_sq <= rhs + _AUDIT_SLACK * (1.0 + d_sq)
 
     lhs = 0.5 * d_sq + beta * gg_sq / (lg * eta)
     rhs = 4.0 * (df + beta * dg) / eta + 3.0 * dg / (lg * eta**2) \
         + 2.0 * beta * gf_bound**2 * lg * eta
-    potential = lhs <= rhs + slack * (1.0 + lhs)
+    potential = lhs <= rhs + _AUDIT_SLACK * (1.0 + lhs)
 
     return AuditReport(
         upper_descent=upper,

@@ -84,8 +84,7 @@ def reference_run(problem, config, x0) -> Reference:
         gf, gg = problem.eval_grad_f(x), problem.eval_grad_g(x)
         gg_sq, fg = float(gg @ gg), float(gf @ gg)
         lam, degenerate = multiplier(rule, fg, gg_sq, g)
-        # bloop's direction falls back to grad_f where it degenerates
-        d = gf if degenerate and isinstance(rule, BloopOrthogonal) else gf + lam * gg
+        d = gf + lam * gg
         x = x - eta * d
         f_next, g_next = problem.eval_f(x), problem.eval_g(x)
         d_sq = float(d @ d)

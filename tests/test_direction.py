@@ -141,6 +141,13 @@ class TestBloopDirection:
         res = bloop_direction(gf, np.zeros(2), beta=1.0)
         assert res.degenerate and np.array_equal(res.d, gf)
 
+    def test_degenerate_direction_is_every_rules_formula(self):
+        # grad_f + 0 * grad_g, so a -0.0 of grad_f becomes 0.0 for bloop too
+        gf, gg = np.array([-0.0, 1.0]), np.zeros(2)
+        ds = [bloop_direction(gf, gg, beta=1.0).d, dbgd_direction(gf, gg, 0.0).d,
+              penalty_direction(gf, gg, 1.0).d]
+        assert [d.tobytes() for d in ds] == [np.array([0.0, 1.0]).tobytes()] * 3
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 10**9), st.integers(2, 20))
     def test_equality_constraint_is_exact(self, seed, n):

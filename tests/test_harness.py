@@ -224,6 +224,9 @@ REJECTED_CONFIGS = [pytest.param(*case, id=id_) for id_, case in {
     "p-repeated-int-and-float": (RATES, ("p",), [1, 0.5, 1.0], "$.p: expected 1 or more "
                                  "distinct items, none repeated; 1.0 repeats"),
     "k-grid-budget-0": (RATES, ("k_grid", 0), 0, "k_grid"),
+    # two grid values that format alike under {v:g} name two cells alike
+    "cell-name-repeated": (EXP, ("methods", 1), {"kind": "penalty", "lambda": [1, 1.0000001]},
+                           "duplicate cell names; 'penalty_lambda=1' repeats"),
     "stop-tolerances-one": (EXP, ("run", "stop_tolerances"), [1e-6], "stop_tolerances"),
     "stop-tolerances-three": (EXP, ("run", "stop_tolerances"), [1e-6, 1e-8, 0], "stop_tolerances"),
     "stop-tolerance-negative": (EXP, ("run", "stop_tolerances"), [-1, 0], "stop_tolerances"),

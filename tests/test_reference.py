@@ -120,8 +120,8 @@ def test_each_trace_is_its_reference_run_bit_for_bit(data):
 @pytest.mark.parametrize("keep", ["all", "best-last"])
 def test_degenerate_steps_from_signed_zeros_are_the_reference_steps(keep):
     # at V = 0 with signed zeros, grad_f of the matfac holds -0.0 where V
-    # does and grad_g vanishes, so only bloop's fallback to grad_f keeps the
-    # signs of the zeros that grad_f + 0 * grad_g would lose
+    # does and grad_g vanishes, so every degenerate step, bloop's too, must
+    # take grad_f + 0 * grad_g, which turns those -0.0 into 0.0
     problem = PROBLEMS["matfac"]
     eta = 0.5 / problem.smoothness.lip_total
     rules = [GradNormSquared(0.5), DynamicBarrierMin(1.0, 0.5, 0.0),
