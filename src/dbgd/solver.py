@@ -11,13 +11,12 @@ over the trace is the certified near-stationary iterate.
 Each iteration computes what the next one needs: the gradients, their
 Gram entries ``grad_g . grad_g`` and ``grad_f . grad_g``, each row's
 multiplier from its rule, one direction for the whole batch, the step,
-``g`` at the next iterate (the level rules read it), and ``d_sq``.  It
-writes ``grad_g . grad_g``, the multiplier, its degeneracy flag and
-``d_sq`` into the iteration's row and buffers the gradients and the
-iterate, for a block of iterations; the block's end evaluates ``f`` at the block's iterates in one call
-(no step reads ``f``), computes the decreases and the potential, checks
-that every row is finite, counts degenerate steps, and keeps each run's
-best and last row.
+``g`` at the next iterate (the level rules read it), and ``d_sq``, which
+it writes into its row with ``grad_g . grad_g``, the multiplier and its
+degeneracy flag; it buffers the gradients and the iterate.  A block's end
+evaluates ``f`` at its iterates in one call (no step reads ``f``),
+computes the decreases and the potential, checks that every row is
+finite, counts degenerate steps, and keeps each run's best and last row.
 Rows leave the solver one way, a write function (the caller's, or under
 ``keep="all"`` the engine's own, into a table), which gets every row of a
 block with its gradient-geometry columns filled; otherwise the engine

@@ -1,11 +1,10 @@
 """Measure what the two gates guard: run tier-1 and the digests on source mutants.
 
-Usage: ``python3 tools/mutants.py [NUMBER ...] [--ref REF]``
+Usage: ``python3 tools/mutants.py``
 
-Unpacks ``REF`` (default ``HEAD``) with ``git archive`` into a temporary
-directory and applies the mutants of ``MUTANTS`` one at a time (or those
-whose 1-based ``NUMBER`` is given), restoring the file after each.  For
-each it runs tier-1 with ``-x``; a mutant that tier-1 fails is
+Unpacks ``HEAD`` with ``git archive`` into a temporary directory and
+applies the mutants of ``MUTANTS`` one at a time, restoring the file
+after each.  For each it runs tier-1 with ``-x``; a mutant that tier-1 fails is
 ``killed``.  For one that passes it runs ``tools/output_digests.py`` of
 the mutated tree and compares its printout and exit status with those of
 the unmutated tree: a difference is ``caught``, none is ``survived``.  It
@@ -20,7 +19,6 @@ sources a mutant changes by design.  Uses the standard library only.
 
 from __future__ import annotations
 
-import argparse
 import io
 import os
 import subprocess
@@ -143,47 +141,37 @@ def digests(tree: Path, out: Path) -> tuple[int, str]:
     return done.returncode, done.stdout
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("numbers", nargs="*", type=int,
-                        help="1-based numbers of the mutants to run (default: all)")
-    parser.add_argument("--ref", default="HEAD")
-    args = parser.parse_args(argv)
-    chosen = [(i, MUTANTS[i - 1]) for i in args.numbers or range(1, len(MUTANTS) + 1)]
-
+def main() -> int:
     start = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "tree"
-        unpack(args.ref, tree)
-        texts, refused = {}, []
-        for i, mutant in chosen:
+        unpack("HEAD", tree)
+        texts, refused = [], []
+        for i, mutant in enumerate(MUTANTS, start=1):
             try:
-                texts[i] = mutated(tree, mutant)
+                texts.append(mutated(tree, mutant))
             except ValueError as exc:
                 refused.append(f"refused {i}: {exc}")
         if refused:
             print("\n".join(refused), file=sys.stderr)
             return 2
-        baseline = None
-        for i, mutant in chosen:
+        baseline = digests(tree, Path(tmp) / "baseline")
+        for i, (mutant, text) in enumerate(zip(MUTANTS, texts), start=1):
             path = tree / mutant.file
             original = path.read_text()
-            path.write_text(texts[i])
+            path.write_text(text)
             try:
                 if not tier1(tree):
                     verdict = "killed"
+                elif digests(tree, Path(tmp) / f"mutant-{i}") != baseline:
+                    verdict = "caught"
                 else:
-                    if baseline is None:
-                        path.write_text(original)
-                        baseline = digests(tree, Path(tmp) / "baseline")
-                        path.write_text(texts[i])
-                    caught = digests(tree, Path(tmp) / f"mutant-{i}") != baseline
-                    verdict = "caught" if caught else "survived"
+                    verdict = "survived"
             finally:
                 path.write_text(original)
             note = f" (equivalent: {mutant.equivalent})" if mutant.equivalent else ""
             print(f"{verdict:8} {i:2} {mutant.file}: {mutant.breaks}{note}", flush=True)
-    print(f"{len(chosen)} mutants in {time.perf_counter() - start:.0f} s")
+    print(f"{len(MUTANTS)} mutants in {time.perf_counter() - start:.0f} s")
     return 0
 
 
