@@ -2,10 +2,10 @@
 
 Usage: ``python3 tools/mutants.py``
 
-Unpacks ``HEAD`` with ``git archive`` into a temporary directory and
-applies the mutants of ``MUTANTS`` one at a time, restoring the file
-after each.  For each it runs tier-1 with ``-x``; a mutant that tier-1 fails is
-``killed``.  For one that passes it runs ``tools/output_digests.py`` of
+Unpacks ``HEAD`` with ``git archive`` into a temporary directory, as
+``tools/bench_pairs.py`` does, and applies the mutants of ``MUTANTS`` one
+at a time, restoring the file after each.  For each it runs tier-1 with
+``-x``; a mutant that tier-1 fails is ``killed``.  For one that passes it runs ``tools/output_digests.py`` of
 the mutated tree and compares its printout and exit status with those of
 the unmutated tree: a difference is ``caught``, none is ``survived``.  It
 prints one verdict line per mutant, with what the mutant breaks and, for
@@ -19,17 +19,17 @@ sources a mutant changes by design.  Uses the standard library only.
 
 from __future__ import annotations
 
-import io
 import os
 import subprocess
 import sys
-import tarfile
 import tempfile
 import time
 from pathlib import Path
 from typing import NamedTuple
 
-ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from bench_pairs import unpack  # noqa: E402
 
 
 class Mutant(NamedTuple):
@@ -112,13 +112,6 @@ def mutated(tree: Path, mutant: Mutant) -> str:
         raise ValueError(f"{mutant.file}: the old text occurs {count} times, not once: "
                          f"{mutant.old!r}")
     return text.replace(mutant.old, mutant.new)
-
-
-def unpack(ref: str, into: Path) -> None:
-    archive = subprocess.run(["git", "archive", "--format=tar", ref], cwd=ROOT, check=True,
-                             capture_output=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(into, filter="data")
 
 
 def run(tree: Path, *args: str) -> subprocess.CompletedProcess:
