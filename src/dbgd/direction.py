@@ -215,30 +215,20 @@ def halfspace_multiplier(fg, gg_sq, phi):
     ``fg = grad_f . grad_g`` and ``gg_sq = ||grad_g||^2`` of each row.
 
     Returns ``(max((phi - fg) / gg_sq, 0), False)``, or ``(0, True)`` where
-    ``gg_sq <= DEFAULT_GUARD``.  The one home of the dbgd multiplier, for
-    :func:`lambda_closed_form` and the solver.
+    ``gg_sq <= DEFAULT_GUARD``: the closed form and one home of the dbgd
+    multiplier, for :func:`dbgd_direction`, the solver and ``stationarity_report``.
     """
     degenerate = gg_sq <= DEFAULT_GUARD
     lam = np.maximum((phi - fg) / _safe(gg_sq, degenerate), 0.0)
     return np.where(degenerate, 0.0, lam)[()], degenerate
 
 
-def lambda_closed_form(grad_f: Array, grad_g: Array, phi):
-    """Closed-form multiplier of the halfspace projection, per row.
-
-    Returns ``(max((phi - grad_f.grad_g) / ||grad_g||^2, 0), False)``, or
-    ``(0, True)`` where ``||grad_g||^2 <= DEFAULT_GUARD``.
-    """
+def dbgd_direction(grad_f: Array, grad_g: Array, phi) -> DirectionResult:
+    """Euclidean projection of ``grad_f`` onto ``{d : grad_g . d >= phi}``, ``phi >= 0``."""
     if np.any(np.asarray(phi) < 0.0):
         raise ValueError(f"phi must be nonnegative, got {phi}")
-    return halfspace_multiplier(row_dot(grad_f, grad_g), row_dot(grad_g, grad_g), phi)
-
-
-def dbgd_direction(grad_f: Array, grad_g: Array, phi) -> DirectionResult:
-    """Euclidean projection of ``grad_f`` onto ``{d : grad_g . d >= phi}``."""
-    lam, degenerate = lambda_closed_form(grad_f, grad_g, phi)
-    d = grad_f + _per_row(lam) * grad_g
-    return DirectionResult(d=d, lam=lam, degenerate=degenerate)
+    lam, degenerate = halfspace_multiplier(row_dot(grad_f, grad_g), row_dot(grad_g, grad_g), phi)
+    return DirectionResult(d=grad_f + _per_row(lam) * grad_g, lam=lam, degenerate=degenerate)
 
 
 def decompose_grad_f(grad_f: Array, grad_g: Array) -> tuple[Array, Array]:

@@ -240,21 +240,22 @@ def _library_direction(rule: Method, gf: Array, gg: Array, g_now: Array) -> Dire
     return dbgd_direction(gf, gg, barrier_value(rule, g_now, gg))
 
 
-def _fill_geometry(rows: Array, gf: Array, gg: Array) -> None:
-    """Fill the geometry columns of ``rows[iteration, run]`` from the rows'
-    gradients ``gf[iteration, run]`` and ``gg[iteration, run]``."""
-    b, n = rows.shape[:2]
-    row, gf, gg = (a.reshape(b * n, -1) for a in (rows, gf, gg))
+def _geometry(gf: Array, gg: Array, gg_sq):
+    """``(grad_f_sq, cos_theta, f_perp_sq, f_par_sq, cos_defined)`` of rows
+    of any leading shape from their gradients and ``gg_sq = ||gg||^2``, for
+    the engine and ``stationarity_report``."""
     gf_sq = row_dot(gf, gf)
-    gg_sq = row[:, _GRAD_G_SQ]
     par, perp = decompose_grad_f(gf, gg)
     defined = (gf_sq > DEFAULT_GUARD) & (gg_sq > DEFAULT_GUARD)
     cos = row_dot(gf, gg) / np.sqrt(np.where(defined, gf_sq * gg_sq, 1.0))
-    row[:, _GRAD_F_SQ] = gf_sq
-    row[:, _COS] = np.where(defined, np.minimum(1.0, np.maximum(-1.0, cos)), np.nan)
-    row[:, _F_PERP_SQ] = row_dot(perp, perp)
-    row[:, _F_PAR_SQ] = row_dot(par, par)
-    row[:, _COS_DEFINED] = defined
+    cos = np.where(defined, np.minimum(1.0, np.maximum(-1.0, cos)), np.nan)
+    return gf_sq, cos, row_dot(perp, perp), row_dot(par, par), defined
+
+
+def _fill_geometry(rows: Array, gf: Array, gg: Array) -> None:
+    """Fill the geometry columns of ``rows[..., column]`` from the rows' gradients."""
+    (rows[..., _GRAD_F_SQ], rows[..., _COS], rows[..., _F_PERP_SQ], rows[..., _F_PAR_SQ],
+     rows[..., _COS_DEFINED]) = _geometry(gf, gg, rows[..., _GRAD_G_SQ])
 
 
 class _BestLast:

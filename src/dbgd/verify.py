@@ -23,10 +23,10 @@ from typing import Optional
 
 import numpy as np
 
-from .direction import DEFAULT_GUARD, GradNormSquared, decompose_grad_f, lambda_closed_form
+from .direction import GradNormSquared, halfspace_multiplier
 from .errors import ConfigurationError, DivergenceError, EvaluationError
-from .problems import ProblemSpec, SmoothnessProfile, rng
-from .solver import SolverConfig, TraceRecord, run, scheduled_step
+from .problems import ProblemSpec, SmoothnessProfile, rng, row_dot
+from .solver import SolverConfig, TraceRecord, _geometry, run, scheduled_step
 
 Array = np.ndarray
 
@@ -89,21 +89,19 @@ _AUDIT_SLACK = 1e-8
 
 
 def sqrt_lemma_check(a: float, b: float, x: float) -> bool:
-    """Check the implication ``x <= a + b*sqrt(x)  =>  x <= 2a + b^2``.
-
-    Vacuously true when the premise fails.  The conclusion carries a tiny
-    relative slack so exact-boundary cases survive rounding.
-    """
-    if not (x >= 0.0 and b >= 0.0):
-        raise ValueError("x and b must be nonnegative")
-    if x > a + b * math.sqrt(x):
-        return True
-    bound = 2.0 * a + b * b
-    return x <= bound + _SQRT_SLACK * (1.0 + abs(bound))
+    """Check the implication ``x <= a + b*sqrt(x)  =>  x <= 2a + b^2``: the
+    one-triple case of :func:`sqrt_lemma_violations`."""
+    return sqrt_lemma_violations(a, b, x) == 0
 
 
 def sqrt_lemma_violations(a: Array, b: Array, x: Array) -> int:
-    """Vectorized count of implication failures over sample triples."""
+    """Count of the triples of finite ``a`` and finite nonnegative ``b``, ``x``
+    where ``x <= a + b*sqrt(x)  =>  x <= 2a + b^2`` fails; the conclusion
+    carries a tiny relative slack so exact-boundary cases survive rounding.
+    """
+    a, b, x = (np.asarray(v, dtype=float) for v in (a, b, x))
+    if not (np.isfinite(a).all() and all(((0.0 <= v) & (v < np.inf)).all() for v in (b, x))):
+        raise ValueError("a must be finite, and b and x finite and nonnegative")
     premise = x <= a + b * np.sqrt(x)
     bound = 2.0 * a + b * b
     bad = x > bound + _SQRT_SLACK * (1.0 + np.abs(bound))
@@ -219,17 +217,20 @@ def stationarity_report(
 ) -> StationarityReport:
     """Evaluate all first-order residuals at ``x`` from fresh gradients.
 
-    Pass ``lam=None`` to use the residual-minimizing multiplier instead of
-    a caller-supplied one; the report labels which was used.
+    Pass ``lam=None`` to use the residual-minimizing multiplier (the dbgd
+    multiplier at level 0) instead of a caller-supplied one; the report
+    labels which was used.  The split and the cosine are the engine's.
     """
     x = _point(problem, x)
     gf = problem.eval_grad_f(x)
     gg = problem.eval_grad_g(x)
     if not (np.all(np.isfinite(gf)) and np.all(np.isfinite(gg))):
         raise EvaluationError(f"non-finite gradient at x = {x!r}")
+    gg_sq = row_dot(gg, gg)
+    _, cos, perp_sq, par_sq, defined = _geometry(gf, gg, gg_sq)
 
     if lam is None:
-        lam_val = float(lambda_closed_form(gf, gg, 0.0)[0])
+        lam_val = float(halfspace_multiplier(row_dot(gf, gg), gg_sq, 0.0)[0])
         source = "optimal"
     else:
         if not (lam >= 0.0):
@@ -238,25 +239,15 @@ def stationarity_report(
         source = "given"
 
     d = gf + lam_val * gg
-    par, perp = decompose_grad_f(gf, gg)
-    gf_sq = float(gf @ gf)
-    gg_sq = float(gg @ gg)
-    defined = gf_sq > DEFAULT_GUARD and gg_sq > DEFAULT_GUARD
-    if defined:
-        cos = float(gf @ gg) / np.sqrt(gf_sq * gg_sq)
-        cos = min(1.0, max(-1.0, cos))
-    else:
-        cos = np.nan
-
     gap = problem.eval_g(x) - problem.g_star if problem.has_g_star else None
     return StationarityReport(
-        grad_g_sq=gg_sq,
+        grad_g_sq=float(gg_sq),
         lam=lam_val,
         d_sq=float(d @ d),
-        f_par_sq=float(par @ par),
-        f_perp_sq=float(perp @ perp),
-        cos_theta=cos,
-        cos_defined=defined,
+        f_par_sq=float(par_sq),
+        f_perp_sq=float(perp_sq),
+        cos_theta=float(cos),
+        cos_defined=bool(defined),
         primal_gap=gap,
         lambda_source=source,
     )
@@ -327,36 +318,39 @@ def local_certificate(
       samples, and
     * ``f(x) >= f(x_hat) - (1+delta) sqrt(eps_f) ||x - x_hat||`` for the
       samples with ``g(x) <= g(x_hat)``.
+
+    ``eps_f``, ``eps_g`` and ``delta`` must be nonnegative, and ``f`` and
+    ``g`` finite where evaluated (an :class:`EvaluationError` otherwise).
     """
     if not (radius > 0.0):
         raise ValueError("radius must be strictly positive")
     if samples < 1:
         raise ValueError("samples must be a positive integer")
+    for name, value in (("eps_f", eps_f), ("eps_g", eps_g), ("delta", delta)):
+        if not (value >= 0.0):
+            raise ValueError(f"{name} must be nonnegative, got {value!r}")
     x_hat = _point(problem, x_hat)
-    gen = rng(seed)
-    points = sample_ball(x_hat, radius, samples, gen)
+    points = sample_ball(x_hat, radius, samples, rng(seed))
+    diff = points - x_hat
+    dist = np.sqrt(row_dot(diff, diff))
 
     f_hat = problem.eval_f(x_hat)
     g_hat = problem.eval_g(x_hat)
+    g_val = problem.eval_g(points)
+    checked = g_val <= g_hat
+    f_val = problem.eval_f(points[checked])
+    if not all(np.isfinite(v).all() for v in (f_hat, g_hat, g_val, f_val)):
+        raise EvaluationError(f"non-finite objective near x_hat = {x_hat!r}")
+
     sf, sg = math.sqrt(eps_f), math.sqrt(eps_g)
-
-    lower_margin = math.inf
-    upper_margin = math.inf
-    upper_checked = 0
-    for point in points:
-        dist = float(np.linalg.norm(point - x_hat))
-        g_val = problem.eval_g(point)
-        lower_margin = min(lower_margin, g_val - g_hat + (1.0 + delta) * sg * dist)
-        if g_val <= g_hat:
-            upper_checked += 1
-            f_val = problem.eval_f(point)
-            upper_margin = min(upper_margin, f_val - f_hat + (1.0 + delta) * sf * dist)
-
+    lower_margin = float(np.min(g_val - g_hat + (1.0 + delta) * sg * dist))
+    upper_margin = float(np.min(f_val - f_hat + (1.0 + delta) * sf * dist[checked],
+                                initial=math.inf))
     return CertificateResult(
         passed=lower_margin >= 0.0 and upper_margin >= 0.0,
         lower_margin=lower_margin,
         upper_margin=upper_margin,
-        upper_checked=upper_checked,
+        upper_checked=int(np.count_nonzero(checked)),
         samples=samples,
     )
 

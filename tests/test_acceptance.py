@@ -275,7 +275,7 @@ def test_criterion_06_rejects_barrier_off(tmp_path):
 def test_criterion_06_rejects_fixed_multiplier_direction(tmp_path, monkeypatch):
     # negative control: the barrier cell secretly takes the lambda = 1
     # penalty direction, through the one home of the dbgd multiplier that
-    # the solver and lambda_closed_form share
+    # the solver and dbgd_direction share
     monkeypatch.setattr(
         "dbgd.direction.halfspace_multiplier",
         lambda fg, gg_sq, phi: (np.ones_like(fg), np.zeros_like(fg, dtype=bool)),

@@ -14,7 +14,6 @@ from dbgd import (
     bloop_direction,
     dbgd_direction,
     decompose_grad_f,
-    lambda_closed_form,
     penalty_direction,
     qp_oracle_direction,
     rng,
@@ -64,24 +63,25 @@ class TestBarrierValue:
 class TestLambdaClosedForm:
     def test_cross_checked_against_dual_bisection(self):
         gf, gg = np.array([1.0, 0.0]), np.array([0.0, 2.0])
-        lam, degenerate = lambda_closed_form(gf, gg, 4.0)
-        assert not degenerate
+        res = dbgd_direction(gf, gg, 4.0)
+        lam = res.lam
+        assert not res.degenerate
         oracle = qp_oracle_direction(gf, gg, 4.0, tol=1e-12)
         assert lam == pytest.approx(1.0, abs=1e-12)
         assert lam == pytest.approx(oracle.lam, abs=1e-11)
 
     def test_zero_at_exact_balance(self):
         g = np.array([1.0, 0.0])
-        lam, degenerate = lambda_closed_form(g, g, 1.0)
-        assert lam == 0.0 and not degenerate
+        res = dbgd_direction(g, g, 1.0)
+        assert res.lam == 0.0 and not res.degenerate
 
     def test_opposed_gradients(self):
-        lam, _ = lambda_closed_form(np.array([-2.0, 0.0]), np.array([1.0, 0.0]), 0.0)
-        assert lam == pytest.approx(2.0, abs=1e-15)
+        res = dbgd_direction(np.array([-2.0, 0.0]), np.array([1.0, 0.0]), 0.0)
+        assert res.lam == pytest.approx(2.0, abs=1e-15)
 
     def test_guard_fires_on_vanishing_lower_gradient(self):
-        lam, degenerate = lambda_closed_form(np.array([3.0, 1.0]), np.zeros(2), 0.0)
-        assert lam == 0.0 and degenerate
+        res = dbgd_direction(np.array([3.0, 1.0]), np.zeros(2), 0.0)
+        assert res.lam == 0.0 and res.degenerate
 
     def test_the_guard_holds_at_its_own_value(self):
         # ||grad_g||^2 equal to the guard is degenerate, for both multipliers
@@ -90,7 +90,7 @@ class TestLambdaClosedForm:
 
     def test_rejects_negative_phi(self):
         with pytest.raises(ValueError):
-            lambda_closed_form(np.ones(2), np.ones(2), -1.0)
+            dbgd_direction(np.ones(2), np.ones(2), -1.0)
 
 
 class TestDbgdDirection:
@@ -221,7 +221,7 @@ def test_multiplier_bound_on_problem_gradients():
                 norm_g = float(np.linalg.norm(gg))
                 if norm_g**2 <= 1e-24:
                     continue
-                lam, _ = lambda_closed_form(gf, gg, beta * norm_g**2)
+                lam = dbgd_direction(gf, gg, beta * norm_g**2).lam
                 assert lam <= beta + bound / norm_g + 1e-12
 
 

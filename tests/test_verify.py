@@ -94,6 +94,18 @@ class TestSqrtLemma:
         with pytest.raises(ValueError):
             sqrt_lemma_check(1.0, 1.0, -1.0)
 
+    @pytest.mark.parametrize("a, b, x", [
+        (math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, math.nan),
+        (-math.inf, 1.0, 1.0), (1.0, math.inf, 1.0), (1.0, 1.0, math.inf),
+    ])
+    def test_rejects_non_finite_inputs(self, a, b, x):
+        # sqrt_lemma_check(nan, 1, 1) used to be False while the counter
+        # counted the same triple as no violation
+        with pytest.raises(ValueError, match="must be finite"):
+            sqrt_lemma_check(a, b, x)
+        with pytest.raises(ValueError, match="must be finite"):
+            sqrt_lemma_violations(np.array([0.0, a]), np.array([0.0, b]), np.array([0.0, x]))
+
     @settings(max_examples=500, deadline=None)
     @given(st.integers(0, 10**9))
     def test_implication_property(self, seed):
@@ -238,6 +250,27 @@ class TestLocalCertificate:
         with pytest.raises(ValueError):
             local_certificate(problem, np.zeros(2), 1.0, 1.0, 0.5, 1.0, 0)
 
+    @pytest.mark.parametrize("name", ["eps_f", "eps_g", "delta"])
+    @pytest.mark.parametrize("value", [math.nan, -0.5])
+    def test_rejects_a_nan_or_negative_tolerance(self, name, value):
+        # a NaN delta used to pass with lower_margin = inf
+        args = dict(eps_f=1e-4, eps_g=1e-4, delta=0.5, radius=1e-3, samples=200)
+        args[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be nonnegative"):
+            local_certificate(toy_problem(), np.array([-math.pi / 20.0, -1.0]), **args)
+
+    @pytest.mark.parametrize("f, g", [
+        (lambda x: x[..., 0] ** 2, lambda x: np.where(x[..., 0] > 0.0, np.nan, x[..., 0] ** 2)),
+        (lambda x: np.where(x[..., 0] > 0.0, np.inf, 0.0), lambda x: 0.0 * x[..., 0]),
+        (lambda x: np.where(x[..., 0] == 0.0, np.nan, 1.0), lambda x: 0.0 * x[..., 0]),
+    ], ids=["g-nan-at-samples", "f-inf-at-checked-samples", "f-nan-at-x-hat"])
+    def test_a_non_finite_value_raises(self, f, g):
+        # the minimum over samples used to skip NaN values and pass
+        problem = ProblemSpec(name="holey", dim=1, smoothness=SmoothnessProfile(1.0, 1.0),
+                              f=f, g=g, grad_f=np.zeros_like, grad_g=np.zeros_like)
+        with pytest.raises(EvaluationError, match="non-finite objective"):
+            local_certificate(problem, np.zeros(1), 1e-4, 1e-4, 0.5, 1e-2, 200)
+
     def test_rejects_a_point_of_another_dimension(self):
         # a 3-vector on the 2-dimensional toy used to pass
         with pytest.raises(ValueError, match=r"shape \(3,\), problem 'toy' takes \(2,\)"):
@@ -250,6 +283,56 @@ class TestLocalCertificate:
         assert np.all(dists <= 0.3 + 1e-12)
         again = sample_ball(center, 0.3, 200, rng(5))
         assert np.array_equal(pts, again)
+
+
+def _certificate_loop(problem, x_hat, eps_f, eps_g, delta, radius, samples, seed):
+    """``local_certificate``'s margins, checked count and verdict, one
+    sample at a time: the reference for its batched evaluation."""
+    points = sample_ball(x_hat, radius, samples, rng(seed))
+    f_hat, g_hat = problem.eval_f(x_hat), problem.eval_g(x_hat)
+    sf, sg = math.sqrt(eps_f), math.sqrt(eps_g)
+    lower = upper = math.inf
+    checked = 0
+    for point in points:
+        dist = float(np.linalg.norm(point - x_hat))
+        g_val = problem.eval_g(point)
+        lower = min(lower, g_val - g_hat + (1.0 + delta) * sg * dist)
+        if g_val <= g_hat:
+            checked += 1
+            upper = min(upper, problem.eval_f(point) - f_hat + (1.0 + delta) * sf * dist)
+    return lower, upper, checked, lower >= 0.0 and upper >= 0.0
+
+
+CERTIFIED_PROBLEMS = {
+    "toy": toy_problem(),
+    "quadratic": quadratic_sanity_problem(3),
+    "matfac": matrix_factorization_problem(5, 3, 1.0, seed=0),
+}
+
+
+@pytest.mark.parametrize("samples", [1, 200])
+@pytest.mark.parametrize("radius", [1e-4, 1e-2, 1.0])
+@pytest.mark.parametrize("name", CERTIFIED_PROBLEMS)
+def test_batched_certificate_equals_a_per_sample_loop(name, radius, samples):
+    problem = CERTIFIED_PROBLEMS[name]
+    points = [np.zeros(problem.dim)] + [problem.sample_point(rng(s)) for s in range(3)]
+    for seed, x_hat in enumerate(points):
+        args = (problem, x_hat, 1e-3, 1e-2, 0.5, radius, samples, seed)
+        got = local_certificate(*args)
+        lower, upper, checked, passed = _certificate_loop(*args)
+        assert np.float64(got.lower_margin).tobytes() == np.float64(lower).tobytes(), seed
+        assert np.float64(got.upper_margin).tobytes() == np.float64(upper).tobytes(), seed
+        assert (got.upper_checked, got.passed, got.samples) == (checked, passed, samples), seed
+
+
+def test_certificate_with_no_sample_below_the_lower_value():
+    # every sample around the lower minimum raises g, so none meets the upper test
+    problem = quadratic_sanity_problem(3)
+    args = (problem, np.zeros(3), 4.0, 0.0, 0.5, 0.1, 300, 0)
+    got = local_certificate(*args)
+    assert (got.upper_margin, got.upper_checked) == (math.inf, 0)
+    assert (got.lower_margin, got.upper_margin, got.upper_checked, got.passed) == \
+        _certificate_loop(*args)
 
 
 class TestRateFit:
@@ -360,8 +443,10 @@ class TestStationarityReport:
     (Penalty(10.0), 1e-2 / (1.0 + 10.0)),
 ], ids=["dbgd", "penalty"])
 def test_trace_rows_equal_the_report_at_their_iterate(method, eta):
-    # The solver's trace and stationarity_report compute the paper's
-    # residuals in two places; row k must be the report at x_k, bit for bit.
+    # stationarity_report takes its split and cosine from the engine's own
+    # geometry function, so row k must be the report at x_k, bit for bit.
+    # The independent route for the geometry is the reference loop
+    # (tests/reference.py).
     problem = toy_problem()
     x0 = np.array([-3.0, -1.0])
     config = SolverConfig(method, eta, 400)

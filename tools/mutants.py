@@ -52,9 +52,8 @@ MUTANTS = (
            "the potential's 1/eta (test_potential_labels)"),
     Mutant(SOLVER, "self.best_k[cell[better]] = k0 + first",
            "self.best_k[cell[better]] = k0 + first + 1", "best_k, one row late (criterion 06)"),
-    Mutant(SOLVER,
-           "row[:, _F_PERP_SQ] = row_dot(perp, perp)\n    row[:, _F_PAR_SQ] = row_dot(par, par)",
-           "row[:, _F_PERP_SQ] = row_dot(par, par)\n    row[:, _F_PAR_SQ] = row_dot(perp, perp)",
+    Mutant(SOLVER, "cos, row_dot(perp, perp), row_dot(par, par), defined",
+           "cos, row_dot(par, par), row_dot(perp, perp), defined",
            "f_par_sq and f_perp_sq swapped (criterion 06)"),
     Mutant(HARNESS, "eta = eta / (1.0 + method.lam)", "eta = eta",
            "the penalty step's 1/(1 + lambda) scaling (criterion 06)"),
@@ -100,6 +99,14 @@ MUTANTS = (
            "the degenerate flag written into the cos_defined column"),
     Mutant(SOLVER, "d_sq = row[:, _D_SQ] = row_dot(d, d)",
            "d_sq = row[:, _GRAD_G_SQ] = row_dot(d, d)", "d_sq written into the grad_g_sq column"),
+    # The certificates at a candidate point.
+    Mutant(VERIFY, "checked = g_val <= g_hat", "checked = g_val < g_hat",
+           "the upper test skips the samples where g stays level"),
+    Mutant(VERIFY, "sf, sg = math.sqrt(eps_f), math.sqrt(eps_g)",
+           "sf, sg = math.sqrt(eps_f), math.sqrt(eps_f)", "the lower margin's sqrt(eps_g)"),
+    Mutant(VERIFY, "halfspace_multiplier(row_dot(gf, gg), gg_sq, 0.0)",
+           "halfspace_multiplier(row_dot(gf, gg), gg_sq, 1.0)",
+           "the level 0 of stationarity_report's optimal multiplier"),
 )
 
 
