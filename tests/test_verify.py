@@ -23,6 +23,7 @@ from dbgd import (
     quadratic_sanity_problem,
     rate_fit,
     rng,
+    row_dot,
     run,
     sample_ball,
     sqrt_lemma_check,
@@ -333,6 +334,15 @@ def test_certificate_with_no_sample_below_the_lower_value():
     assert (got.upper_margin, got.upper_checked) == (math.inf, 0)
     assert (got.lower_margin, got.upper_margin, got.upper_checked, got.passed) == \
         _certificate_loop(*args)
+
+
+def test_samples_where_g_stays_level_meet_the_upper_test():
+    # g(x) <= g(x_hat) admits equality: on a flat lower level every sample counts
+    problem = ProblemSpec(name="flat", dim=2, smoothness=SmoothnessProfile(2.0, 1.0),
+                          f=lambda x: row_dot(x, x), g=lambda x: 0.0 * x[..., 0],
+                          grad_f=lambda x: 2.0 * x, grad_g=np.zeros_like)
+    got = local_certificate(problem, np.zeros(2), 0.0, 0.0, 0.5, 0.1, 50)
+    assert (got.upper_checked, got.passed) == (50, True)
 
 
 class TestRateFit:
