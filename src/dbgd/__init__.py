@@ -5,121 +5,21 @@ objective using first-order information only.  The package provides the
 built-in problem instances, the per-iteration direction subproblems, the
 iteration driver with trace recording, stationarity and KKT certificates,
 independent verification oracles, and a CLI experiment harness.
+
+Each module declares its public names in its ``__all__``; the package
+exports all of them.
 """
 
-from .direction import (
-    DEFAULT_GUARD,
-    BarrierRule,
-    BloopOrthogonal,
-    DirectionResult,
-    DynamicBarrierMin,
-    GradNormSquared,
-    LowerLinearization,
-    Method,
-    Penalty,
-    barrier_value,
-    bloop_direction,
-    dbgd_direction,
-    decompose_grad_f,
-    penalty_direction,
-    qp_oracle_direction,
-)
-from .errors import (
-    ConfigurationError,
-    DbgdError,
-    DivergenceError,
-    EvaluationError,
-    InfeasibleSubproblemError,
-    LowerOptimumError,
-)
-from .problems import (
-    ProblemSpec,
-    SmoothnessProfile,
-    matrix_factorization_problem,
-    quadratic_sanity_problem,
-    rng,
-    row_dot,
-    toy_problem,
-)
-from .solver import (
-    COLUMNS,
-    BatchTrace,
-    SolverConfig,
-    TraceRecord,
-    best_iterate,
-    run,
-    scheduled_step,
-)
-from .verify import (
-    AuditReport,
-    CertificateResult,
-    RateFit,
-    StationarityReport,
-    finite_diff_check,
-    finite_diff_sweep,
-    inequality_audit,
-    infeasible_stationary_ok,
-    local_certificate,
-    rate_fit,
-    sample_ball,
-    sqrt_lemma_check,
-    sqrt_lemma_violations,
-    stationarity_report,
-    unscaled_kkt_ok,
-)
+from . import direction, errors, problems, solver, verify
+from .direction import *
+from .errors import *
+from .problems import *
+from .solver import *
+from .verify import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_GUARD",
-    "BarrierRule",
-    "BloopOrthogonal",
-    "DirectionResult",
-    "DynamicBarrierMin",
-    "GradNormSquared",
-    "LowerLinearization",
-    "Method",
-    "Penalty",
-    "barrier_value",
-    "bloop_direction",
-    "dbgd_direction",
-    "decompose_grad_f",
-    "penalty_direction",
-    "qp_oracle_direction",
-    "ConfigurationError",
-    "DbgdError",
-    "DivergenceError",
-    "EvaluationError",
-    "InfeasibleSubproblemError",
-    "LowerOptimumError",
-    "ProblemSpec",
-    "SmoothnessProfile",
-    "matrix_factorization_problem",
-    "quadratic_sanity_problem",
-    "rng",
-    "row_dot",
-    "toy_problem",
-    "COLUMNS",
-    "BatchTrace",
-    "SolverConfig",
-    "TraceRecord",
-    "best_iterate",
-    "run",
-    "scheduled_step",
-    "AuditReport",
-    "CertificateResult",
-    "RateFit",
-    "StationarityReport",
-    "finite_diff_check",
-    "finite_diff_sweep",
-    "inequality_audit",
-    "infeasible_stationary_ok",
-    "local_certificate",
-    "rate_fit",
-    "sample_ball",
-    "sqrt_lemma_check",
-    "sqrt_lemma_violations",
-    "stationarity_report",
-    "unscaled_kkt_ok",
+    *direction.__all__, *errors.__all__, *problems.__all__, *solver.__all__, *verify.__all__,
     "__version__",
 ]

@@ -33,6 +33,13 @@ import numpy as np
 from .errors import InfeasibleSubproblemError
 from .problems import row_dot
 
+__all__ = [
+    "DEFAULT_GUARD", "BarrierRule", "BloopOrthogonal", "DirectionResult", "DynamicBarrierMin",
+    "GradNormSquared", "LowerLinearization", "Method", "Penalty", "barrier_value",
+    "bloop_direction", "dbgd_direction", "decompose_grad_f", "penalty_direction",
+    "qp_oracle_direction",
+]
+
 Array = np.ndarray
 
 #: The degeneracy guard on ||grad_g||^2, one rounding-level constant for
@@ -65,6 +72,12 @@ class _Barrier(_Rule):
         return halfspace_multiplier(fg, gg_sq, self.level(g, gg_sq))
 
 
+def _check_g_star(rule: _Barrier) -> None:
+    """Reject a ``g*``-based rule built without the lower optimum."""
+    if rule.g_star is None:
+        raise ValueError(f"{rule.label} needs a problem with known g*, got g_star=None")
+
+
 @dataclass(frozen=True)
 class GradNormSquared(_Barrier):
     """Barrier level ``beta * ||grad_g||^2`` with ``0 <= beta <= 1``."""
@@ -93,6 +106,7 @@ class DynamicBarrierMin(_Barrier):
     g_star: float
 
     def __post_init__(self):
+        _check_g_star(self)
         if not np.all(np.asarray(self.alpha) > 0.0):
             raise ValueError("alpha must be strictly positive")
         if not np.all(np.asarray(self.beta) > 0.0):
@@ -119,6 +133,7 @@ class LowerLinearization(_Barrier):
     eta: float
 
     def __post_init__(self):
+        _check_g_star(self)
         if not np.all(np.asarray(self.eta) > 0.0):
             raise ValueError("eta must be strictly positive")
 
@@ -146,7 +161,7 @@ class BloopOrthogonal(_Rule):
         return orthogonal_multiplier(fg, gg_sq, self.beta)
 
 
-#: Each rule's ``label`` is the ``method_label`` of the traces it drives.
+#: Each rule's ``label`` names it in the ``method`` column of ``summary.csv``.
 BarrierRule = Union[GradNormSquared, DynamicBarrierMin, LowerLinearization, BloopOrthogonal]
 
 
@@ -224,7 +239,11 @@ def halfspace_multiplier(fg, gg_sq, phi):
 
 
 def dbgd_direction(grad_f: Array, grad_g: Array, phi) -> DirectionResult:
-    """Euclidean projection of ``grad_f`` onto ``{d : grad_g . d >= phi}``, ``phi >= 0``."""
+    """Euclidean projection of ``grad_f`` onto ``{d : grad_g . d >= phi}``, ``phi >= 0``.
+
+    A NaN level is not rejected: it propagates to ``lam`` and ``d``, so
+    that a non-finite gradient reaches the solver's finiteness check.
+    """
     if np.any(np.asarray(phi) < 0.0):
         raise ValueError(f"phi must be nonnegative, got {phi}")
     lam, degenerate = halfspace_multiplier(row_dot(grad_f, grad_g), row_dot(grad_g, grad_g), phi)
@@ -289,9 +308,10 @@ def qp_oracle_direction(
     residual ``grad_g . (grad_f + lam * grad_g) - phi`` (increasing in
     ``lam``), doubling the upper bracket until the constraint is
     satisfied.  Deliberately avoids the closed form so it can certify it;
-    agreement is within ``tol`` in the direction norm.
+    agreement is within ``tol`` in the direction norm.  A NaN level is
+    rejected, as a negative one is.
     """
-    if phi < 0.0:
+    if not (phi >= 0.0):
         raise ValueError(f"phi must be nonnegative, got {phi}")
     gg = float(grad_g @ grad_g)
     if gg == 0.0:

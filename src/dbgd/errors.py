@@ -4,6 +4,11 @@ from __future__ import annotations
 
 from typing import Optional
 
+__all__ = [
+    "ConfigurationError", "DbgdError", "DivergenceError", "EvaluationError",
+    "InfeasibleSubproblemError", "LowerOptimumError",
+]
+
 
 class DbgdError(Exception):
     """Base class for package-specific errors."""

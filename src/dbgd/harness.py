@@ -60,7 +60,7 @@ from .solver import (
     run,
     scheduled_step,
 )
-from .verify import rate_fit
+from .verify import SLOPE_TOLERANCE, rate_fit
 
 #: Columns written as integers or as text; every other column is a float.
 _INTEGER_COLUMNS = {"k", "degenerate", "rows", "stopped_early", "init"}
@@ -291,14 +291,12 @@ class MethodEntry(NamedTuple):
 
     A block yields one grid cell per combination of its ``fields`` (first
     field outermost), named ``{prefix}_{field}={value:g}_...`` and built by
-    ``build(g_star, *values)``.  ``needs_g_star`` marks methods that need a
-    problem with a known lower optimum.
+    ``build(g_star, *values)``.
     """
 
     prefix: str
     fields: tuple[str, ...]
     build: Callable[..., Method | Schedule]
-    needs_g_star: bool = False
 
 
 #: Rule of a dbgd block that names none.
@@ -313,13 +311,9 @@ METHODS = {
         "dbgd-min",
         ("alpha", "beta"),
         lambda g_star, alpha, beta: DynamicBarrierMin(alpha, beta, g_star),
-        needs_g_star=True,
     ),
     ("dbgd", "lower-linearization"): MethodEntry(
-        "dbgd-lin",
-        ("eta",),
-        lambda g_star, eta: LowerLinearization(g_star, eta),
-        needs_g_star=True,
+        "dbgd-lin", ("eta",), lambda g_star, eta: LowerLinearization(g_star, eta)
     ),
     ("dbgd", "scheduled"): MethodEntry("dbgd-sched", ("p",), lambda g_star, p: Schedule(p)),
     ("penalty", None): MethodEntry("penalty", ("lambda",), lambda g_star, lam: Penalty(lam)),
@@ -514,10 +508,6 @@ def expand_methods(
     for i, block in enumerate(blocks):
         where = f"methods[{i}]"
         entry = _method_entry(block, where)
-        if entry.needs_g_star and not problem.has_g_star:
-            raise ConfigurationError(
-                f"{where}: the {_method_key(block)[1]} rule needs a problem with known g*"
-            )
         grids = [_grid_values(block[field]) for field in entry.fields]
         for values in itertools.product(*grids):
             name = "_".join(
@@ -617,7 +607,7 @@ def _values(trace: TraceRecord, row: int, columns: tuple[str, ...]) -> list:
 def _summary_row(name: str, trace: TraceRecord) -> str:
     best = int(np.argmin(trace.potential))
     return SUMMARY_CSV.row(
-        [name, trace.method_label, len(trace), trace.stopped_early,
+        [name, trace.config.method.label, len(trace), trace.stopped_early,
          *_values(trace, -1, _SUMMARY_FINAL), *_values(trace, best, _SUMMARY_BEST)],
         trace.cos_defined[-1],
     )
@@ -700,7 +690,7 @@ def run_rates(
     path = Path(output_file if output_file is not None else doc["output"]["file"])
     _output_directory(path.parent)
     _output_file(path)
-    tolerance = doc.get("slope_tolerance", 0.3)
+    tolerance = doc.get("slope_tolerance", SLOPE_TOLERANCE)
     try:
         fits = rate_fit(problem, x0, doc["p"], list(doc["k_grid"]), tolerance)
     except ValueError as exc:

@@ -23,6 +23,11 @@ import numpy as np
 
 from .errors import LowerOptimumError
 
+__all__ = [
+    "ProblemSpec", "SmoothnessProfile", "matrix_factorization_problem", "quadratic_sanity_problem",
+    "rng", "row_dot", "toy_problem",
+]
+
 Array = np.ndarray
 
 

@@ -26,7 +26,7 @@ fills them for each run's best and last rows, once, after the last block.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -46,6 +46,11 @@ from .direction import (
 )
 from .errors import ConfigurationError, DivergenceError
 from .problems import ProblemSpec, SmoothnessProfile, row_dot
+
+__all__ = [
+    "COLUMNS", "BatchTrace", "SolverConfig", "TraceRecord", "best_iterate", "run",
+    "scheduled_step",
+]
 
 Array = np.ndarray
 
@@ -138,12 +143,12 @@ def _column(name: str, flag: bool = False) -> property:
 class TraceRecord:
     """Per-iteration diagnostics of one run.
 
-    Row ``k`` describes iterate ``x_k`` and the step taken from it;
-    ``delta_f`` / ``delta_g`` are the objective decreases
-    ``f(x_k) - f(x_{k+1})`` and likewise for ``g``.  ``potential`` is
-    ``0.5 d_sq + (beta/(L_g eta)) grad_g_sq`` for barrier runs
-    (``potential_kind == "full"``) and ``0.5 d_sq`` for runs without a
-    barrier weight (``potential_kind == "direction-only"``).
+    ``config`` is the :class:`SolverConfig` the run took.  Row ``k``
+    describes iterate ``x_k`` and the step taken from it; ``delta_f`` /
+    ``delta_g`` are the objective decreases ``f(x_k) - f(x_{k+1})`` and
+    likewise for ``g``.  ``potential`` is ``0.5 d_sq + (beta/(L_g eta))
+    grad_g_sq``, with ``beta`` the rule's ``potential_beta``, and
+    ``0.5 d_sq`` for a rule whose ``potential_beta`` is ``None``.
     ``cos_theta`` is NaN where a gradient vanished; see ``cos_defined``.
     The geometry columns ``grad_f_sq``, ``cos_theta``, ``f_perp_sq``,
     ``f_par_sq`` and ``cos_defined`` are computed for kept rows only.
@@ -158,14 +163,10 @@ class TraceRecord:
 
     table: Array
     k: Array
-    eta: float
-    beta: Optional[float]
-    potential_kind: str
-    method_label: str
+    config: SolverConfig
     final_x: Array
     stopped_early: bool
     degenerate_steps: int
-    warnings: list[str] = field(default_factory=list)
 
     f = _column("f")
     g = _column("g")
@@ -495,18 +496,14 @@ def _run_batch(
     if write is None:
         _fill_geometry(best_last.table, best_last.gf, best_last.gg)
     traces = []
-    for i, (config, beta, rows) in enumerate(zip(configs, betas, out["rows"].tolist())):
+    for i, (config, rows) in enumerate(zip(configs, out["rows"].tolist())):
         traces.append(TraceRecord(
             table=table[:rows, i] if keep == "all" else best_last.table[:, i],
             k=np.arange(rows) if keep == "all" else np.array([best_last.best_k[i], rows - 1]),
-            eta=config.eta,
-            beta=beta,
-            potential_kind="direction-only" if beta is None else "full",
-            method_label=config.method.label,
+            config=config,
             final_x=out["final_x"][i],
             stopped_early=bool(out["stopped"][i]),
             degenerate_steps=int(out["degenerate"][i]),
-            warnings=config.warnings(problem.smoothness),
         ))
     return BatchTrace(tuple(traces))
 

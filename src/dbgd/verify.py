@@ -28,6 +28,13 @@ from .errors import ConfigurationError, DivergenceError, EvaluationError
 from .problems import ProblemSpec, SmoothnessProfile, rng, row_dot
 from .solver import SolverConfig, TraceRecord, _geometry, run, scheduled_step
 
+__all__ = [
+    "AuditReport", "CertificateResult", "RateFit", "StationarityReport", "finite_diff_check",
+    "finite_diff_sweep", "inequality_audit", "infeasible_stationary_ok", "local_certificate",
+    "rate_fit", "sample_ball", "sqrt_lemma_check", "sqrt_lemma_violations", "stationarity_report",
+    "unscaled_kkt_ok",
+]
+
 Array = np.ndarray
 
 
@@ -43,26 +50,26 @@ def finite_diff_check(problem: ProblemSpec, x: Array, h: float) -> float:
     """Worst mismatch between analytic and central-difference gradients.
 
     Compares both objectives coordinate by coordinate and returns the
-    maximum of ``|fd_i - grad_i| / (1 + |grad_i|)``.
+    maximum of ``|fd_i - grad_i| / (1 + |grad_i|)``.  Each objective is
+    evaluated at the ``2 dim`` points ``x +- h e_i`` in two batched calls,
+    each row of which is its point's single-point value.
     """
     if not (h > 0.0):
         raise ValueError("h must be strictly positive")
     x = _point(problem, x)
+    steps = h * np.eye(problem.dim)
     worst = 0.0
     for func, grad in ((problem.eval_f, problem.eval_grad_f),
                        (problem.eval_g, problem.eval_grad_g)):
         analytic = grad(x)
         if not np.all(np.isfinite(analytic)):
             raise EvaluationError(f"non-finite gradient at x = {x!r}")
-        for i in range(problem.dim):
-            step = np.zeros(problem.dim)
-            step[i] = h
-            hi = func(x + step)
-            lo = func(x - step)
-            if not (np.isfinite(hi) and np.isfinite(lo)):
-                raise EvaluationError(f"non-finite objective near x = {x!r}")
-            fd = (hi - lo) / (2.0 * h)
-            worst = max(worst, abs(fd - analytic[i]) / (1.0 + abs(analytic[i])))
+        hi = func(x + steps)
+        lo = func(x - steps)
+        if not (np.isfinite(hi).all() and np.isfinite(lo).all()):
+            raise EvaluationError(f"non-finite objective near x = {x!r}")
+        fd = (hi - lo) / (2.0 * h)
+        worst = max(worst, float(np.max(np.abs(fd - analytic) / (1.0 + np.abs(analytic)))))
     return worst
 
 
@@ -140,16 +147,17 @@ def inequality_audit(trace: TraceRecord, profile: SmoothnessProfile) -> AuditRep
     """Audit a dynamic-barrier trace against its descent bounds.
 
     Valid only for the grad-norm-squared rule; the bounds take the run's own
-    step size and barrier weight (``trace.eta``, ``trace.beta``), and the
-    profile constants must hold over the recorded trajectory for the
-    outcome to be meaningful.
+    step size and barrier weight (``trace.config.eta``,
+    ``trace.config.method.beta``), and the profile constants must hold over
+    the recorded trajectory for the outcome to be meaningful.
     All slacks (``_AUDIT_SLACK``, 1e-8) are relative to the magnitude of
     the audited side (the multiplier bound uses a fixed ``1e-12``).
     """
-    if trace.method_label != GradNormSquared.label:
+    method = trace.config.method
+    if not isinstance(method, GradNormSquared):
         raise ConfigurationError(
             f"inequality audit needs a dynamic-barrier grad-norm-squared trace, "
-            f"got {trace.method_label!r}"
+            f"got {method.label!r}"
         )
     if profile.grad_f_bound is None:
         raise ConfigurationError(
@@ -157,7 +165,7 @@ def inequality_audit(trace: TraceRecord, profile: SmoothnessProfile) -> AuditRep
         )
 
     lf, lg, gf_bound = profile.lip_grad_f, profile.lip_grad_g, profile.grad_f_bound
-    eta, beta = trace.eta, trace.beta
+    eta, beta = trace.config.eta, method.beta
     d_sq, gg_sq = trace.d_sq, trace.grad_g_sq
     lam, df, dg = trace.lam, trace.delta_f, trace.delta_g
 
@@ -355,6 +363,11 @@ def local_certificate(
     )
 
 
+#: The default of :func:`rate_fit`'s ``slope_tolerance``, and of a rates
+#: config's.
+SLOPE_TOLERANCE = 0.3
+
+
 @dataclass(frozen=True)
 class RateFit:
     """Log-log fit of the minimal potential against the iteration budget.
@@ -380,7 +393,7 @@ def rate_fit(
     x0: Array,
     ps: list[float],
     k_grid: list[int],
-    slope_tolerance: float = 0.3,
+    slope_tolerance: float = SLOPE_TOLERANCE,
 ) -> list[RateFit]:
     """Run the scheduled method across budgets and fit the decay slope.
 

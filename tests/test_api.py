@@ -1,9 +1,12 @@
 import importlib
+import math
 import re
 import types
 from pathlib import Path
 
 import dbgd
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_every_exported_name_resolves():
@@ -34,8 +37,7 @@ def test_star_import_binds_exactly_the_export_list():
 
 def _overview_rows():
     """``(module, contents)`` of each row of README's "Library overview" table."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = readme.split("## Library overview", 1)[1].split("\n## ", 1)[0]
+    section = README.read_text().split("## Library overview", 1)[1].split("\n## ", 1)[0]
     return re.findall(r"^\| `(dbgd\.\w+)` \| (.*) \|$", section, re.M)
 
 
@@ -49,3 +51,11 @@ def test_readme_module_table_names_only_what_each_module_has():
         names = re.findall(r"`(\w+)\(", contents) + re.findall(r"`([A-Z]\w*)`", contents)
         stale += [f"{module_name}.{name}" for name in names if not hasattr(module, name)]
     assert stale == []
+
+
+def test_the_readme_quick_example_runs(capsys):
+    text = README.read_text().split("Quick example:", 1)[1]
+    code = text.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(code, {})
+    printed = [float(value) for value in capsys.readouterr().out.split()]
+    assert len(printed) == 3 and all(math.isfinite(value) for value in printed)

@@ -58,6 +58,11 @@ class TestBarrierValue:
             DynamicBarrierMin(alpha=0.0, beta=1.0, g_star=0.0)
         with pytest.raises(ValueError):
             LowerLinearization(g_star=0.0, eta=0.0)
+        # the g*-based rules refuse to be built without g*
+        with pytest.raises(ValueError, match=r"g\*"):
+            DynamicBarrierMin(alpha=1.0, beta=0.5, g_star=None)
+        with pytest.raises(ValueError, match=r"g\*"):
+            LowerLinearization(g_star=None, eta=0.5)
 
 
 class TestLambdaClosedForm:
@@ -193,6 +198,14 @@ class TestQpOracle:
     def test_infeasible_subproblem(self):
         with pytest.raises(InfeasibleSubproblemError):
             qp_oracle_direction(np.ones(2), np.zeros(2), 1.0)
+
+    def test_a_nan_level_is_refused_where_the_closed_form_propagates_it(self):
+        # bisecting on a NaN level would return a finite multiplier
+        gf, gg = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        closed = dbgd_direction(gf, gg, np.nan)
+        assert np.isnan(closed.lam) and np.isnan(closed.d).all()
+        with pytest.raises(ValueError, match="phi must be nonnegative"):
+            qp_oracle_direction(gf, gg, np.nan)
 
 
 def test_oracle_equivalence_random_sweep():

@@ -370,7 +370,9 @@ class TestExpansion:
         for (_, method), (name, label, potential_kind) in zip(cells, expected):
             config = SolverConfig(method=method, eta=0.1, iterations=2)
             trace = run(problem, config, x0)
-            assert (trace.method_label, trace.potential_kind) == (label, potential_kind), name
+            beta = trace.config.method.potential_beta
+            assert (trace.config.method.label, "direction-only" if beta is None else "full") == (
+                label, potential_kind), name
 
     def test_the_methods_table_builds_every_kind_of_the_method_union(self):
         # a schedule resolves to a grad-norm-squared rule for its budget
@@ -638,7 +640,8 @@ class TestScheduledResolution:
         (batch,) = batches
         for trace, p in zip(batch.traces, grid, strict=True):
             eta, beta = scheduled_step(problem.smoothness, override or 50, p)
-            assert (trace.eta, trace.beta, len(trace)) == (eta, beta, override or 50), p
+            assert (trace.config.eta, trace.config.method.beta, len(trace)) == (
+                eta, beta, override or 50), p
 
     def test_a_mixed_grid_runs_each_block_as_it_runs_alone(self, tmp_path):
         doc, _ = self.scheduled_toy(tmp_path, 300, [0.0, 1.0])
@@ -665,9 +668,9 @@ class TestScheduledResolution:
         assert "warning" not in capsys.readouterr().err
         problem = build_problem(doc["problem"])
         trace = self.library_trace(problem, iterations, 1.0, doc["run"]["x0"])
-        assert trace.warnings == []
+        assert trace.config.warnings(problem.smoothness) == []
         if iterations == 1:
-            assert trace.eta == 1.0 / problem.smoothness.lip_total
+            assert trace.config.eta == 1.0 / problem.smoothness.lip_total
 
 
 class TestPenaltyStepScaling:
@@ -1048,7 +1051,7 @@ class TestCli:
         _, problem, x0, ((name, config),) = harness.prepare_config(doc, "experiment")
         expected = config.warnings(problem.smoothness)
         assert bool(expected) == (warns and step > 0.5)
-        assert run(problem, config, x0).warnings == expected
+        assert run(problem, config, x0).config is config
         assert cli.main(["run", str(path)]) == 0
         printed = [line for line in capsys.readouterr().err.splitlines()
                    if line.startswith("warning: ")]

@@ -92,10 +92,7 @@ def assert_reference_runs(problem, runs, x0, keep):
         assert bits(trace.final_x) == bits(ref.final_x), i
         assert trace.stopped_early == ref.stopped, i
         assert trace.degenerate_steps == sum(row["degenerate"] for row in ref.rows), i
-        assert (trace.beta, trace.potential_kind) == (
-            ref.beta, "direction-only" if ref.beta is None else "full"), i
-        assert (trace.eta, trace.method_label, trace.warnings) == (
-            config.eta, config.method.label, []), i
+        assert trace.config is config and config.method.potential_beta == ref.beta, i
         for column in COLUMNS:
             assert_rows(getattr(trace, column), [ref.rows[k][column] for k in kept], (i, column))
         if keep == "write":

@@ -174,7 +174,7 @@ class TestRun:
             iterations=5,
         )
         trace = run(problem, config, 0.1 * np.ones(4))
-        assert any("exceeds" in w for w in trace.warnings)
+        assert any("exceeds" in w for w in trace.config.warnings(problem.smoothness))
 
     @pytest.mark.parametrize("method", [
         GradNormSquared(0.5),
@@ -189,7 +189,7 @@ class TestRun:
         config = SolverConfig(method=method, eta=0.5, iterations=1)
         x0 = np.ones(2)
         trace = run(problem, config, x0)
-        assert trace.eta == config.eta
+        assert trace.config.eta == config.eta
         step_sq = float(np.sum((trace.final_x - x0) ** 2))
         assert step_sq == pytest.approx(config.eta**2 * trace.d_sq[0], rel=1e-12)
 
@@ -201,15 +201,14 @@ class TestRun:
             SolverConfig(method=Penalty(1.0), eta=0.1 / (1.0 + 1.0), iterations=3),
             x0,
         )
-        assert pen.potential_kind == "direction-only"
+        assert pen.config.method.potential_beta is None
         assert np.allclose(pen.potential, 0.5 * pen.d_sq)
         blp = run(
             problem,
             SolverConfig(method=BloopOrthogonal(0.5), eta=0.1, iterations=3),
             x0,
         )
-        assert blp.potential_kind == "full"
-        assert blp.beta == 0.5
+        assert blp.config.method.potential_beta == 0.5
         expected = 0.5 * blp.d_sq + (0.5 / (1.0 * 0.1)) * blp.grad_g_sq
         assert np.allclose(blp.potential, expected)
 
@@ -227,7 +226,8 @@ class TestRun:
         x0 = 0.2 * np.ones(3)
         fixed = run(problem, SolverConfig(Fixed(1.0), 0.6, 3), x0)  # above the bound 0.5
         plain = run(problem, SolverConfig(Penalty(1.0), 0.6, 3), x0)
-        assert (fixed.potential_kind, fixed.beta, fixed.warnings) == ("direction-only", None, [])
+        assert (fixed.config.method.potential_beta, fixed.config.warnings(problem.smoothness)) == (
+            None, [])
         assert fixed.table.tobytes() == plain.table.tobytes()
 
     def test_potential_is_nonnegative(self):

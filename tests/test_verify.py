@@ -7,10 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbgd import (
+    BloopOrthogonal,
     ConfigurationError,
     DivergenceError,
+    DynamicBarrierMin,
     EvaluationError,
     GradNormSquared,
+    LowerLinearization,
     Penalty,
     ProblemSpec,
     SmoothnessProfile,
@@ -178,13 +181,16 @@ class TestInequalityAudit:
         assert report.total_violations == 0
 
     def test_mode_mismatch_is_config_error(self):
+        # the bounds are those of the grad-norm-squared rule, not of every barrier rule
         problem = quadratic_sanity_problem(3)
-        config = SolverConfig(
-            method=Penalty(1.0), eta=0.1 / (1.0 + 1.0), iterations=5
-        )
-        trace = run(problem, config, 0.1 * np.ones(3))
-        with pytest.raises(ConfigurationError):
-            inequality_audit(trace, problem.smoothness)
+        for method in (Penalty(1.0), DynamicBarrierMin(1.0, 0.5, 0.0),
+                       LowerLinearization(0.0, 0.1), BloopOrthogonal(0.5)):
+            config = SolverConfig(
+                method=method, eta=0.1 / (1.0 + 1.0), iterations=5
+            )
+            trace = run(problem, config, 0.1 * np.ones(3))
+            with pytest.raises(ConfigurationError, match=method.label):
+                inequality_audit(trace, problem.smoothness)
 
     def test_missing_gradient_bound_is_capability_error(self):
         problem, trace = _audit_trace()
@@ -324,6 +330,31 @@ def test_batched_certificate_equals_a_per_sample_loop(name, radius, samples):
         assert np.float64(got.lower_margin).tobytes() == np.float64(lower).tobytes(), seed
         assert np.float64(got.upper_margin).tobytes() == np.float64(upper).tobytes(), seed
         assert (got.upper_checked, got.passed, got.samples) == (checked, passed, samples), seed
+
+
+def _finite_diff_loop(problem, x, h):
+    """``finite_diff_check``'s worst error, one point at a time: the
+    reference for its batched evaluation."""
+    worst = 0.0
+    for func, grad in ((problem.eval_f, problem.eval_grad_f),
+                       (problem.eval_g, problem.eval_grad_g)):
+        analytic = grad(x)
+        for i in range(problem.dim):
+            step = np.zeros(problem.dim)
+            step[i] = h
+            fd = (func(x + step) - func(x - step)) / (2.0 * h)
+            worst = max(worst, abs(fd - analytic[i]) / (1.0 + abs(analytic[i])))
+    return worst
+
+
+@pytest.mark.parametrize("name", CERTIFIED_PROBLEMS)
+def test_batched_finite_differences_equal_a_per_coordinate_loop(name):
+    problem = CERTIFIED_PROBLEMS[name]
+    for seed in range(4):
+        x = problem.sample_point(rng(seed))
+        h = 1e-6 * (1.0 + float(np.linalg.norm(x)))
+        got, expected = finite_diff_check(problem, x, h), _finite_diff_loop(problem, x, h)
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes(), seed
 
 
 def test_certificate_with_no_sample_below_the_lower_value():

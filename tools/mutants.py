@@ -107,6 +107,14 @@ MUTANTS = (
     Mutant(VERIFY, "halfspace_multiplier(row_dot(gf, gg), gg_sq, 0.0)",
            "halfspace_multiplier(row_dot(gf, gg), gg_sq, 1.0)",
            "the level 0 of stationarity_report's optimal multiplier"),
+    # What a rule or an oracle refuses.
+    Mutant(DIRECTION, "if not (phi >= 0.0):", "if phi < 0.0:",
+           "the dual-bisection oracle's refusal of a NaN level"),
+    Mutant(DIRECTION, "if rule.g_star is None:", "if False:",
+           "the g*-based rules' refusal of g_star=None"),
+    Mutant(VERIFY, "isinstance(method, GradNormSquared)",
+           "isinstance(method, GradNormSquared.__base__)",
+           "inequality_audit's rule test, widened to every barrier rule"),
 )
 
 
