@@ -46,30 +46,40 @@ def _point(problem: ProblemSpec, x) -> Array:
     return x
 
 
+#: Coordinates per batched call of :func:`finite_diff_check`: every bundled
+#: problem (at most 100 coordinates) takes one call per objective and sign,
+#: while a wide problem's batch stays bounded (one matrix-factorization
+#: point holds an ``n x n`` residual).
+_FD_POINTS = 128
+
+
 def finite_diff_check(problem: ProblemSpec, x: Array, h: float) -> float:
     """Worst mismatch between analytic and central-difference gradients.
 
     Compares both objectives coordinate by coordinate and returns the
     maximum of ``|fd_i - grad_i| / (1 + |grad_i|)``.  Each objective is
-    evaluated at the ``2 dim`` points ``x +- h e_i`` in two batched calls,
-    each row of which is its point's single-point value.
+    evaluated at the points ``x +- h e_i`` in batched calls of up to
+    ``_FD_POINTS`` coordinates each, each row of which is its point's
+    single-point value.
     """
     if not (h > 0.0):
         raise ValueError("h must be strictly positive")
     x = _point(problem, x)
-    steps = h * np.eye(problem.dim)
     worst = 0.0
     for func, grad in ((problem.eval_f, problem.eval_grad_f),
                        (problem.eval_g, problem.eval_grad_g)):
         analytic = grad(x)
         if not np.all(np.isfinite(analytic)):
             raise EvaluationError(f"non-finite gradient at x = {x!r}")
-        hi = func(x + steps)
-        lo = func(x - steps)
-        if not (np.isfinite(hi).all() and np.isfinite(lo).all()):
-            raise EvaluationError(f"non-finite objective near x = {x!r}")
-        fd = (hi - lo) / (2.0 * h)
-        worst = max(worst, float(np.max(np.abs(fd - analytic) / (1.0 + np.abs(analytic)))))
+        for i in range(0, problem.dim, _FD_POINTS):
+            steps = h * np.eye(min(_FD_POINTS, problem.dim - i), problem.dim, i)
+            hi = func(x + steps)
+            lo = func(x - steps)
+            if not (np.isfinite(hi).all() and np.isfinite(lo).all()):
+                raise EvaluationError(f"non-finite objective near x = {x!r}")
+            fd = (hi - lo) / (2.0 * h)
+            part = analytic[i:i + _FD_POINTS]
+            worst = max(worst, float(np.max(np.abs(fd - part) / (1.0 + np.abs(part)))))
     return worst
 
 

@@ -347,9 +347,10 @@ def _finite_diff_loop(problem, x, h):
     return worst
 
 
-@pytest.mark.parametrize("name", CERTIFIED_PROBLEMS)
+@pytest.mark.parametrize("name", [*CERTIFIED_PROBLEMS, "matfac-150"])
 def test_batched_finite_differences_equal_a_per_coordinate_loop(name):
-    problem = CERTIFIED_PROBLEMS[name]
+    # 150 coordinates take two batched calls per objective and sign
+    problem = CERTIFIED_PROBLEMS.get(name) or matrix_factorization_problem(30, 5, 1.0, seed=0)
     for seed in range(4):
         x = problem.sample_point(rng(seed))
         h = 1e-6 * (1.0 + float(np.linalg.norm(x)))
