@@ -428,8 +428,9 @@ def prepare_config(
     given, is the config kind the caller runs; ``iterations`` replaces the
     budget before any step is resolved.  Returns the document, the problem,
     the start point (a row per case-study initialization) and the named run
-    configs (none for ``rates``).  Every rejected value, including one a
-    constructor rejects, raises :class:`ConfigurationError`.
+    configs (for ``rates``, the scheduled run ``p={p} K={k}`` of each pair,
+    ``p`` outermost).  Every rejected value, including one a constructor or
+    :func:`_build_solver_config` rejects, raises :class:`ConfigurationError`.
     """
     if not isinstance(doc, dict):
         doc = load_config(doc)
@@ -438,34 +439,38 @@ def prepare_config(
     if kind is not None and doc["kind"] != kind:
         raise ConfigurationError(f"expected a {kind!r} config, got {doc['kind']!r}")
     problem = build_problem(doc["problem"])
-    cells = expand_methods(_method_blocks(doc), problem)
     if doc["kind"] == "rates":
-        return doc, problem, resolve_x0(doc["x0"], problem.dim, "$.x0"), []
-    run_block = dict(doc["run"])
-    if iterations is not None:
-        if iterations < 1:
-            raise ConfigurationError("iterations override must be >= 1")
-        run_block["iterations"] = iterations
-    if doc["kind"] == "casestudy":
-        if len(cells) != 1:
-            raise ConfigurationError("case studies take a single method without grids")
-        inits = run_block["initializations"]
-        x0 = np.array([resolve_x0(init, problem.dim, f"$.run.initializations[{i}]")
-                       for i, init in enumerate(inits)])
-        cells = [(f"init{i}", cells[0][1]) for i in range(len(inits))]
+        x0 = resolve_x0(doc["x0"], problem.dim, "$.x0")
+        blocks = [(f"p={p} K={k}", {"iterations": k}, Schedule(p))
+                  for p in doc["p"] for k in doc["k_grid"]]
     else:
-        x0 = resolve_x0(run_block["x0"], problem.dim, "$.run.x0")
-    try:
-        runs = [(name, _build_solver_config(run_block, method, problem)) for name, method in cells]
-    except ValueError as exc:  # a scaled penalty step that underflows to 0
-        raise ConfigurationError(f"run: {exc}") from exc
+        cells = expand_methods(_method_blocks(doc), problem)
+        run_block = dict(doc["run"])
+        if iterations is not None:
+            if iterations < 1:
+                raise ConfigurationError("iterations override must be >= 1")
+            run_block["iterations"] = iterations
+        if doc["kind"] == "casestudy":
+            if len(cells) != 1:
+                raise ConfigurationError("case studies take a single method without grids")
+            inits = run_block["initializations"]
+            x0 = np.array([resolve_x0(init, problem.dim, f"$.run.initializations[{i}]")
+                           for i, init in enumerate(inits)])
+            cells = [(f"init{i}", cells[0][1]) for i in range(len(inits))]
+        else:
+            x0 = resolve_x0(run_block["x0"], problem.dim, "$.run.x0")
+        blocks = [(name, run_block, method) for name, method in cells]
+    runs = []
+    for name, block, method in blocks:
+        try:
+            runs.append((name, _build_solver_config(block, method, problem)))
+        except ValueError as exc:  # a step that underflows to 0, or a weight that overflows
+            raise ConfigurationError(f"run: {name}: {exc}") from exc
     return doc, problem, x0, runs
 
 
 def _method_blocks(doc: dict) -> list[dict]:
-    if "methods" in doc:
-        return doc["methods"]
-    return [doc["method"]] if "method" in doc else []
+    return doc["methods"] if "methods" in doc else [doc["method"]]
 
 
 def build_problem(block: dict) -> ProblemSpec:
@@ -529,7 +534,8 @@ def _build_solver_config(
 ) -> SolverConfig:
     """The config of one run; a :class:`Schedule` resolves to its ``eta`` and
     its grad-norm-squared ``beta`` for the block's budget, and a penalty step
-    is ``eta / (1 + lambda)`` unless ``penalty_step_scaling`` is false."""
+    is ``eta / (1 + lambda)`` unless ``penalty_step_scaling`` is false.  A
+    potential weight ``beta/(L_g eta)`` that is not finite is a ``ValueError``."""
     if isinstance(method, Schedule):
         eta, beta = scheduled_step(problem.smoothness, run_block["iterations"], method.p)
         method = GradNormSquared(beta)
@@ -537,6 +543,9 @@ def _build_solver_config(
         eta = run_block["step"]["eta"]
     if isinstance(method, Penalty) and run_block.get("penalty_step_scaling", True):
         eta = eta / (1.0 + method.lam)
+    beta, scale = method.potential_beta, problem.smoothness.lip_grad_g * eta
+    if beta is not None and not (scale > 0.0 and math.isfinite(beta / scale)):
+        raise ValueError(f"the potential weight beta/(L_g eta) is not finite at eta = {eta!r}")
     stop = run_block.get("stop_tolerances")
     return SolverConfig(
         method=method,
@@ -613,48 +622,51 @@ def _summary_row(name: str, trace: TraceRecord) -> str:
     )
 
 
-def _run_and_write(
-    doc: dict,
-    output_dir: Optional[str | Path],
-    problem: ProblemSpec,
-    runs: list[tuple[str, SolverConfig]],
-    x0: np.ndarray,
-    noun: str,
-    table: str,
-) -> tuple[Path, tuple[TraceRecord, ...]]:
-    """Run a config's named runs as one batch and write each run's trace CSV.
-
-    Returns the path of the file ``table`` in the output directory
-    (``output_dir``, else the config's), which the caller writes, and the
-    traces, which hold each run's best and last rows.  Every output path
-    is checked before the batch runs.  Run warnings go to standard error
-    before the batch runs; a divergence names the first diverging run, as
-    ``{noun} {name}``, and leaves no trace CSV.
-    """
-    granularity = doc["output"].get("trace", "all")
-    out = _output_directory(output_dir if output_dir is not None else doc["output"]["directory"])
-    names = [name for name, _ in runs]
-    paths = [_output_file(out / f"{name}.csv") for name in names if granularity != "none"]
-    table_path = _output_file(out / table)
-    writer = _TraceWriter(paths) if granularity == "all" else None
+def _run_named(
+    problem: ProblemSpec, runs: list[tuple[str, SolverConfig]], x0: np.ndarray, noun: str,
+    writer: Optional[_TraceWriter] = None,
+) -> tuple[TraceRecord, ...]:
+    """Run a config's named runs as one batch; returns their traces, which
+    keep each run's best and last rows (``writer``, if given, gets every row).
+    Run warnings go to standard error before the batch runs.  A failed batch
+    discards what ``writer`` wrote; a divergence names the first diverging
+    run, as ``{noun} {name}``."""
     for name, config in runs:
         for warning in config.warnings(problem.smoothness):
             print(f"warning: {name}: {warning}", file=sys.stderr)
     try:
-        batch = run(problem, [config for _, config in runs], x0,
-                    keep="best-last" if writer is None else writer)
+        return run(problem, [config for _, config in runs], x0,
+                   keep="best-last" if writer is None else writer).traces
     except BaseException as exc:
         if writer is not None:
             writer.discard()
         if isinstance(exc, DivergenceError):
             raise DivergenceError(
-                exc.iteration, f"{exc.what} in {noun} {names[exc.cell]}", exc.cell
+                exc.iteration, f"{exc.what} in {noun} {runs[exc.cell][0]}", exc.cell
             ) from exc
         raise
+
+
+def _run_and_write(
+    doc: dict, output_dir: Optional[str | Path], problem: ProblemSpec,
+    runs: list[tuple[str, SolverConfig]], x0: np.ndarray, noun: str, table: str,
+) -> tuple[Path, tuple[TraceRecord, ...]]:
+    """Run a config's named runs by :func:`_run_named` and write each run's trace CSV.
+
+    Returns the path of the file ``table`` in the output directory
+    (``output_dir``, else the config's), which the caller writes, and the
+    traces.  Every output path is checked before the batch runs.
+    """
+    granularity = doc["output"].get("trace", "all")
+    out = _output_directory(output_dir if output_dir is not None else doc["output"]["directory"])
+    paths = [_output_file(out / f"{name}.csv") for name, _ in runs if granularity != "none"]
+    table_path = _output_file(out / table)
+    writer = _TraceWriter(paths) if granularity == "all" else None
+    traces = _run_named(problem, runs, x0, noun, writer)
     if granularity == "final":
-        for path, trace in zip(paths, batch.traces):
+        for path, trace in zip(paths, traces):
             path.write_text(trace_csv(trace.table[-1:], trace.k[-1:]))
-    return table_path, batch.traces
+    return table_path, traces
 
 
 def run_experiment(
@@ -681,28 +693,25 @@ def run_rates(
 ) -> Path:
     """Fit minimal-potential decay slopes for every configured exponent.
 
-    A run whose minimal potential is not positive (one that starts at a
+    Runs the ``(p, K)`` runs by :func:`_run_named`, writing no trace file.  A
+    run whose minimal potential is not positive (one that starts at a
     stationary point) leaves no slope to fit: a :class:`ConfigurationError`,
     as is an output file that names a directory or a parent that names a
     file (both checked before the runs).
     """
-    doc, problem, x0, _ = prepare_config(doc, "rates")
+    doc, problem, x0, runs = prepare_config(doc, "rates")
     path = Path(output_file if output_file is not None else doc["output"]["file"])
     _output_directory(path.parent)
     _output_file(path)
+    traces = _run_named(problem, runs, x0, "run")
     tolerance = doc.get("slope_tolerance", SLOPE_TOLERANCE)
     try:
-        fits = rate_fit(problem, x0, doc["p"], list(doc["k_grid"]), tolerance)
+        fits = rate_fit(doc["p"], doc["k_grid"], traces, tolerance)
     except ValueError as exc:
         raise ConfigurationError(f"rates: {exc}") from exc
-    report = {
-        "problem": doc["problem"],
-        "x0": doc["x0"],
-        "fits": [
-            {**dataclasses.asdict(fit), "p": p, "passed": fit.passed}
-            for p, fit in zip(doc["p"], fits)
-        ],
-    }
+    entries = [{**dataclasses.asdict(fit), "p": p, "passed": fit.passed}
+               for p, fit in zip(doc["p"], fits)]
+    report = {"problem": doc["problem"], "x0": doc["x0"], "fits": entries}
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return path
 

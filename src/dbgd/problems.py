@@ -72,12 +72,10 @@ class SmoothnessProfile:
     grad_f_bound: Optional[float] = None
 
     def __post_init__(self):
-        if not (self.lip_grad_f > 0.0):
-            raise ValueError("lip_grad_f must be strictly positive")
-        if not (self.lip_grad_g > 0.0):
-            raise ValueError("lip_grad_g must be strictly positive")
-        if self.grad_f_bound is not None and not (self.grad_f_bound > 0.0):
-            raise ValueError("grad_f_bound must be strictly positive when given")
+        for name in ("lip_grad_f", "lip_grad_g", "grad_f_bound"):
+            value = getattr(self, name)
+            if not (value is None and name == "grad_f_bound" or 0.0 < value < math.inf):
+                raise ValueError(f"{name} must be strictly positive and finite, got {value!r}")
 
     @property
     def lip_total(self) -> float:

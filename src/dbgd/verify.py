@@ -11,22 +11,22 @@ The rest checks an implemented quantity against a route that does not
 share code with it: analytic gradients against central differences, the
 closed-form projection against descent inequalities evaluated on
 recorded traces, candidate points against sampled local-improvement
-certificates, and scheduled runs against the expected decay of the
-minimal potential across budgets.
+certificates, and the traces of scheduled runs against the expected
+decay of the minimal potential across budgets.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .direction import GradNormSquared, halfspace_multiplier
-from .errors import ConfigurationError, DivergenceError, EvaluationError
+from .errors import ConfigurationError, EvaluationError
 from .problems import ProblemSpec, SmoothnessProfile, rng, row_dot
-from .solver import SolverConfig, TraceRecord, _geometry, run, scheduled_step
+from .solver import TraceRecord, _geometry
 
 __all__ = [
     "AuditReport", "CertificateResult", "RateFit", "StationarityReport", "finite_diff_check",
@@ -399,19 +399,16 @@ class RateFit:
 
 
 def rate_fit(
-    problem: ProblemSpec,
-    x0: Array,
-    ps: list[float],
-    k_grid: list[int],
+    ps: list[float], k_grid: list[int], traces: Sequence[TraceRecord],
     slope_tolerance: float = SLOPE_TOLERANCE,
 ) -> list[RateFit]:
-    """Run the scheduled method across budgets and fit the decay slope.
+    """Fit the decay slope of the minimal potential across budgets.
 
-    Every ``(p, K)`` pair runs in one batch, keeping only each run's best
-    and last rows; returns one fit per exponent of ``ps``, in order.  A
-    line through fewer than 3 distinct budgets fits nothing, so ``k_grid``
-    must hold at least 3, and neither ``k_grid`` nor ``ps`` may repeat a
-    value.  A divergence names its run as ``run p=... K=...``.
+    ``traces`` holds one scheduled run per ``(p, K)`` pair, ``p`` outermost
+    (``p`` of ``ps``, ``K`` of ``k_grid``); returns one fit per exponent of
+    ``ps``, in order.  A line through fewer than 3 distinct budgets fits
+    nothing, so ``k_grid`` must hold at least 3, and neither ``k_grid`` nor
+    ``ps`` may repeat a value.
     """
     if len(set(k_grid)) < 3:
         raise ValueError("k_grid must contain at least 3 distinct budgets")
@@ -419,16 +416,9 @@ def rate_fit(
         repeated = [v for i, v in enumerate(values) if v in values[:i]]
         if repeated:
             raise ValueError(f"{name} repeats {repeated[0]!r}")
-    pairs = [(p, k) for p in ps for k in k_grid]
-    configs = []
-    for p, k in pairs:
-        eta, beta = scheduled_step(problem.smoothness, int(k), p)
-        configs.append(SolverConfig(method=GradNormSquared(beta), eta=eta, iterations=int(k)))
-    try:
-        traces = iter(run(problem, configs, x0, keep="best-last").traces)
-    except DivergenceError as exc:
-        p, k = pairs[exc.cell]
-        raise DivergenceError(exc.iteration, f"{exc.what} in run p={p} K={k}", exc.cell) from exc
+    if len(traces) != len(ps) * len(k_grid):
+        raise ValueError(f"got {len(traces)} traces for {len(ps)} x {len(k_grid)} (p, K) pairs")
+    traces = iter(traces)
     fits = []
     for p in ps:
         minima = []

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -17,10 +18,12 @@ import dbgd.harness as harness
 import dbgd.solver as solver
 from dbgd import (
     ConfigurationError,
+    DivergenceError,
     GradNormSquared,
     Method,
     Penalty,
     SolverConfig,
+    quadratic_sanity_problem,
     run,
     scheduled_step,
     toy_problem,
@@ -505,6 +508,49 @@ class TestRunRates:
         assert fit["theoretical_slope"] == pytest.approx(-2.0 / 3.0)
         assert len(fit["min_potentials"]) == 3
 
+    def test_a_run_is_named_by_the_p_and_budget_of_the_config(self):
+        # p-major, each value as the config writes it: a JSON 1 prints p=1
+        doc = mutated(RATES, ("p",), [1, 0.5])
+        _, problem, _, runs = harness.prepare_config(doc)
+        assert [name for name, _ in runs] == [f"p={p} K={k}" for p in ("1", "0.5")
+                                              for k in doc["k_grid"]]
+        for (_, config), (p, k) in zip(runs, [(p, k) for p in (1, 0.5) for k in doc["k_grid"]]):
+            eta, beta = scheduled_step(problem.smoothness, k, p)
+            assert config == SolverConfig(GradNormSquared(beta), eta, k)
+
+    def test_divergence_names_the_p_and_budget_of_its_run(self, tmp_path, monkeypatch):
+        # from the lower optimum every run first steps along -grad_f = (1, 1),
+        # each by its own step; only p = 1 at K = 100 (eta = 0.158, run 3 of
+        # the p-major batch) crosses x_0 = 0.12, where f turns NaN
+        def build(n):
+            base = quadratic_sanity_problem(n)
+            return dataclasses.replace(
+                base, f=lambda x: np.where(x[..., 0] > 0.12, np.nan, base.f(x)))
+
+        entry = harness.PROBLEMS["quadratic"]
+        monkeypatch.setitem(harness.PROBLEMS, "quadratic", entry._replace(build=build))
+        doc = {"kind": "rates", "problem": {"name": "quadratic", "n": 2}, "x0": [0.0, 0.0],
+               "p": [0.0, 1.0], "k_grid": [100, 1000, 10000],
+               "output": {"file": str(tmp_path / "rates.json")}}
+        with pytest.raises(DivergenceError) as err:
+            run_rates(doc)
+        assert (err.value.iteration, err.value.cell) == (0, 3)
+        assert str(err.value) == "non-finite objective value in run p=1.0 K=100 at iteration 0"
+        assert not (tmp_path / "rates.json").exists()
+
+    def test_a_start_at_a_stationary_point_leaves_no_slope(self, tmp_path, capsys):
+        # at the toy's joint stationary point every run keeps the potential 0
+        doc = mutated("rates-toy.json", ("x0",), [-math.pi / 20.0, -1.0])
+        doc["k_grid"] = [10, 20, 40]
+        doc["output"]["file"] = str(tmp_path / "rates.json")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["rates", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: rates: minimal potential 0.0 at K = 10 is not positive; "
+            "cannot fit a log-log slope\n")
+        assert not (tmp_path / "rates.json").exists()
+
 
 class TestRunCasestudy:
     def test_bundled_casestudy_finds_both_cases(self, tmp_path):
@@ -726,6 +772,34 @@ class TestCli:
         proc = run_cli(["gradcheck", "toy"])
         assert proc.returncode == 2
         assert proc.stderr == "config error: config file not found: toy\n"
+
+    def test_an_iterations_override_below_1_is_a_config_error(self, tmp_path, capsys):
+        argv = ["run", str(bundled("toy.json")), "--output", str(tmp_path), "--iterations", "0"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "config error: iterations override must be >= 1\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("base, path, value, message", [
+        # beta/(L_g eta) overflows: once an exit-3 divergence at iteration 0
+        ("toy.json", ("run", "step", "eta"), 1e-320,
+         "run: dbgd_beta=1: the potential weight beta/(L_g eta) is not finite at eta = 1e-320"),
+        ("casestudy.json", ("run", "step", "eta"), 1e-320,
+         "run: init0: the potential weight beta/(L_g eta) is not finite at eta = 1e-320"),
+        # L_f = 2/alpha overflows: once a non-finite objective at iteration 0
+        ("matfac-log.json", ("problem", "alpha"), 1e-320,
+         "problem: lip_grad_f must be strictly positive and finite, got inf"),
+    ], ids=["toy-subnormal-step", "casestudy-subnormal-step", "matfac-log-subnormal-alpha"])
+    def test_a_constant_that_overflows_is_a_config_error(self, tmp_path, capsys, base, path,
+                                                          value, message):
+        doc = mutated(base, path, value)
+        doc["output"]["directory"] = str(tmp_path / "out")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        command = "casestudy" if doc["kind"] == "casestudy" else "run"
+        for argv in (["validate", str(config)], [command, str(config)]):
+            assert cli.main(argv) == 2
+            assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

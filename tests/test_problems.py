@@ -244,5 +244,19 @@ def test_smoothness_profile_validation():
     assert SmoothnessProfile(1.5, 2.5).lip_total == 4.0
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("field", ["lip_grad_f", "lip_grad_g", "grad_f_bound"])
+def test_a_smoothness_constant_must_be_finite(field, value):
+    constants = {"lip_grad_f": 1.0, "lip_grad_g": 1.0, "grad_f_bound": 1.0, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be strictly positive and finite"):
+        SmoothnessProfile(**constants)
+
+
+def test_a_subnormal_log_smooth_alpha_is_refused():
+    # L_f = 2/alpha overflows to inf
+    with pytest.raises(ValueError, match="lip_grad_f must be strictly positive and finite, got inf"):
+        matrix_factorization_problem(10, 10, 1e-320, variant="log-smooth")
+
+
 def test_rng_is_reproducible_across_calls():
     assert np.array_equal(rng(7).standard_normal(4), rng(7).standard_normal(4))

@@ -1,6 +1,4 @@
 import math
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +7,6 @@ from hypothesis import strategies as st
 from dbgd import (
     BloopOrthogonal,
     ConfigurationError,
-    DivergenceError,
     DynamicBarrierMin,
     EvaluationError,
     GradNormSquared,
@@ -29,6 +26,7 @@ from dbgd import (
     row_dot,
     run,
     sample_ball,
+    scheduled_step,
     sqrt_lemma_check,
     sqrt_lemma_violations,
     stationarity_report,
@@ -377,51 +375,72 @@ def test_samples_where_g_stays_level_meet_the_upper_test():
     assert (got.upper_checked, got.passed) == (50, True)
 
 
+def scheduled_traces(problem, x0, ps, k_grid):
+    """The best-last traces of the scheduled run of every ``(p, K)`` pair, ``p`` outermost."""
+    configs = []
+    for p in ps:
+        for k in k_grid:
+            eta, beta = scheduled_step(problem.smoothness, k, p)
+            configs.append(SolverConfig(GradNormSquared(beta), eta, k))
+    return run(problem, configs, x0, keep="best-last").traces
+
+
 class TestRateFit:
     def test_theoretical_slopes(self):
         problem = quadratic_sanity_problem(4)
-        fit_1, fit_0 = rate_fit(problem, 1.5 * np.ones(4), [1.0, 0.0], [50, 100, 200])
+        traces = scheduled_traces(problem, 1.5 * np.ones(4), [1.0, 0.0], [50, 100, 200])
+        fit_1, fit_0 = rate_fit([1.0, 0.0], [50, 100, 200], traces)
         assert fit_1.theoretical_slope == pytest.approx(-0.75)
         assert fit_0.theoretical_slope == pytest.approx(-2.0 / 3.0)
 
     def test_quadratic_decays_fast_enough(self):
         problem = quadratic_sanity_problem(10)
-        (fit,) = rate_fit(problem, 1.5 * np.ones(10), [0.0], [100, 1000, 10000])
+        traces = scheduled_traces(problem, 1.5 * np.ones(10), [0.0], [100, 1000, 10000])
+        (fit,) = rate_fit([0.0], [100, 1000, 10000], traces)
         assert fit.passed
         assert all(m > 0.0 for m in fit.min_potentials)
 
     def test_small_grid_is_rejected(self):
         problem = quadratic_sanity_problem(3)
+        traces = scheduled_traces(problem, np.ones(3), [0.0], [100, 1000])
         with pytest.raises(ValueError):
-            rate_fit(problem, np.ones(3), [0.0], [100, 1000])
+            rate_fit([0.0], [100, 1000], traces)
 
     def test_repeated_budgets_are_rejected(self):
         # a line through one point repeated has no slope
         problem = quadratic_sanity_problem(3)
         for k_grid in ([100, 100, 100], [100, 1000, 100]):
+            traces = scheduled_traces(problem, np.ones(3), [0.0], k_grid)
             with pytest.raises(ValueError, match="3 distinct budgets"):
-                rate_fit(problem, np.ones(3), [0.0], k_grid)
+                rate_fit([0.0], k_grid, traces)
 
     def test_a_repeated_budget_is_rejected(self):
         # 3 distinct budgets, but the repeat would weigh 100 twice in the fit
+        traces = scheduled_traces(toy_problem(), [-3, -1], [0.0], [100, 100, 1000, 3000])
         with pytest.raises(ValueError, match="k_grid repeats 100"):
-            rate_fit(toy_problem(), [-3, -1], [0.0], [100, 100, 1000, 3000])
+            rate_fit([0.0], [100, 100, 1000, 3000], traces)
 
     def test_a_repeated_exponent_is_rejected(self):
         # two identical fits
+        traces = scheduled_traces(toy_problem(), [-3, -1], [0.0, 0.0], [100, 1000, 3000])
         with pytest.raises(ValueError, match="ps repeats 0.0"):
-            rate_fit(toy_problem(), [-3, -1], [0.0, 0.0], [100, 1000, 3000])
+            rate_fit([0.0, 0.0], [100, 1000, 3000], traces)
 
-    def test_divergence_names_the_p_and_budget_of_its_run(self):
-        # from the lower optimum every run first steps along -grad_f = (1, 1),
-        # each by its own step; only p = 1 at K = 100 (eta = 0.158, run 3 of
-        # the p-major batch) crosses x_0 = 0.12, where f turns NaN
-        base = quadratic_sanity_problem(2)
-        problem = replace(base, f=lambda x: np.where(x[..., 0] > 0.12, np.nan, base.f(x)))
-        with pytest.raises(DivergenceError) as err:
-            rate_fit(problem, np.zeros(2), [0.0, 1.0], [100, 1000, 10000])
-        assert (err.value.iteration, err.value.cell) == (0, 3)
-        assert str(err.value) == "non-finite objective value in run p=1.0 K=100 at iteration 0"
+    @pytest.mark.parametrize("count", [0, 3, 5, 7])
+    def test_a_trace_count_other_than_one_per_pair_is_rejected(self, count):
+        # a fit zips the traces with the pairs, so a missing or extra run
+        # would shift every minimum after it
+        traces = scheduled_traces(toy_problem(), [-3, -1], [0.0, 1.0], [100, 200, 300])
+        with pytest.raises(ValueError, match=f"{count} traces for 2 x 3"):
+            rate_fit([0.0, 1.0], [100, 200, 300], (traces * 2)[:count])
+
+    def test_a_fit_reads_each_pair_from_its_own_trace(self):
+        # the same traces fit the same minima, in p-major order
+        problem = toy_problem()
+        traces = scheduled_traces(problem, [-3, -1], [0.0, 1.0], [100, 200, 300])
+        fits = rate_fit([0.0, 1.0], [100, 200, 300], traces)
+        minima = [float(np.min(trace.potential)) for trace in traces]
+        assert [m for fit in fits for m in fit.min_potentials] == minima
 
 
 class TestStationarityReport:

@@ -115,6 +115,14 @@ MUTANTS = (
     Mutant(VERIFY, "isinstance(method, GradNormSquared)",
            "isinstance(method, GradNormSquared.__base__)",
            "inequality_audit's rule test, widened to every barrier rule"),
+    # The rates runs, built where every command's runs are built.
+    Mutant(HARNESS, 'f"p={p} K={k}"', 'f"p={p} K={p}"', "a rates run named by its p as its budget"),
+    Mutant(HARNESS, '{"iterations": k}, Schedule(p))', '{"iterations": k}, Schedule(doc["p"][0]))',
+           "every rates run built from the first p"),
+    Mutant(PROBLEMS, "0.0 < value < math.inf", "0.0 < value",
+           "SmoothnessProfile's refusal of an infinite constant"),
+    Mutant(HARNESS, "if beta is not None and not (scale > 0.0 and math.isfinite(beta / scale)):",
+           "if False:", "the refusal of a run whose potential weight is not finite"),
 )
 
 
