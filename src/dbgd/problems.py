@@ -62,9 +62,10 @@ class SmoothnessProfile:
 
     ``lip_grad_f`` and ``lip_grad_g`` are Lipschitz constants of the
     gradients of ``f`` and ``g``; ``grad_f_bound`` bounds ``||grad f||``
-    (``None`` when no useful bound is declared).  For nonconvex instances
-    the constants are valid on a declared region rather than globally; the
-    region is documented by each problem constructor.
+    (``None`` when no useful bound is declared).  Each constant given must
+    be strictly positive and finite.  For nonconvex instances the constants
+    are valid on a declared region rather than globally; the region is
+    documented by each problem constructor.
     """
 
     lip_grad_f: float

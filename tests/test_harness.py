@@ -512,9 +512,9 @@ class TestRunRates:
         # p-major, each value as the config writes it: a JSON 1 prints p=1
         doc = mutated(RATES, ("p",), [1, 0.5])
         _, problem, _, runs = harness.prepare_config(doc)
-        assert [name for name, _ in runs] == [f"p={p} K={k}" for p in ("1", "0.5")
-                                              for k in doc["k_grid"]]
-        for (_, config), (p, k) in zip(runs, [(p, k) for p in (1, 0.5) for k in doc["k_grid"]]):
+        pairs = [(p, k) for p in (1, 0.5) for k in doc["k_grid"]]
+        assert [name for name, _ in runs] == [f"p={p} K={k}" for p, k in pairs]
+        for (_, config), (p, k) in zip(runs, pairs):
             eta, beta = scheduled_step(problem.smoothness, k, p)
             assert config == SolverConfig(GradNormSquared(beta), eta, k)
 
