@@ -55,13 +55,16 @@ class _Rule:
 
     Each rule's ``multiplier(fg, gg_sq, g)`` returns ``(lam, degenerate)``
     of each row from ``fg = grad_f . grad_g``, ``gg_sq = ||grad_g||^2`` and
-    the lower value ``g``.  The defaults below are those of a rule without
-    a barrier.
+    the lower value ``g``; ``reads_g`` states whether it reads ``g``, so
+    that a batch whose rules do not may evaluate ``g`` once per block
+    instead of after every step.  The defaults below are those of a rule
+    without a barrier.
     """
 
     #: The ``beta`` of the potential's barrier weight ``beta / (L_g eta)``,
     #: or ``None`` for a potential of the direction alone.
     potential_beta = None
+    reads_g = False
 
 
 class _Barrier(_Rule):
@@ -101,6 +104,7 @@ class DynamicBarrierMin(_Barrier):
     """Barrier level ``min(alpha * (g - g_star), beta * ||grad_g||^2)``."""
 
     label: ClassVar[str] = "dbgd:dynamic-barrier-min"
+    reads_g: ClassVar[bool] = True
     alpha: float
     beta: float
     g_star: float
@@ -129,6 +133,7 @@ class LowerLinearization(_Barrier):
     """
 
     label: ClassVar[str] = "dbgd:lower-linearization"
+    reads_g: ClassVar[bool] = True
     g_star: float
     eta: float
 

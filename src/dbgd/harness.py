@@ -543,16 +543,15 @@ def _build_solver_config(
         eta = run_block["step"]["eta"]
     if isinstance(method, Penalty) and run_block.get("penalty_step_scaling", True):
         eta = eta / (1.0 + method.lam)
-    beta, scale = method.potential_beta, problem.smoothness.lip_grad_g * eta
-    if beta is not None and not (scale > 0.0 and math.isfinite(beta / scale)):
-        raise ValueError(f"the potential weight beta/(L_g eta) is not finite at eta = {eta!r}")
     stop = run_block.get("stop_tolerances")
-    return SolverConfig(
+    config = SolverConfig(
         method=method,
         eta=eta,
         iterations=run_block["iterations"],
         stop_tolerances=tuple(stop) if stop is not None else None,
     )
+    config.potential_weight(problem.smoothness)
+    return config
 
 
 def trace_csv(table: np.ndarray, k: np.ndarray, header: bool = True) -> str:

@@ -91,7 +91,9 @@ class ProblemSpec:
     Evaluators must be re-entrant, and each result must depend on its
     inputs only; an evaluator may keep a memo of its last input (the
     matrix-factorization ``g`` and ``grad_g`` share the residual of their
-    last point).  A constructed instance is immutable and safe to
+    last point, which pays where the solver evaluates ``g(x_{k+1})`` right
+    before ``grad_g(x_{k+1})``: after each step of a large batch).  A
+    constructed instance is immutable and safe to
     share across concurrent runs.
 
     Parameters

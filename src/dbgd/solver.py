@@ -11,10 +11,11 @@ over the trace is the certified near-stationary iterate.
 Each iteration computes what the next one needs: the gradients, their
 Gram entries ``grad_g . grad_g`` and ``grad_f . grad_g``, each row's
 multiplier from its rule, one direction for the whole batch, the step,
-``g`` at the next iterate (the level rules read it), and ``d_sq``, which
-it writes into its row with ``grad_g . grad_g``, the multiplier and its
-degeneracy flag; it buffers the gradients and the iterate.  A block's end
-evaluates ``f`` at its iterates in one call (no step reads ``f``),
+``g`` at the next iterate where a rule of the batch reads it or the
+batch is large (``_G_PER_BLOCK_MAX``), and ``d_sq``, which it writes into
+its row with ``grad_g . grad_g``, the multiplier and its degeneracy flag;
+it buffers the gradients and the iterate.  A block's end evaluates ``f``,
+and ``g`` where the steps did not, at its iterates in one call each,
 computes the decreases and the potential, checks that every row is
 finite, counts degenerate steps, and keeps each run's best and last row.
 Rows leave the solver one way, a write function (the caller's, or under
@@ -26,6 +27,7 @@ fills them for each run's best and last rows, once, after the last block.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, fields
 from typing import Callable, Optional, Union
 
@@ -119,6 +121,17 @@ class SolverConfig:
                 "descent guarantees may fail"
             ]
         return []
+
+    def potential_weight(self, profile: SmoothnessProfile) -> float:
+        """The potential's barrier weight ``beta / (L_g eta)`` of this run on a
+        problem with ``profile``, 0 for a rule whose ``potential_beta`` is
+        ``None``; a weight that is not finite is a ``ValueError``."""
+        beta, scale = self.method.potential_beta, profile.lip_grad_g * self.eta
+        if beta is None:
+            return 0.0
+        if not (scale > 0.0 and math.isfinite(beta / scale)):
+            raise ValueError(f"the potential weight beta/(L_g eta) is not finite at eta = {self.eta!r}")
+        return beta / scale
 
 
 #: Columns of a trace row, in the order of ``TraceRecord.table``: that of
@@ -284,6 +297,17 @@ class _BestLast:
 #: or written.
 _BLOCK_BYTES = 1 << 20
 _BLOCK_ITERATIONS = 256
+#: The largest batch iterate, in ``runs * dim`` values, whose ``g`` is
+#: evaluated once per block, on the block's iterates as ``f`` is, when no
+#: rule of the batch segment reads ``g``; a larger one evaluates ``g`` after
+#: each step, where an oracle may share work between ``g(x_{k+1})`` and the
+#: next ``grad_g(x_{k+1})``.  Measured per batch iteration (2 cores, one
+#: BLAS thread), once per block took 0.81-0.96 of the time after each step
+#: on the toy (1-60 runs), the quadratic (6 runs, n = 10-200) and matfac up
+#: to 500 values, whose residual memo breaks even near 700 values and loses
+#: above (1.09 at 2,000, 2.2 at one 200 x 20 run); this bound keeps well
+#: below that.
+_G_PER_BLOCK_MAX = 256
 
 
 def _same_bits(mine: Array, theirs) -> bool:
@@ -354,7 +378,12 @@ def run(problem: ProblemSpec, config, x0: Array, keep: Union[str, Callable] = "a
     non-finite in it.  The check runs once per block, so a diverging run
     steps on non-finite values until its block ends (at most 255 more
     iterations) before the batch aborts; an oracle that raises on
-    non-finite input raises its own error from those steps instead.
+    non-finite input raises its own error from those steps instead.  A
+    declared ``g*`` is checked where ``g`` is evaluated: after each step,
+    or, in a batch whose iterate holds at most 256 values (``runs * dim``)
+    and whose rules do not read ``g``, once per block, so that a run may
+    take up to 255 steps below ``g*`` before :class:`LowerOptimumError`
+    names the first value below it, the same value either way.
 
     The batch forms one direction ``grad_f + lam * grad_g`` from each row's
     multiplier.  On the first iteration of a batch and after each run that
@@ -379,6 +408,12 @@ def _run_batch(
         raise ConfigurationError(f"x0 has shape {x0.shape}, problem dimension is {dim}")
     if not np.all(np.isfinite(x0)):
         raise ConfigurationError("x0 must be finite")
+    weights = []
+    for i, config in enumerate(configs):
+        try:
+            weights.append(config.potential_weight(problem.smoothness))
+        except ValueError as exc:
+            raise ConfigurationError(f"config {i}: {exc}") from None
     budget_max = max(config.iterations for config in configs)
     if keep == "all":
         table = np.empty((budget_max, cells, len(COLUMNS)))
@@ -395,12 +430,9 @@ def _run_batch(
 
     # Active row j runs configs[cell[j]].
     cell = np.arange(cells)
-    betas = [config.method.potential_beta for config in configs]
-    lip_g = problem.smoothness.lip_grad_g
     per_row = {
         "eta": np.array([config.eta for config in configs])[:, None],
-        "pot_coef": np.array([0.0 if beta is None else beta / (lip_g * config.eta)
-                              for beta, config in zip(betas, configs)]),
+        "pot_coef": np.array(weights),
         "budget": np.array([config.iterations for config in configs]),
         "tolerance": np.array([config.stop_tolerances or (-np.inf, -np.inf) for config in configs]),
     }
@@ -417,11 +449,13 @@ def _run_batch(
     }
 
     def flush(b: int) -> None:
-        """End a block of ``b`` iterations: evaluate ``f`` at its iterates,
-        fill its rows, check them, count them, then keep each run's best
-        and last, and write them."""
+        """End a block of ``b`` iterations: evaluate ``f`` at its iterates
+        (and ``g``, if the steps did not), fill its rows, check them, count
+        them, then keep each run's best and last, and write them."""
         k0, rows, gf, gg = k - b, block_rows[:b], block_gf[:b], block_gg[:b]
         f, g = block_f[:b + 1], block_g[:b + 1]
+        if g_per_block:
+            g[1:] = problem.eval_g(block_x[:b])
         f[1:] = problem.eval_f(block_x[:b])
         rows[:, :, _F], rows[:, :, _G] = f[:-1], g[:-1]
         rows[:, :, _DELTA_F], rows[:, :, _DELTA_G] = f[:-1] - f[1:], g[:-1] - g[1:]
@@ -445,6 +479,7 @@ def _run_batch(
     while cell.size:
         n = cell.size
         groups = _groups(configs, cell)
+        g_per_block = n * dim <= _G_PER_BLOCK_MAX and not any(rule.reads_g for _, rule in groups)
         eta, pot_coef = per_row["eta"], per_row["pot_coef"]
         budget = per_row["budget"]
         eps_f, eps_g = per_row["tolerance"].T
@@ -469,7 +504,8 @@ def _run_batch(
                 _cross_check(k, cell, groups, gf, gg, g_now, d, lam, degenerate)
                 check = False
             x = np.subtract(x, eta * d, out=block_x[buffered])
-            g_now = block_g[buffered + 1] = problem.eval_g(x)
+            if not g_per_block:
+                g_now = block_g[buffered + 1] = problem.eval_g(x)
             d_sq = row[:, _D_SQ] = row_dot(d, d)
             buffered += 1
             k += 1
@@ -490,7 +526,7 @@ def _run_batch(
         out["stopped"][ended] = stopped[done]
         out["final_x"][ended] = x[done]
         go_on = ~done
-        cell, x, f_now, g_now = cell[go_on], x[go_on], block_f[0, go_on], g_now[go_on]
+        cell, x, f_now, g_now = cell[go_on], x[go_on], block_f[0, go_on], block_g[0, go_on]
         per_row = {name: value[go_on] for name, value in per_row.items()}
 
     if write is None:

@@ -15,6 +15,7 @@ import json
 import math
 import tracemalloc
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from dbgd import (
     scheduled_step,
     toy_problem,
 )
-from dbgd.harness import run_experiment
+from dbgd.harness import prepare_config, run_experiment
 
 
 def scheduled(problem, iterations: int, p: float) -> SolverConfig:
@@ -229,6 +230,52 @@ def test_blocks_hold_at_most_a_megabyte_of_gradients(n, cells, block):
     # 2**20 bytes hold 14 iterations of two float64 gradients and the
     # iterate of 3,000 entries, and less than one of two runs of 40,000
     assert {size for _, size, _ in log.blocks[:-1]} == {block}
+
+
+def counted_g(problem):
+    """``problem`` with a ``g`` that logs the shape of each point it gets, and the log."""
+    calls = []
+
+    def g(x):
+        calls.append(np.shape(x))
+        return problem.g(x)
+
+    return replace(problem, g=g), calls
+
+
+def bundled(name: str, iterations=None):
+    """The problem, start and run configs of a bundled config."""
+    _, problem, x0, runs = prepare_config(resources.files("dbgd") / "configs" / name,
+                                          iterations=iterations)
+    return problem, x0, [config for _, config in runs]
+
+
+def test_g_is_evaluated_once_per_block_on_the_bundled_toy_batch():
+    # five runs of a 2-D problem, no rule reading g: one call at the start,
+    # then one per block of up to 256 iterations, on the block's iterates
+    problem, x0, configs = bundled("toy.json")
+    problem, calls = counted_g(problem)
+    run(problem, configs, x0, keep="best-last")
+    assert calls == [(5, 2)] + [(256, 5, 2)] * 3 + [(232, 5, 2)]
+
+
+def test_g_is_evaluated_after_each_step_on_the_matfac_grid():
+    # 20 runs of dimension 100 are past the size bound: g after each step
+    # shares its residual with the next grad_g through matfac's memo
+    problem, x0, configs = bundled("matfac.json", 300)
+    problem, calls = counted_g(problem)
+    run(problem, configs, x0, keep="best-last")
+    assert calls == [(20, 100)] * 301
+
+
+@pytest.mark.parametrize("rule", [DynamicBarrierMin(1.0, 0.5, 0.0), LowerLinearization(0.0, 4e-4)],
+                         ids=["dynamic-barrier-min", "lower-linearization"])
+def test_g_is_evaluated_after_each_step_where_a_rule_reads_it(rule):
+    # the toy batch and one run whose barrier level reads g
+    problem, x0, configs = bundled("toy.json", 300)
+    problem, calls = counted_g(problem)
+    run(problem, configs + [SolverConfig(rule, 4e-4, 300)], x0, keep="best-last")
+    assert calls == [(6, 2)] * 301
 
 
 def test_best_last_rows_are_the_argmin_and_last_rows_of_the_full_trace():

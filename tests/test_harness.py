@@ -1077,11 +1077,11 @@ class TestCli:
         path.write_text(json.dumps(doc))
         args = [command, str(path), *(["--output", str(output)] if flag else [])]
         if taken == output.parent:
-            # in-process, so that a parent checked only after the fits shows
-            def rate_fit(*_):
-                raise AssertionError("rate_fit ran before the output path was checked")
+            # in-process, so that a parent checked only after the runs shows
+            def run(*_, **__):
+                raise AssertionError("a run started before the output path was checked")
 
-            monkeypatch.setattr(harness, "rate_fit", rate_fit)
+            monkeypatch.setattr(harness, "run", run)
             assert cli.main(args) == 2
             stderr = capsys.readouterr().err
         else:

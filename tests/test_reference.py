@@ -2,8 +2,13 @@
 
 A batch draws a problem, methods of every kind in any order, steps,
 budgets, stop tolerances, per-row starts and what ``keep`` keeps; every
-trace must be its reference run bit for bit, every column included.
+trace must be its reference run bit for bit, every column included, both
+where the engine evaluates ``g`` after each step and where it evaluates
+``g`` once per block.
 """
+
+from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -16,6 +21,7 @@ from dbgd import (
     DynamicBarrierMin,
     GradNormSquared,
     LowerLinearization,
+    LowerOptimumError,
     Penalty,
     SolverConfig,
     matrix_factorization_problem,
@@ -23,6 +29,7 @@ from dbgd import (
     run,
     toy_problem,
 )
+from dbgd import solver
 from dbgd.solver import COLUMNS
 from reference import reference_run
 
@@ -77,13 +84,25 @@ def assert_rows(trace_column, reference_column, what):
     assert bits(trace_column) == bits(reference_column), what
 
 
+#: The size bounds of a batch whose ``g`` is evaluated once per block: 0,
+#: so that every batch evaluates ``g`` after each step, and the engine's own.
+G_PER_BLOCK_MAX = [0, solver._G_PER_BLOCK_MAX]
+
+
 def assert_reference_runs(problem, runs, x0, keep):
-    """Run ``runs`` as one batch and check each trace against its reference run."""
+    """Run ``runs`` as one batch on each ``g`` path and check each trace
+    against its reference run."""
+    starts = np.broadcast_to(x0, (len(runs), problem.dim))
+    refs = [reference_run(problem, config, start) for config, start in zip(runs, starts)]
+    for limit in G_PER_BLOCK_MAX:
+        with patch.object(solver, "_G_PER_BLOCK_MAX", limit):
+            assert_batch(problem, runs, x0, keep, refs)
+
+
+def assert_batch(problem, runs, x0, keep, refs):
     written = Written(max(config.iterations for config in runs), len(runs))
     batch = run(problem, runs, x0, keep=written if keep == "write" else keep)
-    starts = np.broadcast_to(x0, (len(runs), problem.dim))
-    for i, (config, trace) in enumerate(zip(runs, batch.traces)):
-        ref = reference_run(problem, config, starts[i])
+    for i, (config, trace, ref) in enumerate(zip(runs, batch.traces, refs)):
         n = len(ref.rows)
         potentials = [row["potential"] for row in ref.rows]
         best = potentials.index(min(potentials))
@@ -125,3 +144,27 @@ def test_degenerate_steps_from_signed_zeros_are_the_reference_steps(keep):
              LowerLinearization(0.0, eta), BloopOrthogonal(0.5), Penalty(1.0)]
     x0 = np.array([0.0, -0.0] * (problem.dim // 2))
     assert_reference_runs(problem, [SolverConfig(rule, eta, 3) for rule in rules], x0, keep)
+
+
+def test_a_g_star_crossed_mid_block_is_named_alike_on_both_g_paths():
+    # g = 0.5 ||x||^2 falls below the declared 0.05 after a few steps of
+    # the first block; evaluated after each step or once per block, the
+    # error names the same first value below g*
+    base, calls = quadratic_sanity_problem(3), []
+
+    def g(x):
+        calls.append(1)
+        return base.g(x)
+
+    problem = replace(base, g=g, g_star=0.05)
+    runs = [SolverConfig(GradNormSquared(0.5), 0.4, 100), SolverConfig(Penalty(1.0), 0.2, 100)]
+    messages, counts = [], []
+    for limit in G_PER_BLOCK_MAX:
+        calls.clear()
+        with patch.object(solver, "_G_PER_BLOCK_MAX", limit), \
+                pytest.raises(LowerOptimumError) as error:
+            run(problem, runs, np.array([0.5, -0.4, 0.3]), keep="best-last")
+        messages.append(str(error.value))
+        counts.append(len(calls))
+    assert messages[0] == messages[1]
+    assert 2 < counts[0] < 100 and counts[1] == 2  # the start, then steps or one block

@@ -1,4 +1,4 @@
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
@@ -165,6 +165,19 @@ class TestRun:
             run(problem, config, np.zeros(3))
         with pytest.raises(ConfigurationError):
             run(problem, config, np.array([np.nan, 0.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("lip_g", [1e-10, 1220.0], ids=["underflows", "overflows"])
+    def test_a_potential_weight_that_is_not_finite_is_a_config_error(self, lip_g):
+        # L_g eta underflows to 0, or beta / (L_g eta) overflows; a penalty
+        # run, whose potential has no barrier weight, takes the same step
+        problem = replace(toy_problem(), smoothness=SmoothnessProfile(2.0, lip_g, 13.0))
+        x0, eta = np.array([-3.0, -1.0]), 1e-320
+        configs = [SolverConfig(Penalty(1.0), eta, 3), SolverConfig(GradNormSquared(1.0), eta, 3)]
+        message = "config 1: the potential weight beta/(L_g eta) is not finite at eta = 1e-320"
+        with pytest.raises(ConfigurationError) as error:
+            run(problem, configs, x0)
+        assert str(error.value) == message
+        assert len(run(problem, configs[0], x0)) == 3
 
     def test_large_constant_step_records_warning(self):
         problem = quadratic_sanity_problem(4)

@@ -48,7 +48,7 @@ MUTANTS = (
     Mutant(SOLVER, "g[:-1] - g[1:]", "g[1:] - g[:-1]", "the sign of delta_g (criterion 03)"),
     Mutant(SOLVER, "rows[:, :, _POTENTIAL] = 0.5 *", "rows[:, :, _POTENTIAL] = 1.0 *",
            "the potential's 0.5 (test_potential_labels)"),
-    Mutant(SOLVER, "beta / (lip_g * config.eta)", "beta / lip_g",
+    Mutant(SOLVER, "return beta / scale", "return beta / profile.lip_grad_g",
            "the potential's 1/eta (test_potential_labels)"),
     Mutant(SOLVER, "self.best_k[cell[better]] = k0 + first",
            "self.best_k[cell[better]] = k0 + first + 1", "best_k, one row late (criterion 06)"),
@@ -121,8 +121,17 @@ MUTANTS = (
            "every rates run built from the first p"),
     Mutant(PROBLEMS, "0.0 < value < math.inf", "0.0 < value",
            "SmoothnessProfile's refusal of an infinite constant"),
-    Mutant(HARNESS, "if beta is not None and not (scale > 0.0 and math.isfinite(beta / scale)):",
+    Mutant(SOLVER, "if not (scale > 0.0 and math.isfinite(beta / scale)):",
            "if False:", "the refusal of a run whose potential weight is not finite"),
+    # Where the engine evaluates g.
+    Mutant(DIRECTION, '"dbgd:lower-linearization"\n    reads_g: ClassVar[bool] = True',
+           '"dbgd:lower-linearization"\n    reads_g: ClassVar[bool] = False',
+           "lower-linearization's level read from a stale g"),
+    Mutant(DIRECTION, '"dbgd:dynamic-barrier-min"\n    reads_g: ClassVar[bool] = True',
+           '"dbgd:dynamic-barrier-min"\n    reads_g: ClassVar[bool] = False',
+           "dynamic-barrier-min's level read from a stale g"),
+    Mutant(SOLVER, "g[1:] = problem.eval_g(block_x[:b])", "g[1:] = problem.eval_g(block_x[1:b + 1])",
+           "a block's g evaluated one iterate late"),
 )
 
 
