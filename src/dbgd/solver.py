@@ -130,7 +130,8 @@ class SolverConfig:
         if beta is None:
             return 0.0
         if not (scale > 0.0 and math.isfinite(beta / scale)):
-            raise ValueError(f"the potential weight beta/(L_g eta) is not finite at eta = {self.eta!r}")
+            raise ValueError(
+                f"the potential weight beta/(L_g eta) is not finite at eta = {self.eta!r}")
         return beta / scale
 
 
@@ -297,16 +298,13 @@ class _BestLast:
 #: or written.
 _BLOCK_BYTES = 1 << 20
 _BLOCK_ITERATIONS = 256
-#: The largest batch iterate, in ``runs * dim`` values, whose ``g`` is
-#: evaluated once per block, on the block's iterates as ``f`` is, when no
-#: rule of the batch segment reads ``g``; a larger one evaluates ``g`` after
-#: each step, where an oracle may share work between ``g(x_{k+1})`` and the
-#: next ``grad_g(x_{k+1})``.  Measured per batch iteration (2 cores, one
-#: BLAS thread), once per block took 0.81-0.96 of the time after each step
-#: on the toy (1-60 runs), the quadratic (6 runs, n = 10-200) and matfac up
-#: to 500 values, whose residual memo breaks even near 700 values and loses
-#: above (1.09 at 2,000, 2.2 at one 200 x 20 run); this bound keeps well
-#: below that.
+#: The largest batch iterate (``runs * dim`` values) whose ``g`` is
+#: evaluated once per block, as ``f`` is, when no rule of the batch segment
+#: reads ``g``; a larger one evaluates ``g`` after each step, next to the
+#: following ``grad_g``, with which matfac shares a residual.  In engine
+#: time per batch iteration, once per block took 0.78-0.98 of the time
+#: after each step up to 300 values on the toy, the quadratic and matfac;
+#: matfac broke even at 500-1,000 values and lost above (1.03-1.10 at 2,000).
 _G_PER_BLOCK_MAX = 256
 
 

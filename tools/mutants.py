@@ -130,8 +130,8 @@ MUTANTS = (
     Mutant(DIRECTION, '"dbgd:dynamic-barrier-min"\n    reads_g: ClassVar[bool] = True',
            '"dbgd:dynamic-barrier-min"\n    reads_g: ClassVar[bool] = False',
            "dynamic-barrier-min's level read from a stale g"),
-    Mutant(SOLVER, "g[1:] = problem.eval_g(block_x[:b])", "g[1:] = problem.eval_g(block_x[1:b + 1])",
-           "a block's g evaluated one iterate late"),
+    Mutant(SOLVER, "g[1:] = problem.eval_g(block_x[:b])",
+           "g[1:] = problem.eval_g(block_x[1:b + 1])", "a block's g evaluated one iterate late"),
 )
 
 
