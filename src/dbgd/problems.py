@@ -363,8 +363,8 @@ def matrix_factorization_problem(
         return res
 
     def g(x: Array) -> Array:
-        res = residual(x)
-        return (res * res).reshape(*x.shape[:-1], n * n).sum(axis=-1)
+        # np.square rounds each entry's product with itself as res * res does, in less time
+        return np.square(residual(x)).reshape(*x.shape[:-1], n * n).sum(axis=-1)
 
     def grad_g(x: Array) -> Array:
         out = residual(x) @ factor(x)

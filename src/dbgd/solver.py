@@ -17,11 +17,11 @@ its row with ``grad_g . grad_g``, the multiplier and its degeneracy flag;
 it buffers the gradients and the iterate.  A block's end evaluates ``f``,
 and ``g`` where the steps did not, at its iterates in one call each,
 computes the decreases and the potential, checks that every row is
-finite, counts degenerate steps, and keeps each run's best and last row.
-Rows leave the solver one way, a write function (the caller's, or under
-``keep="all"`` the engine's own, into a table), which gets every row of a
-block with its gradient-geometry columns filled; otherwise the engine
-fills them for each run's best and last rows, once, after the last block.
+finite, counts degenerate steps, and keeps each run's best and last row
+with their gradients, from which it fills those rows' geometry columns
+once, after the last block.  Rows leave the solver one way, a write
+function (the caller's, or under ``keep="all"`` the engine's own, into a
+table), which gets every row of a block with its geometry columns filled.
 """
 
 from __future__ import annotations
@@ -275,19 +275,20 @@ def _fill_geometry(rows: Array, gf: Array, gg: Array) -> None:
 
 class _BestLast:
     """Each run's first minimal-potential row ``table[0]`` and its last row
-    ``table[1]``, with their gradients ``gf``, ``gg`` if ``gradients``."""
+    ``table[1]``, with their gradients ``gf``, ``gg``, from which the engine
+    fills their geometry columns once, after the last block, under every ``keep``."""
 
-    def __init__(self, cells: int, dim: int, gradients: bool):
+    def __init__(self, cells: int, dim: int):
         self.table = np.full((2, cells, len(COLUMNS)), np.inf)
-        self.gf, self.gg = np.empty((2, 2, cells, dim)) if gradients else (None, None)
+        self.gf, self.gg = np.empty((2, 2, cells, dim))
         self.best_k = np.zeros(cells, dtype=int)
 
-    def block(self, k0: int, cell: Array, rows: Array, *gradients: Array) -> None:
+    def block(self, k0: int, cell: Array, rows: Array, gf: Array, gg: Array) -> None:
         first = rows[:, :, _POTENTIAL].argmin(axis=0)
         runs = np.arange(len(cell))
         better = rows[first, runs, _POTENTIAL] < self.table[0, cell, _POTENTIAL]
         first, runs = first[better], runs[better]
-        for mine, theirs in zip((self.table, self.gf, self.gg), (rows, *gradients)):
+        for mine, theirs in zip((self.table, self.gf, self.gg), (rows, gf, gg)):
             mine[0, cell[better]] = theirs[first, runs]
             mine[1, cell] = theirs[-1]
         self.best_k[cell[better]] = k0 + first
@@ -413,16 +414,17 @@ def _run_batch(
         except ValueError as exc:
             raise ConfigurationError(f"config {i}: {exc}") from None
     budget_max = max(config.iterations for config in configs)
+    fill, write = _fill_geometry, keep
     if keep == "all":
         table = np.empty((budget_max, cells, len(COLUMNS)))
 
         def write(k0: int, cell: Array, rows: Array) -> None:
             table[k0:k0 + len(rows), cell] = rows
-    elif keep == "best-last" or callable(keep):
-        write = None if keep == "best-last" else keep
-    else:
+    elif keep == "best-last":  # no row leaves, so none is filled before the kept ones
+        fill = write = lambda *block: None
+    elif not callable(keep):
         raise ValueError(f"unknown keep {keep!r}")
-    best_last = _BestLast(cells, dim, gradients=write is None)
+    best_last = _BestLast(cells, dim)
     # two gradients and the iterate, 8-byte floats, per run and iteration
     block = max(1, min(_BLOCK_ITERATIONS, budget_max, _BLOCK_BYTES // (24 * cells * dim)))
 
@@ -465,12 +467,9 @@ def _run_batch(
             ("decrease or potential", (rows[:, :, _DELTA_F:_DEGENERATE],)),
         ))
         out["degenerate"][cell] += (rows[:, :, _DEGENERATE] != 0.0).sum(axis=0)
-        if write is None:
-            best_last.block(k0, cell, rows, gf, gg)
-        else:
-            _fill_geometry(rows, gf, gg)
-            best_last.block(k0, cell, rows)
-            write(k0, cell, rows)
+        best_last.block(k0, cell, rows, gf, gg)
+        fill(rows, gf, gg)
+        write(k0, cell, rows)
         block_f[0], block_g[0] = f[-1], g[-1]
 
     k = 0
@@ -527,8 +526,7 @@ def _run_batch(
         cell, x, f_now, g_now = cell[go_on], x[go_on], block_f[0, go_on], block_g[0, go_on]
         per_row = {name: value[go_on] for name, value in per_row.items()}
 
-    if write is None:
-        _fill_geometry(best_last.table, best_last.gf, best_last.gg)
+    _fill_geometry(best_last.table, best_last.gf, best_last.gg)
     traces = []
     for i, (config, rows) in enumerate(zip(configs, out["rows"].tolist())):
         traces.append(TraceRecord(

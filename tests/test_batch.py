@@ -314,11 +314,12 @@ def test_geometry_columns_are_computed_only_for_kept_rows(monkeypatch):
     assert retirements == 2
     assert count("best-last", 2000) == (short, retirements)
     assert short == 1  # one fill of the best and the last rows of every run
-    # every row is kept, its geometry filled once per block of rows: a block
-    # ends where config 1 stops, at the budget and after 256 iterations
+    # every row is kept, its geometry filled once per block of rows (a block
+    # ends where config 1 stops, at the budget and after 256 iterations), and
+    # the best and the last rows are filled once more, as under "best-last"
     stop = len(run(problem, replace(mixed_configs()[1], iterations=2000), starts[1]))
-    assert count("all", 200)[0] == retirements
-    assert count("all", 2000)[0] == 1 + math.ceil((2000 - stop) / 256)
+    assert count("all", 200)[0] == retirements + 1
+    assert count("all", 2000)[0] == 2 + math.ceil((2000 - stop) / 256)
 
 
 def test_deferred_geometry_reproduces_an_undefined_cosine(tmp_path):

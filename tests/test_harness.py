@@ -450,8 +450,8 @@ class TestRunExperiment:
         assert len(lines) == 8
 
     def test_every_row_trace_fills_the_geometry_once_per_block(self, tmp_path, monkeypatch):
-        # toy.json: 5 cells of 1,000 iterations, in 4 blocks of at most 256;
-        # the kept best and last rows are not filled a second time
+        # toy.json: 5 cells of 1,000 iterations, in 4 blocks of at most 256,
+        # and one more fill of the kept best and last rows after the last block
         calls = []
         decompose = solver.decompose_grad_f
 
@@ -461,7 +461,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(solver, "decompose_grad_f", counted)
         run_experiment(bundled("toy.json"), output_dir=tmp_path / "toy")
-        assert len(calls) == 4
+        assert len(calls) == 5
 
     def test_undefined_cosine_serializes_as_na(self, tmp_path):
         doc = minimal_experiment(tmp_path)

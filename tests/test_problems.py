@@ -145,15 +145,22 @@ def test_gradients_match_finite_differences(name, factory):
     assert finite_diff_sweep(factory(), points=100, seed=0) <= 1e-5
 
 
-@pytest.mark.parametrize("name,factory", ALL_PROBLEMS)
+@pytest.mark.parametrize("name,factory", ALL_PROBLEMS + [
+    # the benchmark's shapes: matfac.json's problem in both variants, and
+    # the one n = 200, r = 20 run of matfac-wide
+    ("matfac-10x10-l1", lambda: matrix_factorization_problem(10, 10, 1.0, "smooth-l1")),
+    ("matfac-10x10-log", lambda: matrix_factorization_problem(10, 10, 1.0, "log-smooth")),
+    ("matfac-200x20", lambda: matrix_factorization_problem(200, 20, 1.0, "smooth-l1")),
+])
 def test_batched_oracles_equal_single_point_oracles(name, factory):
     # the solver advances runs as rows of one batch; each row's values must
-    # be bit for bit those of the point alone, also in a stack of blocks
+    # be bit for bit those of the point alone, also in a batch of one, the
+    # shape a one-run batch hands the oracles, and in a stack of blocks
     # (the solver evaluates f on the iterates of a block at once)
     p = factory()
     gen = rng(11)
     points = np.array([p.sample_point(gen) for _ in range(15)])
-    for x in (points[:5], points.reshape(3, 5, p.dim)):
+    for x in (points[:5], points[:1], points.reshape(3, 5, p.dim)):
         for oracle in ("eval_f", "eval_g", "eval_grad_f", "eval_grad_g"):
             batch = getattr(p, oracle)(x)
             alone = np.array([getattr(p, oracle)(row) for row in x.reshape(-1, p.dim)])

@@ -132,6 +132,10 @@ MUTANTS = (
            "dynamic-barrier-min's level read from a stale g"),
     Mutant(SOLVER, "g[1:] = problem.eval_g(block_x[:b])",
            "g[1:] = problem.eval_g(block_x[1:b + 1])", "a block's g evaluated one iterate late"),
+    # The kept rows, whose geometry is filled from their kept gradients.
+    Mutant(SOLVER, "(rows, gf, gg)):", "(rows, gf[::-1], gg[::-1])):",
+           "the kept rows' gradients read from the block reversed (the last row's from its "
+           "first row)"),
 )
 
 
