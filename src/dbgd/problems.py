@@ -363,7 +363,7 @@ def matrix_factorization_problem(
         return res
 
     def g(x: Array) -> Array:
-        # np.square rounds each entry's product with itself as res * res does, in less time
+        # np.square: the bits of res * res (each entry's square, rounded once), in less time
         return np.square(residual(x)).reshape(*x.shape[:-1], n * n).sum(axis=-1)
 
     def grad_g(x: Array) -> Array:

@@ -120,7 +120,7 @@ def defined_cosine(row: dict) -> bool:
 @pytest.mark.parametrize("name", FILES)
 def test_outputs_match_the_golden_files(rerun, name):
     first_line = [(path / name).read_text().partition("\n")[0] for path in (rerun, GOLDEN)]
-    assert first_line[0] == first_line[1]  # a CSV header names its columns in order
+    assert first_line[0] == first_line[1]  # a CSV header's column order, which read() drops
     assert differences(read(rerun / name), read(GOLDEN / name)) == []
 
 
